@@ -1,10 +1,11 @@
 """Divisor class groups of Hibi rings and of raw toric cones.
 
 The cone of a bounded poset is spanned by one linear form per Hasse edge;
-the class group is the cokernel of the resulting integer matrix.  For Hibi
-input the cotree edges of a chosen spanning tree give a distinguished basis
-(their divisor classes are the standard basis vectors); for raw ray input
-the basis comes from Smith normal form, with a documented sign convention.
+the class group is the cokernel of the resulting integer matrix.  Both kinds
+of input compute that cokernel one way, by Smith normal form, which fixes a
+basis up to a documented sign convention.  Raw ray input keeps that basis.
+Hibi input then moves to the basis given by the cotree edges of a chosen
+spanning tree, so that their divisor classes are the standard basis vectors.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def parse_cone(text: str) -> SigmaMatrix:
         if line.startswith("dim:"):
             if dim is not None:
                 raise ConeError(f"line {lineno}: duplicate dim line")
-            dim = int(line[len("dim:"):].strip())
+            try:
+                dim = int(line[len("dim:"):].strip())
+            except ValueError as exc:
+                raise ConeError(f"line {lineno}: dim must be an integer") from exc
             if dim < 1:
                 raise ConeError(f"line {lineno}: dim must be positive")
         elif line.startswith("ray:"):
@@ -137,29 +141,25 @@ def class_group(s: SigmaMatrix, tree: Optional[TreeSelection] = None) -> ClassGr
 
 def _class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
     n, d = s.n, s.d
-    tree_rows = sorted(tree.tree_edges)
-    if len(tree_rows) != d:
-        raise ValueError("spanning tree does not match the sigma matrix")
-    a_tree = [list(s.rows[i]) for i in tree_rows]
-    cotree = tree.cotree_edges
     rank = n - d
-    weights: list[Vec] = [()] * n
-    for pos, e in enumerate(cotree):
-        w = [0] * rank
-        w[pos] = 1
-        weights[e] = tuple(w)
-    for pos, e in enumerate(tree_rows):
-        rhs = [0] * d
-        rhs[pos] = 1
-        y = intlattice.solve_rational(a_tree, rhs)
-        assert y is not None
-        w = []
-        for c in cotree:
-            val = -sum(s.rows[c][j] * y[j] for j in range(d))
-            assert val.denominator == 1, "tree submatrix must be unimodular"
-            w.append(int(val))
-        weights[e] = tuple(w)
-    return ClassGroupData(rank=rank, torsion=(), weights=tuple(weights),
+    cotree = tree.cotree_edges
+    if len(tree.tree_edges) != d or len(cotree) != rank:
+        raise ValueError("spanning tree does not match the sigma matrix")
+    smith = _class_group_cone(s).weights
+    if rank == 0:
+        weights = smith
+    else:
+        # columns: the Smith classes of the cotree edges, a Z-basis exactly
+        # when the tree submatrix of sigma is unimodular
+        basis = [[smith[e][k] for e in cotree] for k in range(rank)]
+        try:
+            coords = [intlattice.solve_integer(basis, w) for w in smith]
+        except ValueError:  # the basis matrix is singular
+            coords = None
+        if coords is None or None in coords:
+            raise ValueError("the cotree classes are not a basis of the class group")
+        weights = tuple(tuple(c) for c in coords)
+    return ClassGroupData(rank=rank, torsion=(), weights=weights,
                           cotree=cotree, source=HIBI)
 
 

@@ -69,22 +69,30 @@ def _edge_labels(p: BoundedPoset) -> list[str]:
 def _parse_tree_arg(arg: Optional[str], p: BoundedPoset):
     if arg is None:
         return spanning_tree(p)
-    ids = []
-    for tok in arg.split(","):
-        tok = tok.strip().lstrip("e")
-        ids.append(int(tok) - 1)
+    try:
+        ids = [int(tok.strip().lstrip("e")) - 1 for tok in arg.split(",")]
+    except ValueError:
+        raise UsageError(f"error: --tree takes edge labels such as e2,e3; "
+                         f"got {arg!r}")
     return spanning_tree(p, hint=ids)
 
 
 def _parse_box_arg(arg: Optional[str], default: Sequence[tuple[int, int]]):
+    """The box from ``--box``, one lo,hi pair per coordinate of the default."""
     if arg is None:
         return list(default)
-    parts = [int(tok) for tok in arg.split(",")]
-    if len(parts) == 2:
-        return [(parts[0], parts[1])]
-    if len(parts) == 4:
-        return [(parts[0], parts[1]), (parts[2], parts[3])]
-    raise UsageError("error: --box takes a,b (rank 1) or a,b,c,d (rank 2)")
+    rank = len(default)
+    try:
+        parts = [int(tok) for tok in arg.split(",")]
+    except ValueError:
+        raise UsageError(f"error: --box takes comma-separated integers, got {arg!r}")
+    if len(parts) != 2 * rank:
+        raise UsageError(f"error: --box takes a,b (rank 1) or a,b,c,d (rank 2); "
+                         f"the class group has rank {rank}, got {arg!r}")
+    box = list(zip(parts[::2], parts[1::2]))
+    if any(lo > hi for lo, hi in box):
+        raise UsageError(f"error: --box ranges need lo <= hi, got {arg!r}")
+    return box
 
 
 def _weights_for_input(text: str, tree_arg: Optional[str]):
@@ -186,20 +194,12 @@ def _cmd_mcm_region(args) -> int:
     ws = list(cgd.weights)
     if cgd.rank == 1:
         lo, hi = mcm.rank1_mcm_interval(ws)
-        box = _parse_box_arg(args.box, [(lo - 2, hi + 2)])
-        region = mcm.mcm_region(ws, box)
-        conic = {pt for pt in region if divisorial.is_conic(pt, ws)}
-        if args.format == "json":
-            _emit({"input": args.input, "box": [list(b) for b in box],
-                   "mcm": sorted(list(p) for p in region),
-                   "mcm_and_conic": sorted(list(p) for p in conic)}, "json")
-        else:
-            cells = []
-            for x in range(box[0][0], box[0][1] + 1):
-                cells.append(_cell((x,), region, conic))
-            sys.stdout.write("\t".join(cells) + "\n")
-        return 0
-    default = _default_box(ws)
+        default = [(lo - 2, hi + 2)]
+    elif cgd.rank == 2:
+        default = _default_box(ws)
+    else:
+        raise UsageError(f"error: mcm-region needs class group rank 1 or 2, "
+                         f"not {cgd.rank}")
     box = _parse_box_arg(args.box, default)
     region = mcm.mcm_region(ws, box)
     conic = {pt for pt in region if divisorial.is_conic(pt, ws)}
@@ -207,6 +207,10 @@ def _cmd_mcm_region(args) -> int:
         _emit({"input": args.input, "box": [list(b) for b in box],
                "mcm": sorted(list(p) for p in region),
                "mcm_and_conic": sorted(list(p) for p in conic)}, "json")
+    elif cgd.rank == 1:
+        (x_lo, x_hi), = box
+        cells = [_cell((x,), region, conic) for x in range(x_lo, x_hi + 1)]
+        sys.stdout.write("\t".join(cells) + "\n")
     else:
         (x_lo, x_hi), (y_lo, y_hi) = box
         for y in range(y_hi, y_lo - 1, -1):

@@ -192,7 +192,7 @@ def _box_slice_feasible(vecs: list[Vec], lows: list[Fraction], highs: list[Fract
                     rhs[c] -= val * vecs[i][c]
             mat = [[cols[j][c] for j in range(rk)] for c in range(r)]
             try:
-                sol = _solve_fractions(mat, rhs)
+                sol = intlattice.solve_rational(mat, rhs)
             except ValueError:
                 sol = None
             if sol is None:
@@ -212,37 +212,6 @@ def _box_slice_feasible(vecs: list[Vec], lows: list[Fraction], highs: list[Fract
         if max(v[i] for v in vertices) <= lows[i]:
             return False
     return True
-
-
-def _solve_fractions(mat: list[list[Vec | int]], rhs: list) -> Optional[list[Fraction]]:
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    M = [[Fraction(mat[i][j]) for j in range(cols)] + [Fraction(rhs[i])]
-         for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < cols:
-        raise ValueError("not full column rank")
-    for i in range(r, rows):
-        if M[i][cols] != 0:
-            return None
-    out = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        out[c] = M[i][cols]
-    return out
 
 
 def conic_classes(weights: WeightsLike) -> list[Vec]:

@@ -103,35 +103,13 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
     return [D[i][i] for i in range(k) if D[i][i] != 0]
 
 
-def rational_rank(a: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def solve_rational(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[Fraction]]:
-    """Unique rational solution of A y = b for A with full column rank, or
-    None when inconsistent."""
-    n, d = len(a), len(a[0])
-    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
+def _gauss_jordan(M: list[list[Fraction]], cols: int) -> list[int]:
+    """Reduce M in place to reduced row echelon form on its first ``cols``
+    columns (later columns ride along); return the pivot columns."""
+    n = len(M)
     pivots = []
     r = 0
-    for c in range(d):
+    for c in range(cols):
         piv = next((i for i in range(r, n) if M[i][c] != 0), None)
         if piv is None:
             continue
@@ -144,11 +122,27 @@ def solve_rational(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[lis
                 M[i] = [x - f * y for x, y in zip(M[i], M[r])]
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rational_rank(a: Sequence[Sequence[int]]) -> int:
+    rows = [[Fraction(x) for x in row] for row in a]
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0))
+
+
+def solve_rational(a: Sequence[Sequence[int]],
+                   b: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
+    """Unique rational solution of A y = b, or None when inconsistent.
+
+    Raises ValueError when A does not have full column rank.
+    """
+    d = len(a[0])
+    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
+    pivots = _gauss_jordan(M, d)
     if len(pivots) < d:
         raise ValueError("matrix does not have full column rank")
-    for i in range(r, n):
-        if M[i][d] != 0:
-            return None
+    if any(row[d] != 0 for row in M[d:]):
+        return None
     y: list[Fraction] = [Fraction(0)] * d
     for i, c in enumerate(pivots):
         y[c] = M[i][d]

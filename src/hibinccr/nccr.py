@@ -33,10 +33,7 @@ class CharacterSet:
     provenance: str = "user"
 
     def __contains__(self, chi: Vec) -> bool:
-        return chi in self._index()
-
-    def _index(self) -> frozenset[Vec]:
-        return frozenset(self.chars)
+        return chi in self.chars
 
 
 def nccr_characters(type_tag: str, params: Sequence[int]) -> CharacterSet:
@@ -393,7 +390,6 @@ def verify_nccr(p: BoundedPoset) -> NccrReport:
 def _verify_rank1(p: BoundedPoset) -> NccrReport:
     cgd = class_group(sigma_matrix(p), spanning_tree(p))
     line = rank1_mod.Rank1Weights.from_class_group(cgd)
-    bound = rank1_mod.mcm_bound(line)
     window = rank1_mod.base_window(line)
     chars = character_window([-c for c in window.classes])
     table = tuple((w,) for w in line.weights)

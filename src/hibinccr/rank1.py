@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from . import divisorial, mcm
 from .classgroup import ClassGroupData
 from .intlattice import Vec
 
@@ -83,20 +82,9 @@ class McmBound:
 
 def mcm_bound(w: Rank1Weights) -> McmBound:
     """Minus the sum of the negative weights; MCM classes are the symmetric
-    open interval it bounds.  Cross-checked against the conic test on a
-    doubled window."""
+    open interval it bounds."""
     beta = -sum(w.negatives)
-    lo, hi = -beta + 1, beta - 1
-    vectors = w.as_vectors()
-    for a in range(-2 * beta, 2 * beta + 1):
-        in_interval = lo <= a <= hi
-        if divisorial.is_conic((a,), vectors) != in_interval:
-            raise AssertionError(
-                f"conic test disagrees with the interval at {a}")
-        if mcm.is_mcm((a,), vectors) != in_interval:
-            raise AssertionError(
-                f"MCM interval test disagrees with the chamber data at {a}")
-    return McmBound(summands=beta, interval=(lo, hi))
+    return McmBound(summands=beta, interval=(-beta + 1, beta - 1))
 
 
 @dataclass(frozen=True)

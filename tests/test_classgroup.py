@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hibinccr import (ConeError, TorsionError, class_group,
                       class_of, parse_cone, parse_poset, same_class,
                       serialize_cone, sigma_matrix, spanning_tree,
                       verify_divisor_relations)
-from hibinccr.posets import is_pure
+from hibinccr.posets import PosetError, TreeSelection, is_pure
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
 from test_posets import random_posets
@@ -129,12 +130,57 @@ def test_hibi_needs_tree(running_example):
         class_group(sigma_matrix(running_example))
 
 
+def test_cotree_not_a_basis(running_example):
+    p = running_example
+    # d edges that hold a cycle: the other edges' classes are dependent
+    for edges in itertools.combinations(range(p.n_edges), p.dim):
+        try:
+            spanning_tree(p, hint=edges)
+        except PosetError:
+            break
+    cotree = tuple(k for k in range(p.n_edges) if k not in edges)
+    tree = TreeSelection(tree_edges=frozenset(edges), cotree_edges=cotree)
+    with pytest.raises(ValueError, match="not a basis"):
+        class_group(sigma_matrix(p), tree)
+
+
+def _tree_in_order(p, order):
+    """The spanning tree grown by taking edges in the given order."""
+    parent = {el: el for el in p.elements}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tree = []
+    for k in order:
+        a, b = (find(el) for el in p.edges[k])
+        if a != b:
+            parent[a] = b
+            tree.append(k)
+    return tree
+
+
+@st.composite
+def posets_with_edge_orders(draw):
+    p = draw(random_posets())
+    return p, draw(st.permutations(range(p.n_edges)))
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(random_posets())
-def test_random_posets_rank_and_relations(p):
+@given(posets_with_edge_orders())
+def test_random_posets_rank_and_relations(case):
+    """The cotree classes are the standard basis and the relations hold;
+    together these fix every weight."""
+    p, order = case
     s = sigma_matrix(p)
-    cgd = class_group(s, spanning_tree(p))
-    assert cgd.rank == p.n_edges - p.dim
-    assert verify_divisor_relations(p, cgd)
-    if is_pure(p).pure:
-        assert all(sum(w[k] for w in cgd.weights) == 0 for k in range(cgd.rank))
+    for tree in (spanning_tree(p), spanning_tree(p, hint=_tree_in_order(p, order))):
+        cgd = class_group(s, tree)
+        assert cgd.rank == p.n_edges - p.dim
+        assert cgd.cotree == tree.cotree_edges
+        for pos, e in enumerate(cgd.cotree):
+            assert cgd.weights[e] == tuple(int(k == pos) for k in range(cgd.rank))
+        assert verify_divisor_relations(p, cgd)
+        if is_pure(p).pure:
+            assert all(sum(w[k] for w in cgd.weights) == 0 for k in range(cgd.rank))

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hibinccr
 from hibinccr import corpus_path
 from hibinccr.cli import main
 
@@ -189,3 +194,37 @@ def test_rank2_demo_regions(capsys):
     assert code == 0
     report = json.loads(out)
     assert [0, 0] in report["mcm_and_conic"]
+
+
+# inputs written for the test; every other file name is a corpus file
+SCRATCH_INPUTS = {
+    "bad_dim.cone": "dim: x\nray: 1 0\n",
+    "smooth.cone": "dim: 2\nray: 1 0\nray: 0 1\n",  # class group rank 0
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "running_example.poset", "--tree", "e2,x"],
+    ["mcm-region", "type4_m1_n1.poset", "--box=1,a,2,3"],
+    ["mcm-region", "type4_m1_n1.poset", "--box=3,1,2,1"],
+    ["mcm-region", "rank1_example.cone", "--box=1,2,3,4"],
+    ["mcm-region", "rank2_demo.cone", "--box=1,2"],
+    ["analyze", "bad_dim.cone"],
+    ["mcm-region", "smooth.cone"],
+], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
+        "box-rank2-arity", "cone-dim", "mcm-region-rank0"])
+def test_malformed_input_is_a_usage_error(tmp_path, argv):
+    """The command run as a program: exit 2 and one ``error:`` line."""
+    command, name, *rest = argv
+    if name in SCRATCH_INPUTS:
+        path = tmp_path / name
+        path.write_text(SCRATCH_INPUTS[name])
+    else:
+        path = corpus_path(name)
+    env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hibinccr.cli", command, str(path), *rest],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -9,7 +11,7 @@ from hibinccr.intlattice import (angle_key, convex_hull, cross,
                                  find_unimodular_match, invariant_factors,
                                  lattice_contains, lattice_rank, primitive,
                                  rational_rank, smith_normal_form,
-                                 solve_integer)
+                                 solve_integer, solve_rational)
 
 
 def _matmul(a, b):
@@ -52,6 +54,14 @@ def test_invariant_factors_example():
 def test_rational_rank():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[1, 0], [0, 1]]) == 2
+
+
+def test_solve_rational():
+    assert solve_rational([[2, 0], [0, 3], [1, 1]], [1, 1, Fraction(5, 6)]) == \
+        [Fraction(1, 2), Fraction(1, 3)]
+    assert solve_rational([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None  # inconsistent
+    with pytest.raises(ValueError, match="full column rank"):
+        solve_rational([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
 
 
 def test_solve_integer():

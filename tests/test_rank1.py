@@ -5,7 +5,7 @@ import pytest
 from hibinccr import (Rank1InputError, Rank1Weights, Window, base_window,
                       certify_gldim, class_group, conic_classes,
                       endomorphism_is_mcm, exchange_graph, exchange_graph_dot,
-                      is_conic, mcm_bound, mutate_window, parse_cone,
+                      is_conic, is_mcm, mcm_bound, mutate_window, parse_cone,
                       segre_poset, sigma_matrix, spanning_tree)
 from hibinccr.nccr import character_window
 
@@ -62,12 +62,15 @@ def test_mcm_bound_segre():
 
 
 def test_interval_agrees_with_conic_on_doubled_window():
-    for line in (FOUR_RAY, CONIFOLD, segre_weights(2)):
+    beta26 = Rank1Weights(weights=(-15, -11, 9, 17))
+    for line in (FOUR_RAY, CONIFOLD, segre_weights(2), beta26):
         bound = mcm_bound(line)
         vectors = line.as_vectors()
         for a in range(-2 * bound.summands, 2 * bound.summands + 1):
-            assert is_conic((a,), vectors) == \
-                (bound.interval[0] <= a <= bound.interval[1])
+            inside = bound.interval[0] <= a <= bound.interval[1]
+            assert is_conic((a,), vectors) == inside
+            assert is_mcm((a,), vectors) == inside
+    assert mcm_bound(beta26).summands == 26
 
 
 def test_base_windows():
