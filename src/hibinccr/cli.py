@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import divisorial, families, mcm, nccr, rank1
 from .classgroup import (ConeError, TorsionError, class_group, parse_cone,
@@ -31,6 +31,24 @@ class UsageError(SystemExit):
     def __init__(self, message: str):
         sys.stderr.write(message + "\n")
         super().__init__(USAGE_ERROR)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors follow the usage-error contract: one line, no
+    usage block.  Subparsers are made with the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"error: {self.prog}: {message}")
+
+
+def _radius(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"takes a non-negative integer, got {text!r}")
+    return value
 
 
 def _emit(obj, fmt: str) -> None:
@@ -202,7 +220,8 @@ def _cmd_mcm_region(args) -> int:
                          f"not {cgd.rank}")
     box = _parse_box_arg(args.box, default)
     region = mcm.mcm_region(ws, box)
-    conic = {pt for pt in region if divisorial.is_conic(pt, ws)}
+    rule = divisorial.conic_facets(ws, cgd.rank)
+    conic = {pt for pt in region if rule.contains(pt)}
     if args.format == "json":
         _emit({"input": args.input, "box": [list(b) for b in box],
                "mcm": sorted(list(p) for p in region),
@@ -337,7 +356,7 @@ def _cmd_z1_mutate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hibinccr",
         description="Exact class groups, conic/MCM classes and splitting "
                     "NCCRs for Hibi rings with small class group.")
@@ -398,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     spe = z1_sub.add_parser("exchange-graph")
     spe.add_argument("input")
     spe.add_argument("--generators-only", action="store_true")
-    spe.add_argument("--radius", type=int)
+    spe.add_argument("--radius", type=_radius)
     spe.set_defaults(func=_cmd_z1_exchange_graph)
 
     spm = z1_sub.add_parser("mutate")

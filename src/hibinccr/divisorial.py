@@ -1,11 +1,17 @@
 """Conic divisorial ideal classes.
 
-Two independent characterizations are implemented: the circuit polytope of a
-bounded poset (lattice points = conic classes in cotree coordinates) and the
-critical-character test (a class is conic iff it is a combination of the
-divisor weights with coefficients in the half-open interval (-1, 0]).  Their
-agreement on every input is one of the strongest end-to-end checks in the
-test suite.
+A class is conic iff it is a combination of the divisor weights with every
+coefficient in the half-open interval (-1, 0] (Bruns-Gubeladze).  Two
+independent routes decide it:
+
+* the circuit polytope of a bounded poset, whose lattice points are the conic
+  classes in cotree coordinates (``conic_polytope``, ``enumerate_conic``);
+* the facet rule on the weights alone: one integer inequality per facet
+  normal of the zonotope sum_i [-1, 0] w_i, open or closed as the weights
+  decide (``conic_facets``, ``is_conic``, ``conic_classes``).
+
+Their agreement on every input is one of the strongest end-to-end checks in
+the test suite.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TypeAlias, Union
 
 from . import intlattice
 from .classgroup import ClassGroupData
@@ -26,7 +32,9 @@ class UnboundedPolytopeError(ValueError):
     pass
 
 
-WeightsLike = Union[ClassGroupData, Sequence[Vec]]
+# A string: typing caches subscripted unions, and a cached union of this
+# module's classes would keep every earlier import of the module alive.
+WeightsLike: TypeAlias = "Union[ClassGroupData, Sequence[Vec]]"
 
 
 def weight_list(weights: WeightsLike) -> list[Vec]:
@@ -144,88 +152,116 @@ def _enumerate_rec(cons: list[tuple[Vec, Fraction]], r: int) -> list[Vec]:
 
 
 # ---------------------------------------------------------------------------
-# critical-character test
+# the facet rule
+
+
+@dataclass(frozen=True)
+class ConicFacets:
+    """The half-open zonotope sum_i (-1, 0] w_i as integer constraints.
+
+    A class chi is conic iff <e, chi> = 0 for every ``equations`` entry and,
+    for every ``(u, h)`` in ``facets``, <u, chi> < h or <u, chi> = h = 0.
+    """
+
+    equations: tuple[Vec, ...]
+    facets: tuple[tuple[Vec, int], ...]
+
+    def contains(self, chi: Vec) -> bool:
+        for e in self.equations:
+            if intlattice.dot(e, chi):
+                return False
+        for u, h in self.facets:
+            d = intlattice.dot(u, chi)
+            if not (d < h or d == h == 0):
+                return False
+        return True
+
+
+def conic_facets(weights: WeightsLike, rank: int) -> ConicFacets:
+    """The facet rule for classes of the given rank, built once per weight
+    system.
+
+    Let Z = sum_i [-1, 0] w_i.  For each primitive normal u of a hyperplane
+    spanned by rank-1 linearly independent weights, take u and -u with
+    h_u = sum_i max(0, -<u, w_i>), the maximum of <u, .> on Z.  Then chi is
+    conic iff every (u, h_u) has <u, chi> < h_u, or <u, chi> = h_u = 0.
+
+    Proof.  If <u, chi> = h_u > 0, chi lies on the face of Z where <u, .> is
+    largest, and every representation of chi has s_i = -1 for each weight
+    with <u, w_i> < 0 (there is one, as h_u > 0): chi is not conic.  Now
+    suppose no (u, h_u) fails, so chi is in Z; let F be the smallest face of
+    Z containing chi.  Its normal cone is spanned by the normals of the
+    facets through F, all of the form above and all with h_u = 0, so no
+    weight pairs negatively with a normal v inside that cone.  A point of F
+    is sum of s_i w_i with s_i = 0 on the weights pairing positively with v,
+    plus a point of the zonotope G = sum [-1, 0] w_i over the weights with
+    <v, w_i> = 0; chi lies in the relative interior of F, hence of that copy
+    of G, which is the image of the open cube, so chi is reached with those
+    s_i in (-1, 0).  Conic.  For Gorenstein weights (sum w_i = 0) every
+    h_u is positive and the rule reads 2|<u, chi>| < sum_i |<u, w_i>|.
+
+    Weights that do not span Q^rank are first moved by the column transform
+    V of the Smith normal form of their matrix, which clears every
+    coordinate beyond its rank r: chi is conic iff chi V vanishes beyond r
+    (``equations``) and its first r coordinates satisfy the rule for the
+    moved weights, whose normals are read back through V.  Each normal is
+    the primitive generator of the integer kernel of r-1 weights, the last
+    column of their own Smith transform.  Zero weights change nothing.
+    """
+    ws = weight_list(weights)
+    if any(len(w) != rank for w in ws):
+        raise ValueError(f"weights must have {rank} coordinates")
+    nonzero = [w for w in ws if any(w)]
+    if nonzero:
+        D, _, V = intlattice.smith_normal_form(nonzero)
+    else:
+        D, V = [], [[int(i == j) for j in range(rank)] for i in range(rank)]
+    r = sum(1 for i in range(min(len(D), rank)) if D[i][i])
+    columns = [tuple(row[c] for row in V) for c in range(rank)]
+    moved = {intlattice.primitive(tuple(intlattice.dot(w, col) for col in columns[:r]))
+             for w in nonzero}
+    lines = sorted({max(v, tuple(-c for c in v)) for v in moved})
+    normals = set()
+    for span in (combinations(lines, r - 1) if r else ()):
+        u = _kernel_generator(span)
+        if u is not None:
+            normal = tuple(intlattice.dot(row[:r], u) for row in V)
+            normals |= {normal, tuple(-c for c in normal)}
+    facets = tuple((u, sum(max(0, -intlattice.dot(u, w)) for w in nonzero))
+                   for u in sorted(normals))
+    return ConicFacets(equations=tuple(columns[r:]), facets=facets)
+
+
+def _kernel_generator(rows: Sequence[Vec]) -> Optional[Vec]:
+    """Primitive generator of the integer kernel of k independent rows in
+    Z^(k+1), or None when the rows are dependent."""
+    if not rows:
+        return (1,)
+    D, _, V = intlattice.smith_normal_form(rows)
+    if any(D[i][i] == 0 for i in range(len(rows))):
+        return None
+    return tuple(row[-1] for row in V)
 
 
 def is_conic(chi: Vec, weights: WeightsLike) -> bool:
-    """Is the class conic?  Decided by exact membership of the character in
-    the half-open zonotope of weight combinations with coefficients in
-    (-1, 0]; no floating point and no epsilon anywhere."""
-    ws = weight_list(weights)
-    rank = len(chi)
-    if rank == 0:
+    """Is the class conic, i.e. a combination of the weights with every
+    coefficient in (-1, 0]?  Decided by the facet rule of ``conic_facets``
+    in integer arithmetic."""
+    if len(chi) == 0:
         return True
-    values: dict[Vec, int] = {}
-    for w in ws:
-        if any(c != 0 for c in w):
-            values[w] = values.get(w, 0) + 1
-    vecs = sorted(values)
-    lows = [Fraction(-values[v]) for v in vecs]
-    highs = [Fraction(0) for _ in vecs]
-    return _box_slice_feasible(vecs, lows, highs, chi, open_low=True)
-
-
-def _box_slice_feasible(vecs: list[Vec], lows: list[Fraction], highs: list[Fraction],
-                        target: Vec, open_low: bool) -> bool:
-    """Feasibility of sum_k s_k * vecs[k] = target with s in a box whose low
-    faces are excluded when open_low.
-
-    Works on the closed box first (vertex enumeration of the slice polytope),
-    then uses convexity: the open problem is feasible iff the closed one is
-    and no coordinate is pinned to its excluded face.
-    """
-    k = len(vecs)
-    r = len(target)
-    if k == 0:
-        return all(c == 0 for c in target)
-    rk = intlattice.lattice_rank(vecs)
-    vertices: list[list[Fraction]] = []
-    for free in combinations(range(k), rk):
-        cols = [vecs[i] for i in free]
-        if intlattice.lattice_rank(cols) != rk:
-            continue
-        fixed = [i for i in range(k) if i not in free]
-        for ends in product(*[(lows[i], highs[i]) for i in fixed]):
-            rhs = list(target)
-            for i, val in zip(fixed, ends):
-                for c in range(r):
-                    rhs[c] -= val * vecs[i][c]
-            mat = [[cols[j][c] for j in range(rk)] for c in range(r)]
-            try:
-                sol = intlattice.solve_rational(mat, rhs)
-            except ValueError:
-                sol = None
-            if sol is None:
-                continue
-            s = [Fraction(0)] * k
-            for j, i in enumerate(free):
-                s[i] = sol[j]
-            for i, val in zip(fixed, ends):
-                s[i] = val
-            if all(lows[i] <= s[i] <= highs[i] for i in range(k)):
-                vertices.append(s)
-    if not vertices:
-        return False
-    if not open_low:
-        return True
-    for i in range(k):
-        if max(v[i] for v in vertices) <= lows[i]:
-            return False
-    return True
+    return conic_facets(weights, len(chi)).contains(chi)
 
 
 def conic_classes(weights: WeightsLike) -> list[Vec]:
-    """All conic classes, by the critical-character test over its bounding
-    box.  Agrees with the circuit-polytope enumeration on Hibi inputs."""
+    """All conic classes, by the facet rule over their bounding box.  Agrees
+    with the circuit-polytope enumeration on Hibi inputs."""
     ws = weight_list(weights)
     if not ws:
         return [()]
     rank = len(ws[0])
     if rank == 0:
         return [()]
+    rule = conic_facets(ws, rank)
     bounds = [sum(abs(w[k]) for w in ws) for k in range(rank)]
-    out = []
-    for pt in product(*[range(-b, b + 1) for b in bounds]):
-        if is_conic(pt, ws):
-            out.append(pt)
-    return sorted(out)
+    return [pt for pt in product(*[range(-b, b + 1) for b in bounds])
+            if rule.contains(pt)]

@@ -19,7 +19,7 @@ characters whose covariants assemble into a splitting NCCR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, TypeAlias, Union
 
 from .intlattice import Vec
 from .posets import (BOTTOM, TOP, BoundedPoset, TreeSelection, build_poset, is_pure,
@@ -42,7 +42,9 @@ class Rejection:
     message: str
 
 
-ClassifyResult = Union[TypeParams, Rejection]
+# A string, as divisorial.WeightsLike: a cached Union would keep the classes
+# of every earlier import of this module alive.
+ClassifyResult: TypeAlias = "Union[TypeParams, Rejection]"
 
 _PARAM_RANGES = {
     "I": ((0, 1), ("m", "n")),

@@ -224,16 +224,18 @@ def _topological(interior: Sequence[str], up: dict[str, set[str]]) -> list[str]:
 
 def _check_hasse(order: Sequence[str], up: dict[str, set[str]],
                  covers: Sequence[tuple[str, str]]) -> None:
-    # strictly-above sets, computed bottom-up in reverse topological order
-    above: dict[str, set[str]] = {}
+    # strictly-above sets as bitsets over topological positions, computed
+    # bottom-up in reverse topological order
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    above: dict[str, int] = {}
     for v in reversed(order):
-        acc = set(up[v])
+        acc = 0
         for u in up[v]:
-            acc |= above[u]
+            acc |= bit[u] | above[u]
         above[v] = acc
     for a, b in covers:
         for c in up[a]:
-            if c != b and b in above[c]:
+            if c != b and above[c] & bit[b]:
                 raise PosetError(
                     f"cover {a!r} < {b!r} is implied by transitivity (via {c!r})")
 

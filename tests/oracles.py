@@ -1,0 +1,100 @@
+"""Reference implementations kept as test oracles.
+
+The vertex route below is the conic test the library used before the facet
+rule: exact membership of a class in the half-open zonotope of weight
+combinations with coefficients in (-1, 0], decided by enumerating the
+C(k, r) * 2^(k - r) vertices of a slice of the coefficient box.  It is slow
+and shares no logic with ``divisorial.conic_facets``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations, product
+
+from hibinccr import intlattice
+from hibinccr.divisorial import weight_list
+from hibinccr.intlattice import Vec
+
+
+def vertex_is_conic(chi: Vec, weights) -> bool:
+    """Is the class conic?  Decided by exact membership of the character in
+    the half-open zonotope of weight combinations with coefficients in
+    (-1, 0]; no floating point and no epsilon anywhere."""
+    ws = weight_list(weights)
+    rank = len(chi)
+    if rank == 0:
+        return True
+    values: dict[Vec, int] = {}
+    for w in ws:
+        if any(c != 0 for c in w):
+            values[w] = values.get(w, 0) + 1
+    vecs = sorted(values)
+    lows = [Fraction(-values[v]) for v in vecs]
+    highs = [Fraction(0) for _ in vecs]
+    return _box_slice_feasible(vecs, lows, highs, chi, open_low=True)
+
+
+def _box_slice_feasible(vecs: list[Vec], lows: list[Fraction], highs: list[Fraction],
+                        target: Vec, open_low: bool) -> bool:
+    """Feasibility of sum_k s_k * vecs[k] = target with s in a box whose low
+    faces are excluded when open_low.
+
+    Works on the closed box first (vertex enumeration of the slice polytope),
+    then uses convexity: the open problem is feasible iff the closed one is
+    and no coordinate is pinned to its excluded face.
+    """
+    k = len(vecs)
+    r = len(target)
+    if k == 0:
+        return all(c == 0 for c in target)
+    rk = intlattice.lattice_rank(vecs)
+    vertices: list[list[Fraction]] = []
+    for free in combinations(range(k), rk):
+        cols = [vecs[i] for i in free]
+        if intlattice.lattice_rank(cols) != rk:
+            continue
+        fixed = [i for i in range(k) if i not in free]
+        for ends in product(*[(lows[i], highs[i]) for i in fixed]):
+            rhs = list(target)
+            for i, val in zip(fixed, ends):
+                for c in range(r):
+                    rhs[c] -= val * vecs[i][c]
+            mat = [[cols[j][c] for j in range(rk)] for c in range(r)]
+            try:
+                sol = intlattice.solve_rational(mat, rhs)
+            except ValueError:
+                sol = None
+            if sol is None:
+                continue
+            s = [Fraction(0)] * k
+            for j, i in enumerate(free):
+                s[i] = sol[j]
+            for i, val in zip(fixed, ends):
+                s[i] = val
+            if all(lows[i] <= s[i] <= highs[i] for i in range(k)):
+                vertices.append(s)
+    if not vertices:
+        return False
+    if not open_low:
+        return True
+    for i in range(k):
+        if max(v[i] for v in vertices) <= lows[i]:
+            return False
+    return True
+
+
+def vertex_conic_classes(weights) -> list[Vec]:
+    """All conic classes, by the vertex route over the bounding box."""
+    ws = weight_list(weights)
+    if not ws:
+        return [()]
+    rank = len(ws[0])
+    if rank == 0:
+        return [()]
+    bounds = [sum(abs(w[k]) for w in ws) for k in range(rank)]
+    out = []
+    for pt in product(*[range(-b, b + 1) for b in bounds]):
+        if vertex_is_conic(pt, ws):
+            out.append(pt)
+    return sorted(out)

@@ -211,20 +211,35 @@ SCRATCH_INPUTS = {
     ["mcm-region", "rank2_demo.cone", "--box=1,2"],
     ["analyze", "bad_dim.cone"],
     ["mcm-region", "smooth.cone"],
+    ["mcm-region"],
+    ["analyze", "running_example.poset", "--bogus"],
+    ["conic", "rank1_example.cone", "--format", "xml"],
+    ["z1", "exchange-graph", "rank1_example.cone", "--radius", "-3"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
-        "box-rank2-arity", "cone-dim", "mcm-region-rank0"])
+        "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
+        "unknown-option", "bad-format-choice", "negative-radius"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
     """The command run as a program: exit 2 and one ``error:`` line."""
-    command, name, *rest = argv
-    if name in SCRATCH_INPUTS:
-        path = tmp_path / name
-        path.write_text(SCRATCH_INPUTS[name])
-    else:
-        path = corpus_path(name)
+    args = []
+    for token in argv:
+        if token in SCRATCH_INPUTS:
+            path = tmp_path / token
+            path.write_text(SCRATCH_INPUTS[token])
+            token = str(path)
+        elif token.endswith((".poset", ".cone")):
+            token = str(corpus_path(token))
+        args.append(token)
     env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "hibinccr.cli", command, str(path), *rest],
+    proc = subprocess.run([sys.executable, "-m", "hibinccr.cli", *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_help_is_not_an_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["mcm-region", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hibinccr mcm-region")

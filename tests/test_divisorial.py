@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hibinccr import (TypeParams, chordless_circuits, class_group, conic_classes,
-                      conic_polytope, enumerate_conic, expected_weight_table,
-                      is_conic, parse_poset, sigma_matrix, spanning_tree)
+                      conic_facets, conic_polytope, enumerate_conic,
+                      expected_weight_table, is_conic, parse_poset, sigma_matrix,
+                      spanning_tree)
 from hibinccr.divisorial import UnboundedPolytopeError, ConicPolytope
 from hibinccr.families import generate_family
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
+from oracles import vertex_conic_classes, vertex_is_conic
 
 
 def _poset_conic(p, hint=None):
@@ -175,3 +179,59 @@ def test_duplicate_circuits_merge(running_example):
     doubled = conic_polytope(circuits + circuits, tree, cgd)
     single = conic_polytope(circuits, tree, cgd)
     assert doubled == single
+
+
+# ---------------------------------------------------------------------------
+# the facet rule against the vertex route of tests/oracles.py
+
+
+@st.composite
+def weight_systems(draw, size):
+    """Weight systems of rank 1-3 with up to ``size`` drawn weights: any of
+    them may repeat a weight, contain zero weights, sum to zero (Gorenstein)
+    or lie in a proper subspace."""
+    rank = draw(st.integers(1, 3))
+    bound = 2 if rank < 3 else 1
+    entry = st.integers(-bound, bound)
+    vec = st.tuples(*[entry] * rank)
+    shape = draw(st.sampled_from(["free", "gorenstein", "line"]))
+    if shape == "line":
+        d = draw(vec)
+        ws = [tuple(f * c for c in d) for f in draw(st.lists(entry, min_size=1, max_size=size))]
+    else:
+        ws = draw(st.lists(vec, min_size=1, max_size=size))
+        if draw(st.booleans()):
+            ws.append(ws[0])
+        if shape == "gorenstein":
+            ws.append(tuple(-sum(w[k] for w in ws) for k in range(rank)))
+    return draw(st.permutations(ws))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(weight_systems(size=2))
+def test_conic_classes_match_vertex_route(ws):
+    assert conic_classes(ws) == vertex_conic_classes(ws)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight_systems(size=5), st.data())
+def test_is_conic_matches_vertex_route(ws, data):
+    rank = len(ws[0])
+    point = st.tuples(*[st.integers(-6, 6)] * rank)
+    for chi in data.draw(st.lists(point, min_size=1, max_size=8)):
+        assert is_conic(chi, ws) == vertex_is_conic(chi, ws), chi
+
+
+@pytest.mark.parametrize("ws,expected", [
+    ([(1, 1), (-1, -1), (2, 2)], [(-2, -2), (-1, -1), (0, 0)]),
+    ([(0, 0), (1, 0), (1, 0)], [(-1, 0), (0, 0)]),
+    ([(0, 0, 0), (1, 0, 1), (1, 0, 1), (0, 1, 0)], [(-1, 0, -1), (0, 0, 0)]),
+])
+def test_facet_rule_on_degenerate_systems(ws, expected):
+    """Zero, repeated and non-spanning weights, against the vertex route."""
+    assert conic_classes(ws) == vertex_conic_classes(ws) == expected
+
+
+def test_facet_rule_needs_matching_rank():
+    with pytest.raises(ValueError, match="3 coordinates"):
+        conic_facets([(1, 0)], 3)

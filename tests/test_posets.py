@@ -35,9 +35,15 @@ def test_empty_poset():
 
 
 def test_redundant_cover_rejected():
-    text = "elements: a b c\ncover: a < b\ncover: b < c\ncover: a < c\n"
-    with pytest.raises(PosetError, match="transitivity"):
-        parse_poset(text)
+    for text, message in [
+        ("elements: a b c\ncover: a < b\ncover: b < c\ncover: a < c\n",
+         "cover 'a' < 'c' is implied by transitivity (via 'b')"),
+        ("elements: a b c d\ncover: a < b\ncover: b < c\ncover: c < d\ncover: a < d\n",
+         "cover 'a' < 'd' is implied by transitivity (via 'b')"),
+    ]:
+        with pytest.raises(PosetError) as info:
+            parse_poset(text)
+        assert str(info.value) == message
 
 
 def test_cyclic_cover_rejected():
