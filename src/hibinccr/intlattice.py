@@ -178,12 +178,6 @@ def lattice_contains(basis: Sequence[Vec], x: Vec) -> bool:
     return True
 
 
-def lattice_rank(vectors: Sequence[Vec]) -> int:
-    if not vectors:
-        return 0
-    return rational_rank([list(v) for v in vectors])
-
-
 # ---------------------------------------------------------------------------
 # unimodular multiset matching (rank <= 2)
 

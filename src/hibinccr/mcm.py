@@ -6,16 +6,18 @@ set of negatively-pairing divisor weights is constant.  Every chamber that
 contains both of its boundary rays, and every open sector, contributes an
 affine semigroup of non-MCM characters; a class is MCM iff it avoids all of
 them (half-open chambers never matter).
-All decisions are exact integer arithmetic; semigroup membership is a finite
-search guided by a strictly positive linear functional.
+All decisions are exact integer arithmetic.  Each of those chambers is
+compiled once into a :class:`NonMcmCone`, the one membership engine: it
+serves :func:`is_mcm`, :func:`mcm_region` and :func:`semigroup_member`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations, product
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import intlattice
 from .divisorial import WeightsLike, weight_list
@@ -56,10 +58,75 @@ class ChamberDecomposition:
 @dataclass(frozen=True)
 class NonMcmCone:
     """Characters offset + (non-negative combination of generators) are the
-    non-MCM classes detected by one chamber."""
+    non-MCM classes detected by one chamber.
+
+    The cone is compiled once and then answers :meth:`contains` for any
+    number of characters; rank one is the rank-two case on the first axis.
+    Generators whose negative lies in the rational cone of the whole set act
+    invertibly, so they collapse into a unit lattice.  The remaining
+    generators admit an integer functional phi, zero on the unit line and
+    strictly positive on them, which sorts the classes they reach modulo the
+    line into finite levels; the levels are closed up to the largest phi
+    asked so far.
+    """
 
     offset: Vec
     generators: tuple[Vec, ...]
+    _units: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
+    _line: Optional[Vec] = field(init=False, repr=False, compare=False)
+    _phi: Vec = field(init=False, repr=False, compare=False)
+    _steps: tuple[tuple[int, Vec], ...] = field(init=False, repr=False, compare=False)
+    _levels: list[set[Vec]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rank = len(self.offset)
+        if rank not in (1, 2):
+            raise ValueError("non-MCM cones are implemented for rank 1 and 2")
+        for g in self.generators:
+            _check_rank(g, rank)
+        gens = sorted({_plane(g) for g in self.generators} - {(0, 0)})
+        units = [g for g in gens if _in_cone_2d((-g[0], -g[1]), gens)]
+        rest = [g for g in gens if g not in units]
+        line = _lattice_line(units) if rest else None
+        phi = _positive_functional(rest, line) if rest else (0, 0)
+        compiled = {"_units": tuple(units), "_line": line, "_phi": phi,
+                    "_steps": tuple((dot(phi, g), g) for g in rest),
+                    "_levels": [{(0, 0)}]}
+        for name, value in compiled.items():
+            object.__setattr__(self, name, value)
+
+    def contains(self, chi: Vec) -> bool:
+        """Is chi one of the cone's non-MCM characters?"""
+        _check_rank(chi, len(self.offset))
+        t = _plane(tuple(c - o for c, o in zip(chi, self.offset)))
+        if not self._steps:
+            return intlattice.lattice_contains(self._units, t)
+        level = dot(self._phi, t)
+        return level >= 0 and _canon_mod_line(t, self._line) in self._reached(level)
+
+    def _reached(self, level: int) -> set[Vec]:
+        """Classes mod the unit line reached at this phi level.  New levels
+        are built on a copy that replaces the stored list only when complete,
+        so no query ever reads a half-closed level."""
+        levels = self._levels
+        if level >= len(levels):
+            levels = list(levels)
+            while len(levels) <= level:
+                n = len(levels)
+                levels.append({_canon_mod_line((x[0] + g[0], x[1] + g[1]), self._line)
+                               for cost, g in self._steps if cost <= n
+                               for x in levels[n - cost]})
+            object.__setattr__(self, "_levels", levels)
+        return levels[level]
+
+
+def _plane(v: Vec) -> Vec:
+    return v if len(v) == 2 else (v[0], 0)
+
+
+def _check_rank(v: Sequence[int], rank: int) -> None:
+    if len(v) != rank:
+        raise ValueError(f"expected a vector of rank {rank}, got {tuple(v)}")
 
 
 def _pairing_t_set(direction: Vec, ws: Sequence[Vec]) -> tuple[int, ...]:
@@ -173,69 +240,9 @@ def non_mcm_cone(chamber: Chamber, weights: WeightsLike) -> NonMcmCone:
 
 def semigroup_member(target: Vec, generators: Sequence[Vec]) -> bool:
     """Is the target a non-negative integer combination of the generators?
-
-    Exact for arbitrary generator sets in rank 1 or 2.  Generators whose
-    negative lies in the rational cone of the whole set act invertibly, so
-    they collapse into a sublattice; the remaining generators admit a
-    strictly positive integer functional, which makes the leftover search
-    finite.
-    """
-    rank = len(target)
-    gens = sorted({tuple(g) for g in generators if any(c != 0 for c in g)})
-    if all(c == 0 for c in target):
-        return True
-    if not gens:
-        return False
-    if rank == 1:
-        return _member_1d(target[0], [g[0] for g in gens])
-    if rank != 2:
-        raise ValueError("semigroup membership implemented for rank 1 and 2")
-
-    units = [g for g in gens if _in_cone_2d((-g[0], -g[1]), gens)]
-    rest = [g for g in gens if g not in units]
-    if not rest:
-        return intlattice.lattice_contains(units, target)
-
-    lat = _lattice_line(units)
-    phi = _positive_functional(rest, lat)
-    if dot(phi, target) < 0:
-        return False
-    stack = [target]
-    seen = {target}
-    while stack:
-        x = stack.pop()
-        if _in_line_lattice(x, lat):
-            return True
-        for g in rest:
-            nxt = (x[0] - g[0], x[1] - g[1])
-            if nxt in seen or dot(phi, nxt) < 0:
-                continue
-            seen.add(nxt)
-            stack.append(nxt)
-    return False
-
-
-def _member_1d(t: int, vals: list[int]) -> bool:
-    if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-        g = 0
-        for v in vals:
-            g = gcd(g, abs(v))
-        return t % g == 0
-    if all(v > 0 for v in vals):
-        if t < 0:
-            return False
-        return _coin_reachable(t, vals)
-    if t > 0:
-        return False
-    return _coin_reachable(-t, [-v for v in vals])
-
-
-def _coin_reachable(t: int, vals: list[int]) -> bool:
-    reach = [False] * (t + 1)
-    reach[0] = True
-    for s in range(1, t + 1):
-        reach[s] = any(v <= s and reach[s - v] for v in vals)
-    return reach[t]
+    Exact for arbitrary generator sets in rank 1 or 2 (see :class:`NonMcmCone`)."""
+    zero = (0,) * len(target)
+    return NonMcmCone(zero, tuple(tuple(g) for g in generators)).contains(target)
 
 
 def _in_cone_2d(p: Vec, gens: Sequence[Vec]) -> bool:
@@ -294,15 +301,6 @@ def _lattice_line(units: Sequence[Vec]) -> Optional[Vec]:
     return (direction[0] * scale, direction[1] * scale)
 
 
-def _in_line_lattice(x: Vec, lat: Optional[Vec]) -> bool:
-    if lat is None:
-        return x == (0, 0)
-    if cross(lat, x) != 0:
-        return False
-    comp = 0 if lat[0] != 0 else 1
-    return x[comp] % lat[comp] == 0
-
-
 def _canon_mod_line(x: Vec, lat: Optional[Vec]) -> Vec:
     if lat is None:
         return x
@@ -326,85 +324,44 @@ def rank1_mcm_interval(ws: Sequence[Vec]) -> tuple[int, int]:
     return (-beta + 1, beta - 1)
 
 
-def is_mcm(chi: Vec, weights: WeightsLike,
-           decomposition: Optional[ChamberDecomposition] = None) -> bool:
+def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
     """Is the rank-one class MCM?  Rank 1 reduces to an interval test; rank 2
     runs the chamber criterion (whose hypothesis must hold)."""
     ws = weight_list(weights)
-    _check_gorenstein(ws)
-    rank = len(ws[0])
-    if rank == 1:
-        lo, hi = rank1_mcm_interval(ws)
-        return lo <= chi[0] <= hi
-    if decomposition is None:
-        decomposition = chamber_decomposition(ws)
-    if not decomposition.hypothesis_ok:
-        raise CriterionHypothesisError(
-            f"criterion hypothesis fails on chambers {decomposition.hypothesis_failures}")
-    for chamber in decomposition.chambers:
-        if chamber.kind == HALF_OPEN:
-            continue
-        cone = non_mcm_cone(chamber, ws)
-        shifted = tuple(c - o for c, o in zip(chi, cone.offset))
-        if semigroup_member(shifted, cone.generators):
-            return False
-    return True
+    _check_rank(chi, len(ws[0]))
+    return _mcm_test(ws)(chi)
 
 
 def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]:
-    """All MCM classes inside the box (inclusive coordinate ranges).
-
-    Equivalent to running :func:`is_mcm` pointwise, but each chamber's
-    non-MCM semigroup is closed off once for the whole box.
-    """
+    """All MCM classes inside the box (inclusive coordinate ranges): the
+    points that no compiled non-MCM cone contains, as :func:`is_mcm` decides
+    them pointwise."""
     ws = weight_list(weights)
-    _check_gorenstein(ws)
     rank = len(ws[0])
-    if rank == 1:
+    if len(box) != rank:
+        raise ValueError(f"expected a box of rank {rank}, got {len(box)} ranges")
+    return set(filter(_mcm_test(ws), product(*(range(lo, hi + 1) for lo, hi in box))))
+
+
+def _mcm_test(ws: Sequence[Vec]) -> Callable[[Vec], bool]:
+    if len(ws[0]) == 1:
+        _check_gorenstein(ws)
         lo, hi = rank1_mcm_interval(ws)
-        (b_lo, b_hi), = box
-        return {(v,) for v in range(max(lo, b_lo), min(hi, b_hi) + 1)}
+        return lambda chi: lo <= chi[0] <= hi
+    cones = _non_mcm_cones(tuple(ws))
+    return lambda chi: not any(cone.contains(chi) for cone in cones)
+
+
+@lru_cache(maxsize=1)
+def _non_mcm_cones(ws: tuple[Vec, ...]) -> tuple[NonMcmCone, ...]:
+    """The compiled cones of every closed chamber and open sector.  One
+    weight system is kept, so a run of queries against it shares the cones'
+    reached levels."""
+    _check_gorenstein(ws)
     decomposition = chamber_decomposition(ws)
     if not decomposition.hypothesis_ok:
         raise CriterionHypothesisError(
             f"criterion hypothesis fails on chambers {decomposition.hypothesis_failures}")
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    points = {(x, y) for x in range(x_lo, x_hi + 1) for y in range(y_lo, y_hi + 1)}
-    bad: set[Vec] = set()
-    for chamber in decomposition.chambers:
-        if chamber.kind == HALF_OPEN:
-            continue
-        bad |= _cone_points_in_box(non_mcm_cone(chamber, ws), box)
-    return points - bad
+    return tuple(non_mcm_cone(chamber, ws) for chamber in decomposition.chambers
+                 if chamber.kind != HALF_OPEN)
 
-
-def _cone_points_in_box(cone: NonMcmCone, box: Sequence[tuple[int, int]]) -> set[Vec]:
-    (x_lo, x_hi), (y_lo, y_hi) = box
-    pts = [(x, y) for x in range(x_lo, x_hi + 1) for y in range(y_lo, y_hi + 1)]
-    gens = sorted({g for g in cone.generators if g != (0, 0)})
-    off = cone.offset
-    if not gens:
-        return {off} & set(pts)
-    units = [g for g in gens if _in_cone_2d((-g[0], -g[1]), gens)]
-    rest = [g for g in gens if g not in units]
-    if not rest:
-        return {p for p in pts
-                if intlattice.lattice_contains(units, (p[0] - off[0], p[1] - off[1]))}
-    lat = _lattice_line(units)
-    phi = _positive_functional(rest, lat)
-    budget = max(dot(phi, (p[0] - off[0], p[1] - off[1])) for p in pts)
-    if budget < 0:
-        return set()
-    start = _canon_mod_line((0, 0), lat)
-    reach = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for g in rest:
-            nxt = _canon_mod_line((x[0] + g[0], x[1] + g[1]), lat)
-            if nxt in reach or dot(phi, nxt) > budget:
-                continue
-            reach.add(nxt)
-            frontier.append(nxt)
-    return {p for p in pts
-            if _canon_mod_line((p[0] - off[0], p[1] - off[1]), lat) in reach}

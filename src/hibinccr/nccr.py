@@ -74,11 +74,6 @@ def endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> EndMcmRepo
     """Hom between two covariants is the covariant of the difference, so the
     endomorphism ring is MCM iff every ordered difference of characters is."""
     ws = weight_list(weights)
-    rank = len(ws[0])
-    if rank == 2:
-        decomposition = mcm.chamber_decomposition(ws)
-    else:
-        decomposition = None
     ordered = sorted(chars.chars)
     checked = 0
     seen: dict[Vec, bool] = {}
@@ -87,7 +82,7 @@ def endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> EndMcmRepo
             diff = tuple(b - a for a, b in zip(chi, chi2))
             checked += 1
             if diff not in seen:
-                seen[diff] = mcm.is_mcm(diff, ws, decomposition)
+                seen[diff] = mcm.is_mcm(diff, ws)
             if not seen[diff]:
                 return EndMcmReport(ok=False, checked=checked,
                                     first_failure=(chi, chi2, diff))

@@ -167,10 +167,12 @@ def exchange_graph(w: Rank1Weights, generators_only: bool = True,
     """The mutation graph on windows: a path.
 
     With ``generators_only`` the vertices are the windows containing class 0;
-    otherwise all windows with |lo| up to the radius.  Edges need dimension
-    three; for other dimensions the vertex list is still returned, with the
-    error recorded.
+    otherwise all windows with |lo| up to the radius, which must not be
+    negative.  Edges need dimension three; for other dimensions the vertex
+    list is still returned, with the error recorded.
     """
+    if radius is not None and radius < 0:
+        raise Rank1InputError(f"radius must be non-negative, not {radius}")
     beta = mcm_bound(w).summands
     if generators_only:
         los = range(-beta + 1, 1)

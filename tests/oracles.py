@@ -5,12 +5,18 @@ rule: exact membership of a class in the half-open zonotope of weight
 combinations with coefficients in (-1, 0], decided by enumerating the
 C(k, r) * 2^(k - r) vertices of a slice of the coefficient box.  It is slow
 and shares no logic with ``divisorial.conic_facets``.
+
+``semigroup_members`` decides affine semigroup membership by a plain
+breadth-first search in a bounded box; it shares no logic with
+``mcm.NonMcmCone``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterable, Sequence
 
 from hibinccr import intlattice
 from hibinccr.divisorial import weight_list
@@ -48,11 +54,11 @@ def _box_slice_feasible(vecs: list[Vec], lows: list[Fraction], highs: list[Fract
     r = len(target)
     if k == 0:
         return all(c == 0 for c in target)
-    rk = intlattice.lattice_rank(vecs)
+    rk = lattice_rank(vecs)
     vertices: list[list[Fraction]] = []
     for free in combinations(range(k), rk):
         cols = [vecs[i] for i in free]
-        if intlattice.lattice_rank(cols) != rk:
+        if lattice_rank(cols) != rk:
             continue
         fixed = [i for i in range(k) if i not in free]
         for ends in product(*[(lows[i], highs[i]) for i in fixed]):
@@ -98,3 +104,43 @@ def vertex_conic_classes(weights) -> list[Vec]:
         if vertex_is_conic(pt, ws):
             out.append(pt)
     return sorted(out)
+
+
+def lattice_rank(vectors: Sequence[Vec]) -> int:
+    if not vectors:
+        return 0
+    return intlattice.rational_rank([list(v) for v in vectors])
+
+
+def semigroup_members(generators: Sequence[Vec], targets: Iterable[Vec]) -> set[Vec]:
+    """The targets that are non-negative integer combinations of the
+    generators, in any rank.
+
+    Complete bounded search: by the Steinitz lemma the summands of any
+    representation of t can be reordered so that every partial sum stays
+    within 2|t| + 2|g| (max norms, g the largest generator) of the origin, so
+    one breadth-first search over the box of radius 2|t| + 5|g| + 2 for the
+    largest target decides every target at once.
+    """
+    targets = {tuple(t) for t in targets}
+    gens = [tuple(g) for g in generators if any(g)]
+    missing = {t for t in targets if any(t)}
+    if not gens or not missing:
+        return targets - missing
+    radius = 2 * max(abs(c) for t in targets for c in t) + \
+        5 * max(abs(c) for g in gens for c in g) + 2
+    start = tuple(0 for _ in gens[0])
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = tuple(a + b for a, b in zip(x, g))
+            if y in seen or any(abs(c) > radius for c in y):
+                continue
+            seen.add(y)
+            queue.append(y)
+            missing.discard(y)
+            if not missing:
+                return targets
+    return targets - missing

@@ -9,9 +9,11 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hibinccr.intlattice import (angle_key, convex_hull, cross,
                                  find_unimodular_match, invariant_factors,
-                                 lattice_contains, lattice_rank, primitive,
+                                 lattice_contains, primitive,
                                  rational_rank, smith_normal_form,
                                  solve_integer, solve_rational)
+
+from oracles import lattice_rank
 
 
 def _matmul(a, b):

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hibinccr import (CriterionHypothesisError, NotGorensteinError, TypeParams,
                       chamber_decomposition, expected_weight_table, is_conic,
                       is_mcm, mcm_region, non_mcm_cone, semigroup_member)
-from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN
+from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN, NonMcmCone
+
+from oracles import semigroup_members
 
 
 def table(tag, params):
@@ -225,33 +227,6 @@ def test_semigroup_rank1():
     assert not semigroup_member((1,), [(4,), (-6,)])
 
 
-def _oracle_member(target, gens):
-    """Complete bounded search: partial sums of any representation can be
-    reordered (rearrangement bound) to stay within a box around the segment
-    from the origin to the target, so searching that box decides membership."""
-    gens = [g for g in gens if any(g)]
-    if all(c == 0 for c in target):
-        return True
-    if not gens:
-        return False
-    radius = 2 * max(abs(c) for c in target) + \
-        5 * max(abs(c) for g in gens for c in g) + 2
-    start = tuple(0 for _ in target)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = tuple(a + b for a, b in zip(x, g))
-            if y == target:
-                return True
-            if y in seen or any(abs(c) > radius for c in y):
-                continue
-            seen.add(y)
-            queue.append(y)
-    return False
-
-
 def test_semigroup_vs_oracle_random():
     rng = random.Random(20260809)
     checked = 0
@@ -259,8 +234,8 @@ def test_semigroup_vs_oracle_random():
         k = rng.randint(1, 4)
         gens = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(k)]
         target = (rng.randint(-8, 8), rng.randint(-8, 8))
-        assert semigroup_member(target, gens) == _oracle_member(target, gens), \
-            (target, gens)
+        oracle = target in semigroup_members(gens, [target])
+        assert semigroup_member(target, gens) == oracle, (target, gens)
         checked += 1
 
 
@@ -270,8 +245,8 @@ def test_semigroup_vs_oracle_rank1_random():
         k = rng.randint(1, 4)
         gens = [(rng.randint(-6, 6),) for _ in range(k)]
         target = (rng.randint(-12, 12),)
-        assert semigroup_member(target, gens) == _oracle_member(target, gens), \
-            (target, gens)
+        oracle = target in semigroup_members(gens, [target])
+        assert semigroup_member(target, gens) == oracle, (target, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +286,92 @@ def test_hypothesis_violation_rejected():
     assert not dec.hypothesis_ok
     with pytest.raises(CriterionHypothesisError):
         is_mcm((1, 1), ws)
+
+
+def test_wrong_rank_rejected():
+    ws = table("I", (2, 3))
+    rank1 = [(1,), (-2,), (4,), (-3,)]
+    cone = non_mcm_cone(chamber_decomposition(ws).chambers[1], ws)
+    for call in (lambda: is_mcm((1,), ws), lambda: is_mcm((1, 2, 3), ws),
+                 lambda: semigroup_member((1, 2), [(1, 0, 0)]),
+                 lambda: mcm_region(ws, [(0, 1)]), lambda: cone.contains((1,))):
+        with pytest.raises(ValueError, match="rank 2"):
+            call()
+    for call in (lambda: is_mcm((1, 2), rank1),
+                 lambda: mcm_region(rank1, [(0, 1), (0, 1)])):
+        with pytest.raises(ValueError, match="rank 1"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# the compiled cones against the bounded-search oracle
+
+
+def _oracle_mcm_set(ws, points):
+    """Points of the list outside every closed or open chamber's non-MCM
+    cone, each cone's membership decided by the bounded search."""
+    mcm = set(points)
+    for chamber in chamber_decomposition(ws).chambers:
+        if chamber.kind == HALF_OPEN:
+            continue
+        cone = non_mcm_cone(chamber, ws)
+        shifted = {(x - cone.offset[0], y - cone.offset[1]): (x, y) for x, y in points}
+        mcm -= {shifted[t] for t in semigroup_members(cone.generators, shifted)}
+    return mcm
+
+
+_small_weight = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+@st.composite
+def _gorenstein_rank2(draw):
+    """Weights v and -v for a few v, plus a triangle a, b, -(a + b) taken
+    once or twice: the sum is always zero, the system rarely symmetric."""
+    pairs = draw(st.lists(_small_weight, min_size=1, max_size=3))
+    a, b = draw(_small_weight), draw(_small_weight)
+    triangle = [a, b, (-a[0] - b[0], -a[1] - b[1])] if a != (-b[0], -b[1]) else []
+    return pairs + [(-x, -y) for x, y in pairs] + triangle * draw(st.integers(1, 2))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_gorenstein_rank2())
+def test_is_mcm_and_region_agree_with_oracle(ws):
+    assume(chamber_decomposition(ws).hypothesis_ok)
+    box = [(-4, 4), (-4, 4)]
+    points = list(product(range(-4, 5), repeat=2))
+    expected = _oracle_mcm_set(ws, points)
+    assert mcm_region(ws, box) == expected
+    assert {pt for pt in points if is_mcm(pt, ws)} == expected
+
+
+def test_query_order_does_not_change_answers():
+    ws = table("I", (2, 3))
+    cones = [non_mcm_cone(c, ws) for c in chamber_decomposition(ws).chambers
+             if c.kind != HALF_OPEN]
+    # every generator costs phi >= 2, without and with a unit line
+    cones += [NonMcmCone((1, -1), ((2, 1), (1, 3))),
+              NonMcmCone((0, 0), ((2, 2), (1, 3), (-2, 0), (3, 0)))]
+    near = sorted(product(range(-4, 9), repeat=2), key=sum)
+    far = [(40, -35), (-60, 12), (25, 50), (-30, -45)]
+    for cone in cones:
+        truth = {pt: NonMcmCone(cone.offset, cone.generators).contains(pt)
+                 for pt in far + near}
+        for order in (far + near, near + far, near[::-1]):
+            reused = NonMcmCone(cone.offset, cone.generators)
+            assert [reused.contains(pt) for pt in order] == [truth[pt] for pt in order]
+
+
+def test_interleaved_weight_systems_match_fresh_cones():
+    systems = [table("I", (2, 3)), table("V", (2,)), table("II", (1, 1, 1))]
+    points = [(9, -7), (0, 0), (2, 1), (-3, 3), (5, 0), (-1, -4), (12, 12)]
+    fresh = {}
+    for i, ws in enumerate(systems):
+        cones = [non_mcm_cone(c, ws) for c in chamber_decomposition(ws).chambers
+                 if c.kind != HALF_OPEN]
+        fresh[i] = {pt: not any(c.contains(pt) for c in cones) for pt in points}
+    for pt in points:
+        for i in (0, 1, 0, 2, 0):
+            assert is_mcm(pt, systems[i]) == fresh[i][pt], (i, pt)
 
 
 # ---------------------------------------------------------------------------
@@ -429,4 +490,4 @@ def test_raw_cone_region_agrees_with_pointwise():
                 min_size=1, max_size=4),
        st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
 def test_semigroup_vs_oracle_property(gens, target):
-    assert semigroup_member(target, gens) == _oracle_member(target, gens)
+    assert semigroup_member(target, gens) == (target in semigroup_members(gens, [target]))

@@ -169,6 +169,11 @@ def test_exchange_graph_segment():
     assert len(graph.edges) == 4
 
 
+def test_exchange_graph_negative_radius_rejected():
+    with pytest.raises(Rank1InputError, match="radius"):
+        exchange_graph(FOUR_RAY, generators_only=False, radius=-3)
+
+
 def test_exchange_graph_wrong_dimension_vertices_only():
     graph = exchange_graph(segre_weights(3), generators_only=True)
     assert len(graph.vertices) == 4
