@@ -138,9 +138,7 @@ def chamber_decomposition(weights: WeightsLike) -> ChamberDecomposition:
     negative-pairing set; classes are ordered counterclockwise starting with
     the sector just past the first critical ray."""
     ws = weight_list(weights)
-    if not ws:
-        raise ValueError("empty weight system")
-    rank = len(ws[0])
+    rank = _weight_rank(ws)
     if rank == 1:
         chambers = tuple(
             Chamber(t_set=_pairing_t_set(lam, ws), kind=CLOSED, witness=lam,
@@ -324,11 +322,17 @@ def rank1_mcm_interval(ws: Sequence[Vec]) -> tuple[int, int]:
     return (-beta + 1, beta - 1)
 
 
+def _weight_rank(ws: Sequence[Vec]) -> int:
+    if not ws:
+        raise ValueError("empty weight system")
+    return len(ws[0])
+
+
 def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
     """Is the rank-one class MCM?  Rank 1 reduces to an interval test; rank 2
     runs the chamber criterion (whose hypothesis must hold)."""
     ws = weight_list(weights)
-    _check_rank(chi, len(ws[0]))
+    _check_rank(chi, _weight_rank(ws))
     return _mcm_test(ws)(chi)
 
 
@@ -337,7 +341,7 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     points that no compiled non-MCM cone contains, as :func:`is_mcm` decides
     them pointwise."""
     ws = weight_list(weights)
-    rank = len(ws[0])
+    rank = _weight_rank(ws)
     if len(box) != rank:
         raise ValueError(f"expected a box of rank {rank}, got {len(box)} ranges")
     return set(filter(_mcm_test(ws), product(*(range(lo, hi + 1) for lo, hi in box))))

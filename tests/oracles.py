@@ -9,6 +9,11 @@ and shares no logic with ``divisorial.conic_facets``.
 ``semigroup_members`` decides affine semigroup membership by a plain
 breadth-first search in a bounded box; it shares no logic with
 ``mcm.NonMcmCone``.
+
+``backtracking_chordless_circuits`` is the circuit search the library used
+before the cycle-space route: every simple cycle is grown vertex by vertex
+from its least-index vertex, then tested for chords.  It reads the edge
+list directly and shares no logic with ``posets.chordless_circuits``.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Iterable, Sequence
 from hibinccr import intlattice
 from hibinccr.divisorial import weight_list
 from hibinccr.intlattice import Vec
+from hibinccr.posets import BoundedPoset, Circuit
 
 
 def vertex_is_conic(chi: Vec, weights) -> bool:
@@ -144,3 +150,49 @@ def semigroup_members(generators: Sequence[Vec], targets: Iterable[Vec]) -> set[
             if not missing:
                 return targets
     return targets - missing
+
+
+def backtracking_chordless_circuits(p: BoundedPoset) -> list[Circuit]:
+    """All chordless cycles of the Hasse graph by exhaustive backtracking.
+
+    Each cycle starts at its least-index vertex and its second vertex has a
+    smaller index than its last, which removes rotations and reflections;
+    the result is sorted by (length, vertex indices), and ``x_plus`` /
+    ``x_minus`` are read off the edge list by a linear scan.
+    """
+    idx = {el: i for i, el in enumerate(p.elements)}
+    adj: dict[str, set[str]] = {el: set() for el in p.elements}
+    for l, u in p.edges:
+        adj[l].add(u)
+        adj[u].add(l)
+
+    cycles: list[tuple[str, ...]] = []
+    for start in p.elements:
+        stack = [[start]]
+        while stack:
+            path = stack.pop()
+            tail = path[-1]
+            for nxt in sorted(adj[tail], key=idx.get, reverse=True):
+                if nxt == start and len(path) >= 3:
+                    if idx[path[1]] < idx[path[-1]]:
+                        cycles.append(tuple(path))
+                    continue
+                if nxt in path or idx[nxt] <= idx[start]:
+                    continue
+                stack.append(path + [nxt])
+
+    out = []
+    for cyc in cycles:
+        n = len(cyc)
+        if any(cyc[j] in adj[cyc[i]] for i in range(n) for j in range(i + 2, n)
+               if (i, j) != (0, n - 1)):
+            continue
+        ups, downs = [], []
+        for i, v in enumerate(cyc):
+            w = cyc[(i + 1) % n]
+            k = next(k for k, e in enumerate(p.edges) if set(e) == {v, w})
+            (ups if p.edges[k][0] == v else downs).append(k)
+        out.append(Circuit(vertex_cycle=cyc, x_plus=tuple(sorted(ups)),
+                           x_minus=tuple(sorted(downs))))
+    out.sort(key=lambda c: (len(c.vertex_cycle), tuple(idx[v] for v in c.vertex_cycle)))
+    return out

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hibinccr
 from hibinccr import corpus_path
@@ -243,3 +248,67 @@ def test_help_is_not_an_error(capsys):
         main(["mcm-region", "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: hibinccr mcm-region")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the poset grammar in-process
+
+
+FUZZ_NAMES = ["a", "b", "c", "d", "e"]
+_fuzz_name = st.sampled_from(FUZZ_NAMES + ["bot", "top", "a!", "zz"])
+_fuzz_line = st.one_of(
+    st.lists(_fuzz_name, max_size=6).map(lambda names: "elements: " + " ".join(names)),
+    st.tuples(_fuzz_name, _fuzz_name).map(lambda ab: f"cover: {ab[0]} < {ab[1]}"),
+    st.sampled_from(["cover: a<b", "cover: a > b", "cover: a < b < c", "cover:",
+                     "elements:", "# a comment", "cover: a < b  # trailing", "", "   "]),
+    st.text(alphabet="abc:<# \t!x0", max_size=12),
+)
+
+
+@st.composite
+def poset_files(draw):
+    """Poset files over at most five names, which keeps the class group
+    rank, and with it ``analyze``, small: mostly an elements line and cover
+    lines, with malformed, duplicated, commented and garbage lines mixed in
+    at random places."""
+    lines, names = [], FUZZ_NAMES
+    header = draw(st.integers(0, 9)) > 0
+    if header:
+        names = draw(st.lists(st.sampled_from(FUZZ_NAMES), unique=True, min_size=1,
+                              max_size=5))
+        lines.append("elements: " + " ".join(names))
+    if len(names) >= 2:
+        pair = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+        for a, b in draw(st.lists(pair, max_size=7)):
+            if draw(st.booleans()):
+                a, b = sorted((a, b))  # name-ordered covers alone form no cycle
+            lines.append(f"cover: {a} < {b}")
+    for line in draw(st.lists(_fuzz_line, max_size=2)):
+        lines.insert(draw(st.integers(int(header), len(lines))), line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(poset_files())
+def test_poset_grammar_fuzz(text):
+    """Any poset file: exit 0, 1 or 2, no traceback, the same bytes twice."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.poset")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("classify", "analyze"):
+            first = _main_in_process([command, path])
+            code, _, err = first
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            assert _main_in_process([command, path]) == first

@@ -303,6 +303,13 @@ def test_wrong_rank_rejected():
             call()
 
 
+def test_empty_weight_system_rejected():
+    for call in (lambda: is_mcm((), []), lambda: mcm_region([], [(0, 1)]),
+                 lambda: mcm_region([], []), lambda: chamber_decomposition([])):
+        with pytest.raises(ValueError, match="^empty weight system$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the compiled cones against the bounded-search oracle
 

@@ -1,18 +1,32 @@
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibinccr import (BOTTOM, TOP, PosetError, build_poset, chordless_circuits,
-                      flip, is_pure, parse_poset, polynomial_extension_edge,
-                      serialize_poset, spanning_tree)
+import hibinccr
+from hibinccr import (BOTTOM, TOP, PosetError, Rejection, TypeParams, build_poset,
+                      chordless_circuits, classify, corpus_path, flip, generate_family,
+                      is_pure, parse_poset, polynomial_extension_edge, serialize_poset,
+                      spanning_tree)
 from hibinccr.posets import relabel
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
+from oracles import backtracking_chordless_circuits
+
+CORPUS_POSETS = sorted(path.name for path in corpus_path("").iterdir()
+                       if path.name.endswith(".poset"))
+FAMILY_SIZES = [("I", (1, 2)), ("I", (4, 6)), ("II", (1, 1, 1)), ("II", (3, 2, 4)),
+                ("III", (0, 2, 0)), ("III", (2, 3, 1)), ("IV", (1, 2)), ("IV", (5, 3)),
+                ("V", (0,)), ("V", (7,))]
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +153,56 @@ def test_circuits_match_oracle(name):
     circuits = chordless_circuits(p)
     assert sorted((frozenset(c.vertex_cycle) for c in circuits), key=sorted) == \
         _oracle_chordless_cycles(p)
+
+
+def _nx_chordless_cycles(p):
+    """networkx's chordless cycles (Dias et al. 2013) in the library's
+    canonical form: least-index vertex first, its smaller-index neighbour
+    second, sorted by (length, vertex indices)."""
+    idx = {el: i for i, el in enumerate(p.elements)}
+    g = nx.Graph()
+    g.add_edges_from(p.edges)
+    out = []
+    for cyc in nx.chordless_cycles(g):
+        s = cyc.index(min(cyc, key=idx.get))
+        cyc = cyc[s:] + cyc[:s]
+        if idx[cyc[1]] > idx[cyc[-1]]:
+            cyc = [cyc[0]] + cyc[:0:-1]
+        out.append(tuple(cyc))
+    return sorted(out, key=lambda c: (len(c), [idx[v] for v in c]))
+
+
+def _assert_circuits_match_oracles(p):
+    circuits = chordless_circuits(p)
+    assert circuits == backtracking_chordless_circuits(p)
+    assert [c.vertex_cycle for c in circuits] == _nx_chordless_cycles(p)
+
+
+def _complete_bipartite_poset(k):
+    """Two antichains of k with every cover between them: cycle rank
+    k^2 - 1 once bot and top are adjoined."""
+    lows, highs = [f"a{i}" for i in range(k)], [f"b{i}" for i in range(k)]
+    return build_poset(lows + highs, [(a, b) for a in lows for b in highs])
+
+
+@pytest.mark.parametrize("name", CORPUS_POSETS)
+def test_circuits_match_oracles_on_corpus(name):
+    _assert_circuits_match_oracles(parse_poset(load_corpus(name)))
+
+
+@pytest.mark.parametrize("tag,params", FAMILY_SIZES)
+def test_circuits_match_oracles_on_families(tag, params):
+    _assert_circuits_match_oracles(generate_family(tag, params).poset)
+
+
+def test_circuits_match_oracles_at_high_cycle_rank():
+    p = _complete_bipartite_poset(3)
+    assert p.n_edges - len(p.elements) + 1 == 8
+    circuits = chordless_circuits(p)
+    # four-cycles a b a' b', bot a b a' and top b a b', 9 of each; a longer
+    # cycle meets some a and b' that are not adjacent on it, a chord
+    assert [len(c.vertex_cycle) for c in circuits] == [4] * 27
+    _assert_circuits_match_oracles(p)
 
 
 def test_pure_circuits_balance():
@@ -285,3 +349,63 @@ def test_pure_random_posets_have_balanced_circuits(p):
         return
     for c in chordless_circuits(p):
         assert len(c.x_plus) == len(c.x_minus)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_posets())
+def test_circuits_match_oracles_random(p):
+    _assert_circuits_match_oracles(p)
+
+
+# ---------------------------------------------------------------------------
+# deep inputs: no recursion, whatever the length of the chains
+
+
+@pytest.fixture
+def default_recursion_limit():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def _chain_text(count):
+    names = [f"c{i:04d}" for i in range(count)]
+    return "elements: " + " ".join(names) + "\n" + \
+        "".join(f"cover: {a} < {b}\n" for a, b in zip(names, names[1:]))
+
+
+def test_deep_family_parses_and_classifies(default_recursion_limit):
+    fam = generate_family("IV", (600, 600))
+    p = parse_poset(serialize_poset(fam.poset))
+    assert len(p.interior) == 4 * 600 + 1 and p == fam.poset
+    assert classify(p) == TypeParams("IV", (600, 600), "as-given")
+
+
+def test_deep_chain_parses_and_classifies(default_recursion_limit):
+    p = parse_poset(_chain_text(3000))
+    assert len(p.elements) == 3002 and p.n_edges == 3001
+    assert p.edges[0] == (BOTTOM, "c0000") and p.edges[-1] == ("c2999", TOP)
+    result = classify(p)
+    assert isinstance(result, Rejection) and result.code == "rank"
+    assert polynomial_extension_edge(p) == 0
+
+
+def test_deep_family_circuits(default_recursion_limit):
+    p = generate_family("V", (400,)).poset
+    circuits = chordless_circuits(p)
+    assert [len(c.vertex_cycle) for c in circuits] == [2 * 400 + 4] * 3
+
+
+def test_cli_classifies_deep_family(tmp_path):
+    path = tmp_path / "IV600_600.poset"
+    path.write_text(serialize_poset(generate_family("IV", (600, 600)).poset))
+    env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hibinccr.cli", "classify", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["status"], report["type"], report["params"]) == \
+        ("classified", "IV", [600, 600])
