@@ -435,7 +435,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PosetError, ConeError, TorsionError) as exc:
+    except (PosetError, ConeError, TorsionError, divisorial.ConicBoxError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except (mcm.NotGorensteinError, mcm.CriterionHypothesisError,

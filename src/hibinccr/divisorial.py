@@ -32,6 +32,11 @@ class UnboundedPolytopeError(ValueError):
     pass
 
 
+class ConicBoxError(ValueError):
+    """The bounding box of the conic classes has more points than a Python
+    sequence can hold."""
+
+
 # A string: typing caches subscripted unions, and a cached union of this
 # module's classes would keep every earlier import of the module alive.
 WeightsLike: TypeAlias = "Union[ClassGroupData, Sequence[Vec]]"
@@ -263,5 +268,10 @@ def conic_classes(weights: WeightsLike) -> list[Vec]:
         return [()]
     rule = conic_facets(ws, rank)
     bounds = [sum(abs(w[k]) for w in ws) for k in range(rank)]
-    return [pt for pt in product(*[range(-b, b + 1) for b in bounds])
-            if rule.contains(pt)]
+    try:
+        points = product(*[range(-b, b + 1) for b in bounds])
+    except OverflowError:
+        box = " x ".join(f"[{-b}, {b}]" for b in bounds)
+        raise ConicBoxError(f"the bounding box {box} of the conic classes "
+                            f"is too large to enumerate") from None
+    return [pt for pt in points if rule.contains(pt)]

@@ -82,7 +82,7 @@ def classify(p: BoundedPoset) -> ClassifyResult:
     """
     n_edges, n_vertices = p.n_edges, len(p.elements)
     if n_edges - n_vertices != 1:
-        return Rejection("rank", f"class group rank is {n_edges - n_vertices + 2}, not 2")
+        return Rejection("rank", f"class group rank is {n_edges - n_vertices + 1}, not 2")
     if p.degree(BOTTOM) == 1 or p.degree(TOP) == 1:
         return Rejection("degree", "an endpoint has degree 1: polynomial extension")
     poly = polynomial_extension_edge(p)

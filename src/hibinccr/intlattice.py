@@ -218,7 +218,11 @@ def find_unimodular_match(source: Sequence[Vec], target: Sequence[Vec]) -> Optio
         return None
     a, b = pair
     det_ab = a[0] * b[1] - a[1] * b[0]
-    for ta, tb in permutations(tgt, 2):
+    # a unimodular U maps the independent a and b to two distinct target
+    # values; pairs of distinct values, taken in sorted order, come in the
+    # order in which ordered pairs of target entries first meet them
+    values = sorted(set(tgt))
+    for ta, tb in permutations(values, 2):
         # U a = ta, U b = tb  =>  U = [ta tb] * [a b]^{-1}
         num = [[ta[0] * b[1] - tb[0] * a[1], -ta[0] * b[0] + tb[0] * a[0]],
                [ta[1] * b[1] - tb[1] * a[1], -ta[1] * b[0] + tb[1] * a[0]]]

@@ -6,14 +6,19 @@ two halves: every pairwise difference of box characters must be MCM, and the
 endomorphism ring must have finite global dimension.  The second half is
 certified by an inductive log: a character outside the box is discharged by
 a direction that strictly separates it from the box and whose Koszul-type
-term shifts land on already-discharged characters.  The certificate replays
-independently of the search that produced it.
+term shifts land on already-discharged characters.  The search compiles
+each candidate direction once (a separation threshold and a sorted tuple of
+Koszul shifts), so testing a character costs one pairing and one
+translation per direction.  The certificate replays independently of the
+search that produced it: the replay recomputes separation and the Koszul
+terms from scratch with :func:`is_separated` and :func:`koszul_terms`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from . import divisorial, families, mcm, rank1 as rank1_mod
@@ -188,6 +193,16 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     it from the character set and all its Koszul terms are already admitted
     (or in the set).  The certificate lists admissions in order and replays
     independently; on failure the uncovered residue is reported instead.
+
+    Each direction d is compiled once per call: its separation threshold
+    t_d = min over the set of <d, nu>, so chi is separated iff <d, chi> < t_d,
+    and its sorted Koszul shifts S_d = koszul_terms(0, d), so the terms of chi
+    are chi + s for s in S_d, still sorted because a translation keeps
+    lexicographic order.  Directions without usable weights are dropped.
+    Admissions are kept as (chi, direction, shifts); term tuples are built
+    only for the steps the pruned certificate keeps.  A failing character
+    keeps its blocked (direction, first missing term) pairs from its last
+    attempt; reason strings are made only for the characters left uncovered.
     """
     ws = weight_list(weights)
     rank = len(ws[0])
@@ -200,12 +215,17 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
         directions = default_directions(chars)
 
     window = _working_window(goal_set, chars, ws, rank)
+    lo = [min(nu[k] for nu in chars.chars) for k in range(rank)]
+    hi = [max(nu[k] for nu in chars.chars) for k in range(rank)]
+    compiled = _compile_directions(chars, ws, directions)
     covered: set[Vec] = set(base)
-    steps: list[CertStep] = []
-    reasons: dict[Vec, str] = {}
+    admitted: list[tuple[Vec, Vec, tuple[Vec, ...]]] = []
+    # the last blocked pairs of each goal character, None until it is tried
+    blocked_on: dict[Vec, Optional[list[tuple[Vec, Vec]]]] = dict.fromkeys(goal_set)
 
     def admission_order(chi: Vec) -> tuple:
-        return (_box_distance(chi, chars), *chi)
+        distance = sum(max(0, l - c, c - h) for c, l, h in zip(chi, lo, hi))
+        return (distance, *chi)
 
     # two phases: first a fixpoint over the goal characters alone (the usual
     # strip induction never leaves them), then over the whole window for any
@@ -218,11 +238,11 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
             changed = False
             still = []
             for chi in pending:
-                step = _try_admit(chi, chars, covered, ws, directions, reasons)
+                step = _try_admit(chi, compiled, covered, blocked_on)
                 if step is None:
                     still.append(chi)
                 else:
-                    steps.append(step)
+                    admitted.append(step)
                     covered.add(chi)
                     changed = True
             pending = still
@@ -232,56 +252,76 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     uncovered = tuple(chi for chi in goal_set if chi not in covered)
     if uncovered:
         return GldimResult(ok=False, certificate=None, uncovered=uncovered,
-                           reasons=tuple((chi, reasons.get(chi, "not in window"))
+                           reasons=tuple((chi, _failure_reason(blocked_on[chi]))
                                          for chi in uncovered))
-    cert = GldimCertificate(steps=_prune_steps(steps, goal_set, base),
+    cert = GldimCertificate(steps=_prune_steps(admitted, goal_set, base),
                             goal=tuple(goal_set))
     return GldimResult(ok=True, certificate=cert)
 
 
-def _prune_steps(steps: list[CertStep], goal: Sequence[Vec],
+def _compile_directions(chars: CharacterSet, ws: list[Vec], directions: Sequence[Vec]
+                        ) -> list[tuple[Vec, int, tuple[Vec, ...]]]:
+    """(direction, separation threshold, sorted Koszul shifts) for every
+    direction with usable weights, in the given order."""
+    zero = (0,) * len(ws[0])
+    compiled = []
+    for direction in directions:
+        try:
+            shifts = koszul_terms(zero, direction, ws)
+        except UnusableDirectionError:
+            continue
+        threshold = min(dot(direction, nu) for nu in chars.chars)
+        compiled.append((direction, threshold, shifts))
+    return compiled
+
+
+def _prune_steps(admitted: list[tuple[Vec, Vec, tuple[Vec, ...]]], goal: Sequence[Vec],
                  base: frozenset[Vec]) -> tuple[CertStep, ...]:
-    """Drop admissions the goal never depends on; every dependency of a kept
-    step is either in the base set or the target of an earlier kept step, so
-    the pruned log still replays."""
+    """Certificate steps for the (character, direction, Koszul shifts)
+    admissions the goal depends on; every dependency of a kept step is
+    either in the base set or the target of an earlier kept step, so the
+    pruned log still replays.  Only kept steps get their term tuples."""
     needed = set(goal)
     kept = []
-    for step in reversed(steps):
-        if step.chi in needed:
-            kept.append(step)
-            needed |= {d for d in step.deps if d not in base}
+    for chi, direction, shifts in reversed(admitted):
+        if chi in needed:
+            deps = tuple(tuple(map(add, chi, shift)) for shift in shifts)
+            kept.append(CertStep(chi=chi, direction=direction, deps=deps))
+            needed.update(d for d in deps if d not in base)
     kept.reverse()
     return tuple(kept)
 
 
-def _try_admit(chi: Vec, chars: CharacterSet, covered: set[Vec], ws: list[Vec],
-               directions: Sequence[Vec], reasons: dict[Vec, str]) -> Optional[CertStep]:
+def _try_admit(chi: Vec, compiled: list[tuple[Vec, int, tuple[Vec, ...]]], covered: set[Vec],
+               blocked_on: dict[Vec, Optional[list[tuple[Vec, Vec]]]]
+               ) -> Optional[tuple[Vec, Vec, tuple[Vec, ...]]]:
+    """(chi, direction, shifts) for the first compiled direction that
+    separates chi and whose terms are all covered; otherwise None, with the
+    first two blocked (direction, first missing term) pairs recorded when
+    chi is a goal character."""
     blocked = []
-    for direction in directions:
-        if not is_separated(chi, chars, direction):
+    for direction, threshold, shifts in compiled:
+        if sum(map(mul, direction, chi)) >= threshold:
             continue
-        try:
-            terms = koszul_terms(chi, direction, ws)
-        except UnusableDirectionError:
-            continue
-        missing = [t for t in terms if t not in covered]
-        if not missing:
-            return CertStep(chi=chi, direction=direction, deps=terms)
-        blocked.append((direction, missing[0]))
-    if blocked:
-        reasons[chi] = f"separating directions blocked on dependencies: {blocked[:2]}"
-    else:
-        reasons[chi] = "no separating direction with usable weights"
+        for shift in shifts:
+            term = tuple(map(add, chi, shift))
+            if term not in covered:
+                if len(blocked) < 2:
+                    blocked.append((direction, term))
+                break
+        else:
+            return chi, direction, shifts
+    if chi in blocked_on:
+        blocked_on[chi] = blocked
     return None
 
 
-def _box_distance(chi: Vec, chars: CharacterSet) -> int:
-    dist = 0
-    for k in range(len(chi)):
-        lo = min(nu[k] for nu in chars.chars)
-        hi = max(nu[k] for nu in chars.chars)
-        dist += max(0, lo - chi[k], chi[k] - hi)
-    return dist
+def _failure_reason(blocked: Optional[list[tuple[Vec, Vec]]]) -> str:
+    if blocked is None:
+        return "not in window"
+    if blocked:
+        return f"separating directions blocked on dependencies: {blocked}"
+    return "no separating direction with usable weights"
 
 
 def _working_window(goal: Sequence[Vec], chars: CharacterSet, ws: list[Vec],

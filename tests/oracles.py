@@ -14,18 +14,32 @@ breadth-first search in a bounded box; it shares no logic with
 before the cycle-space route: every simple cycle is grown vertex by vertex
 from its least-index vertex, then tested for chords.  It reads the edge
 list directly and shares no logic with ``posets.chordless_circuits``.
+
+``reference_certify_gldim`` is the finite-global-dimension certificate
+search the library used before it compiled each direction once: every
+worklist round rescans the character set for separation, recomputes the
+Koszul terms and formats the failure reason of every pending character.
+It shares only the public ``is_separated`` and ``koszul_terms`` and the
+working window with ``nccr.certify_gldim``.
+
+``permutation_unimodular_match`` is the unimodular multiset match the
+library used before it iterated over distinct target values: it tries every
+ordered pair of target vectors as the image of an independent source pair.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations, permutations, product
+from typing import Iterable, Optional, Sequence
 
-from hibinccr import intlattice
-from hibinccr.divisorial import weight_list
-from hibinccr.intlattice import Vec
+from hibinccr import divisorial, intlattice
+from hibinccr.divisorial import WeightsLike, weight_list
+from hibinccr.intlattice import Matrix, Vec
+from hibinccr.nccr import (CertStep, CharacterSet, GldimCertificate, GldimResult,
+                           UnusableDirectionError, _working_window, default_directions,
+                           is_separated, koszul_terms)
 from hibinccr.posets import BoundedPoset, Circuit
 
 
@@ -196,3 +210,152 @@ def backtracking_chordless_circuits(p: BoundedPoset) -> list[Circuit]:
                            x_minus=tuple(sorted(downs))))
     out.sort(key=lambda c: (len(c.vertex_cycle), tuple(idx[v] for v in c.vertex_cycle)))
     return out
+
+
+def reference_certify_gldim(chars: CharacterSet, weights: WeightsLike,
+                            goal: Optional[Iterable[Vec]] = None,
+                            directions: Optional[Sequence[Vec]] = None) -> GldimResult:
+    """Worklist fixpoint discharging the goal characters.
+
+    A character is admitted once some candidate direction strictly separates
+    it from the character set and all its Koszul terms are already admitted
+    (or in the set).  The certificate lists admissions in order and replays
+    independently; on failure the uncovered residue is reported instead.
+    """
+    ws = weight_list(weights)
+    rank = len(ws[0])
+    base = frozenset(chars.chars)
+    if goal is None:
+        goal_set = sorted(set(divisorial.conic_classes(ws)) - base)
+    else:
+        goal_set = sorted(set(tuple(g) for g in goal) - base)
+    if directions is None:
+        directions = default_directions(chars)
+
+    window = _working_window(goal_set, chars, ws, rank)
+    covered: set[Vec] = set(base)
+    steps: list[CertStep] = []
+    reasons: dict[Vec, str] = {}
+
+    def admission_order(chi: Vec) -> tuple:
+        return (_box_distance(chi, chars), *chi)
+
+    # two phases: first a fixpoint over the goal characters alone (the usual
+    # strip induction never leaves them), then over the whole window for any
+    # stragglers that need auxiliary characters
+    for pool in (goal_set, window):
+        pending = sorted((chi for chi in pool if chi not in covered),
+                         key=admission_order)
+        changed = True
+        while changed:
+            changed = False
+            still = []
+            for chi in pending:
+                step = _try_admit(chi, chars, covered, ws, directions, reasons)
+                if step is None:
+                    still.append(chi)
+                else:
+                    steps.append(step)
+                    covered.add(chi)
+                    changed = True
+            pending = still
+        if all(chi in covered for chi in goal_set):
+            break
+
+    uncovered = tuple(chi for chi in goal_set if chi not in covered)
+    if uncovered:
+        return GldimResult(ok=False, certificate=None, uncovered=uncovered,
+                           reasons=tuple((chi, reasons.get(chi, "not in window"))
+                                         for chi in uncovered))
+    cert = GldimCertificate(steps=_prune_steps(steps, goal_set, base),
+                            goal=tuple(goal_set))
+    return GldimResult(ok=True, certificate=cert)
+
+
+def _prune_steps(steps: list[CertStep], goal: Sequence[Vec],
+                 base: frozenset[Vec]) -> tuple[CertStep, ...]:
+    """Drop admissions the goal never depends on; every dependency of a kept
+    step is either in the base set or the target of an earlier kept step, so
+    the pruned log still replays."""
+    needed = set(goal)
+    kept = []
+    for step in reversed(steps):
+        if step.chi in needed:
+            kept.append(step)
+            needed |= {d for d in step.deps if d not in base}
+    kept.reverse()
+    return tuple(kept)
+
+
+def _try_admit(chi: Vec, chars: CharacterSet, covered: set[Vec], ws: list[Vec],
+               directions: Sequence[Vec], reasons: dict[Vec, str]) -> Optional[CertStep]:
+    blocked = []
+    for direction in directions:
+        if not is_separated(chi, chars, direction):
+            continue
+        try:
+            terms = koszul_terms(chi, direction, ws)
+        except UnusableDirectionError:
+            continue
+        missing = [t for t in terms if t not in covered]
+        if not missing:
+            return CertStep(chi=chi, direction=direction, deps=terms)
+        blocked.append((direction, missing[0]))
+    if blocked:
+        reasons[chi] = f"separating directions blocked on dependencies: {blocked[:2]}"
+    else:
+        reasons[chi] = "no separating direction with usable weights"
+    return None
+
+
+def _box_distance(chi: Vec, chars: CharacterSet) -> int:
+    dist = 0
+    for k in range(len(chi)):
+        lo = min(nu[k] for nu in chars.chars)
+        hi = max(nu[k] for nu in chars.chars)
+        dist += max(0, lo - chi[k], chi[k] - hi)
+    return dist
+
+
+def permutation_unimodular_match(source: Sequence[Vec],
+                                 target: Sequence[Vec]) -> Optional[Matrix]:
+    """A U in GL_r(Z) with U*multiset(source) == multiset(target), or None."""
+    src = sorted(source)
+    tgt = sorted(target)
+    if len(src) != len(tgt):
+        return None
+    r = len(src[0]) if src else 0
+    if r == 0:
+        return []
+    if r == 1:
+        for sign in (1, -1):
+            if sorted(tuple(sign * c for c in v) for v in src) == tgt:
+                return [[sign]]
+        return None
+    if r != 2:
+        raise ValueError("unimodular matching implemented for rank <= 2 only")
+    pair = None
+    for i in range(len(src)):
+        for j in range(i + 1, len(src)):
+            if src[i][0] * src[j][1] - src[i][1] * src[j][0] != 0:
+                pair = (src[i], src[j])
+                break
+        if pair:
+            break
+    if pair is None:
+        return None
+    a, b = pair
+    det_ab = a[0] * b[1] - a[1] * b[0]
+    for ta, tb in permutations(tgt, 2):
+        # U a = ta, U b = tb  =>  U = [ta tb] * [a b]^{-1}
+        num = [[ta[0] * b[1] - tb[0] * a[1], -ta[0] * b[0] + tb[0] * a[0]],
+               [ta[1] * b[1] - tb[1] * a[1], -ta[1] * b[0] + tb[1] * a[0]]]
+        if any(num[i][j] % det_ab != 0 for i in range(2) for j in range(2)):
+            continue
+        U = [[num[i][j] // det_ab for j in range(2)] for i in range(2)]
+        if abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) != 1:
+            continue
+        if sorted(tuple(sum(U[i][j] * v[j] for j in range(2)) for i in range(2))
+                  for v in src) == tgt:
+            return U
+    return None

@@ -205,6 +205,7 @@ def test_rank2_demo_regions(capsys):
 SCRATCH_INPUTS = {
     "bad_dim.cone": "dim: x\nray: 1 0\n",
     "smooth.cone": "dim: 2\nray: 1 0\nray: 0 1\n",  # class group rank 0
+    "huge_box.cone": "dim: 2\nray: 99999999999999999999 1\nray: -1 0\nray: 0 -1\n",
 }
 
 
@@ -220,9 +221,12 @@ SCRATCH_INPUTS = {
     ["analyze", "running_example.poset", "--bogus"],
     ["conic", "rank1_example.cone", "--format", "xml"],
     ["z1", "exchange-graph", "rank1_example.cone", "--radius", "-3"],
+    ["conic", "huge_box.cone"],
+    ["analyze", "huge_box.cone"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
         "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
-        "unknown-option", "bad-format-choice", "negative-radius"])
+        "unknown-option", "bad-format-choice", "negative-radius", "conic-huge-box",
+        "analyze-huge-box"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
     """The command run as a program: exit 2 and one ``error:`` line."""
     args = []
@@ -312,3 +316,54 @@ def test_poset_grammar_fuzz(text):
             assert code in (0, 1, 2)
             assert "Traceback" not in err
             assert _main_in_process([command, path]) == first
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the cone grammar in-process
+
+
+HUGE = 99999999999999999999
+_fuzz_coord = st.one_of(st.integers(-3, 3), st.sampled_from([HUGE, -HUGE]))
+_fuzz_cone_line = st.one_of(
+    st.sampled_from(["dim:", "dim: x", "dim: 0", "dim: -1", "dim: 2 2", "ray:", "ray: 1",
+                     "ray: a b", "ray: 1 0 0 0", "ray: 1 0  # trailing", "# a comment",
+                     "elements: a b", "", "   "]),
+    st.lists(_fuzz_coord, max_size=4).map(lambda cs: "ray: " + " ".join(map(str, cs))),
+    st.text(alphabet="dimray:01- #\t", max_size=12),
+)
+
+
+@st.composite
+def cone_files(draw):
+    """Cone files with at most two more rays than the dimension, which keeps
+    the class group rank, and with it the conic and MCM boxes, small unless
+    a coordinate is huge: mostly a dim line and well-formed rays, with
+    duplicated, malformed, out-of-range and garbage lines mixed in at random
+    places."""
+    dim = draw(st.integers(1, 3))
+    header = draw(st.integers(0, 9)) > 0
+    lines = [f"dim: {dim}"] if header else []
+    ray = st.lists(_fuzz_coord, min_size=dim, max_size=dim)
+    for coords in draw(st.lists(ray, max_size=dim + 2)):
+        lines.append("ray: " + " ".join(map(str, coords)))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(lines[-1])
+    for line in draw(st.lists(_fuzz_cone_line, max_size=2)):
+        lines.insert(draw(st.integers(int(header), len(lines))), line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cone_files())
+def test_cone_grammar_fuzz(text):
+    """Any cone file: exit 0, 1 or 2, no traceback, the same bytes twice."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cone")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in (["analyze"], ["conic"], ["mcm-region"], ["z1", "analyze"]):
+            first = _main_in_process([*command, path])
+            code, _, err = first
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            assert _main_in_process([*command, path]) == first

@@ -49,6 +49,19 @@ def test_rejections():
     assert "{v, w}" in r.message
 
 
+
+@pytest.mark.parametrize("text,rank", [
+    ("elements: a b\ncover: a < b\n", 0),
+    ("elements: a b c d e\n", 4),
+])
+def test_rank_rejection_reports_the_class_group_rank(text, rank):
+    p = parse_poset(text)
+    r = classify(p)
+    assert isinstance(r, Rejection) and r.code == "rank"
+    assert r.message == f"class group rank is {rank}, not 2"
+    assert class_group(sigma_matrix(p), spanning_tree(p)).rank == rank
+
+
 GRID = [
     ("I", (0, 1)), ("I", (1, 1)), ("I", (2, 3)), ("I", (0, 2)),
     ("II", (0, 1, 0)), ("II", (1, 1, 1)), ("II", (0, 2, 1)), ("II", (2, 1, 0)),

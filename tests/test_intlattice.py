@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hibinccr.intlattice import (angle_key, convex_hull, cross,
@@ -13,7 +15,7 @@ from hibinccr.intlattice import (angle_key, convex_hull, cross,
                                  rational_rank, smith_normal_form,
                                  solve_integer, solve_rational)
 
-from oracles import lattice_rank
+from oracles import lattice_rank, permutation_unimodular_match
 
 
 def _matmul(a, b):
@@ -108,6 +110,44 @@ def test_unimodular_no_match():
 def test_unimodular_match_rank1():
     assert find_unimodular_match([(1,), (-2,)], [(-1,), (2,)]) == [[-1]]
     assert find_unimodular_match([(1,), (2,)], [(1,), (3,)]) is None
+
+
+_GL2_GENERATORS = [[[1, 1], [0, 1]], [[1, -1], [0, 1]], [[1, 0], [1, 1]],
+                   [[1, 0], [-1, 1]], [[0, 1], [1, 0]], [[-1, 0], [0, 1]]]
+
+
+@st.composite
+def match_instances(draw):
+    """A weight multiset with repeated values and a target: its image under
+    a random unimodular map (a word in GL_r(Z) generators), that image with
+    one vector moved, or an unrelated multiset."""
+    rank = draw(st.sampled_from([1, 2]))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank)
+    values = draw(st.lists(vec, min_size=1, max_size=4, unique=True))
+    src = [v for v in values for _ in range(draw(st.integers(1, 4)))]
+    src = draw(st.permutations(src))
+    kind = draw(st.sampled_from(["image", "moved", "unrelated"]))
+    if kind == "unrelated":
+        return src, draw(st.lists(vec, min_size=len(src), max_size=len(src)))
+    if rank == 1:
+        u = [[draw(st.sampled_from([1, -1]))]]
+    else:
+        u = [[1, 0], [0, 1]]
+        for g in draw(st.lists(st.sampled_from(_GL2_GENERATORS), max_size=6)):
+            u = _matmul(g, u)
+    tgt = [tuple(sum(u[i][j] * v[j] for j in range(rank)) for i in range(rank))
+           for v in src]
+    if kind == "moved":
+        k = draw(st.integers(0, len(tgt) - 1))
+        tgt[k] = tuple(c + 1 for c in tgt[k])
+    return src, draw(st.permutations(tgt))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(match_instances())
+def test_unimodular_match_agrees_with_permutation_search(instance):
+    src, tgt = instance
+    assert find_unimodular_match(src, tgt) == permutation_unimodular_match(src, tgt)
 
 
 def test_angle_key_orders_counterclockwise():

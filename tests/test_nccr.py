@@ -7,9 +7,13 @@ from hibinccr import (CertStep, CharacterSet, GldimCertificate, TypeParams,
                       expected_weight_table, is_separated, koszul_terms,
                       nccr_characters, parse_poset, replay_certificate,
                       segre_poset, verify_nccr)
+from hibinccr import rank1
+from hibinccr.classgroup import class_group, sigma_matrix
 from hibinccr.nccr import UnusableDirectionError, character_window
+from hibinccr.posets import spanning_tree
 
 from conftest import load_corpus
+from oracles import reference_certify_gldim
 
 
 def table(tag, params):
@@ -197,6 +201,70 @@ def test_certify_reports_failure():
     assert not result.ok
     assert result.uncovered
     assert result.reasons
+
+
+def segre_window(m):
+    """The rank-one character window and weights that ``verify_nccr`` uses
+    on the Segre poset of two chains of m."""
+    p = segre_poset(m)
+    line = rank1.Rank1Weights.from_class_group(class_group(sigma_matrix(p),
+                                                           spanning_tree(p)))
+    window = rank1.base_window(line)
+    return character_window([-c for c in window.classes]), [(w,) for w in line.weights]
+
+
+def _search_cases():
+    for tag, params in [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (2, 2, 2)),
+                        ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)),
+                        ("IV", (3, 4)), ("V", (1,)), ("V", (3,))]:
+        yield f"{tag}{params}", nccr_characters(tag, params), table(tag, params), {}
+    for m in (1, 2, 3, 5):
+        chars, ws = segre_window(m)
+        yield f"segre{m}", chars, ws, {"goal": conic_classes(ws)}
+    ws = table("I", (0, 1))
+    point = CharacterSet(chars=((0, 0),))
+    yield "point-vertical", point, ws, {"directions": [(0, 1), (0, -1)]}
+    yield "point-default", point, ws, {}
+    yield "point-unusable", point, ws, {"directions": [(-1, 0), (1, 1), (0, -1)]}
+    yield "strip", CharacterSet(chars=((0, 0), (1, 0))), ws, \
+        {"directions": [(1, 0), (0, 1), (1, 1)]}
+    yield "box-restricted", nccr_characters("II", (1, 1, 1)), table("II", (1, 1, 1)), \
+        {"directions": [(1, 0), (0, 1)]}
+    yield "antidiagonal", CharacterSet(chars=((0, 1), (2, 0))), ws, \
+        {"directions": [(1, -1)]}
+    # failures whose first missing terms move after the first round
+    yield "type5-edge", CharacterSet(chars=((1, 0), (1, 1))), table("V", (0,)), \
+        {"directions": [(0, 1), (1, 0), (-1, 1), (-1, -1)]}
+    yield "type4-corner", CharacterSet(chars=((0, 1), (1, 1), (2, 0))), table("IV", (1, 1)), \
+        {"directions": [(1, 0), (0, 1), (2, 1), (1, 2), (-1, -1)]}
+    chars, ws = segre_window(3)
+    yield "segre-short-window", CharacterSet(chars=chars.chars[:-1]), ws, {}
+
+
+SEARCH_CASES = list(_search_cases())
+
+
+@pytest.mark.parametrize("chars,ws,kwargs", [c[1:] for c in SEARCH_CASES],
+                         ids=[c[0] for c in SEARCH_CASES])
+def test_certify_matches_reference_search(chars, ws, kwargs):
+    """The compiled search admits the same characters in the same order,
+    with the same directions and dependencies, as the search that rescans
+    the set on every round; failures carry the same reason strings."""
+    result = certify_gldim(chars, ws, **kwargs)
+    assert result == reference_certify_gldim(chars, ws, **kwargs)
+    if result.ok:
+        assert replay_certificate(result.certificate, chars, ws)[0]
+
+
+def test_certify_failure_reasons_exact():
+    ws = table("I", (0, 1))
+    result = certify_gldim(CharacterSet(chars=((0, 0),)), ws,
+                           directions=[(0, 1), (0, -1)])
+    assert not result.ok
+    reasons = dict(result.reasons)
+    assert reasons[(-2, -1)] == \
+        "separating directions blocked on dependencies: [((0, 1), (-2, 0))]"
+    assert reasons[(-2, 0)] == "no separating direction with usable weights"
 
 
 # ---------------------------------------------------------------------------
