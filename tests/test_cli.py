@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hibinccr
-from hibinccr import corpus_path
+from hibinccr import cli, corpus_path
 from hibinccr.cli import main
 
 from conftest import load_corpus
@@ -223,15 +223,20 @@ SCRATCH_INPUTS = {
     ["z1", "exchange-graph", "rank1_example.cone", "--radius", "-3"],
     ["conic", "huge_box.cone"],
     ["analyze", "huge_box.cone"],
+    ["generate", "--type", "I", "--m", "1", "--n", "1", "-o", "missing-dir/x.poset"],
+    ["nccr", "verify", "type1_m0_n1.poset", "--certificate", "missing-dir/x.jsonl"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
         "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
         "unknown-option", "bad-format-choice", "negative-radius", "conic-huge-box",
-        "analyze-huge-box"])
+        "analyze-huge-box", "unwritable-output", "unwritable-certificate"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
-    """The command run as a program: exit 2 and one ``error:`` line."""
+    """The command run as a program: exit 2, one ``error:`` line and no
+    report (an output path in a missing directory is refused too)."""
     args = []
     for token in argv:
-        if token in SCRATCH_INPUTS:
+        if token.startswith("missing-dir/"):
+            token = str(tmp_path / token)
+        elif token in SCRATCH_INPUTS:
             path = tmp_path / token
             path.write_text(SCRATCH_INPUTS[token])
             token = str(path)
@@ -245,6 +250,7 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert proc.stdout == ""
 
 
 def test_help_is_not_an_error(capsys):
@@ -367,3 +373,179 @@ def test_cone_grammar_fuzz(text):
             assert code in (0, 1, 2)
             assert "Traceback" not in err
             assert _main_in_process([*command, path]) == first
+
+
+# ---------------------------------------------------------------------------
+# parsers: built per call, only the chosen ones, none kept
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["z1", "analyze", "rank1_example.cone"], ["hibinccr", "hibinccr z1", "hibinccr z1 analyze"]),
+    (["classify", "type1_m0_n1.poset"], ["hibinccr", "hibinccr classify"]),
+    (["nccr", "verify", "type1_m0_n1.poset"], ["hibinccr", "hibinccr nccr", "hibinccr nccr verify"]),
+    (["bogus"], ["hibinccr"]),
+], ids=["z1-analyze", "classify", "nccr-verify", "invalid-choice"])
+def test_main_builds_only_the_chosen_parsers(monkeypatch, argv, progs):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argv = [corpus(t) if t.endswith((".poset", ".cone")) else t for t in argv]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    assert built == progs
+
+
+NO_PARSER_KEPT = """
+import contextlib, gc, io
+from hibinccr import corpus_path
+from hibinccr.cli import _Parser, main
+cone = str(corpus_path("rank1_example.cone"))
+poset = str(corpus_path("type1_m0_n1.poset"))
+argvs = [["z1", "analyze", cone], ["classify", poset], ["nccr", "verify", poset],
+         ["z1", "mutate", cone, "--window-lo", "0", "--end", "low"],
+         ["analyze", poset, "--bogus"], ["conic", "-h"], ["bogus"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in argvs * 3:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+gc.collect()
+print(sum(1 for o in gc.get_objects() if isinstance(o, _Parser)))
+"""
+
+
+def test_no_parser_outlives_main():
+    """Parsers are garbage once ``main`` returns: a parser cached at module
+    level or behind a cache keeps memory for the life of the process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NO_PARSER_KEPT],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "0"
+
+
+def test_build_parser_parses_every_command():
+    """One parser from ``build_parser`` takes every command in turn."""
+    parser = cli.build_parser()
+    for argv, func in [
+        (["analyze", "f"], cli._cmd_analyze), (["classify", "f"], cli._cmd_classify),
+        (["conic", "f"], cli._cmd_conic), (["mcm-region", "f"], cli._cmd_mcm_region),
+        (["nccr", "verify", "f"], cli._cmd_nccr_verify),
+        (["generate", "--type", "V"], cli._cmd_generate),
+        (["z1", "analyze", "f"], cli._cmd_z1_analyze),
+        (["z1", "exchange-graph", "f"], cli._cmd_z1_exchange_graph),
+        (["z1", "mutate", "f", "--window-lo", "0", "--end", "low"], cli._cmd_z1_mutate),
+    ]:
+        assert parser.parse_args(argv).func is func
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the argv in-process
+
+
+FUZZ_POSETS = ["running_example.poset", "type1_m0_n1.poset", "type5_n0.poset",
+               "segre_m1.poset"]
+FUZZ_CONES = ["rank1_example.cone", "rank2_demo.cone"]
+# placeholders, replaced by paths under the example's scratch directory
+FUZZ_PATHS = ["<missing-file>", "<scratch-dir>", "<out>", "<missing-dir>/out"]
+_PARAMS = (["0", "1", "2", "3"], ["-1", "x", ""])
+_OUTPUT = (["<out>"], ["<scratch-dir>", "<missing-dir>/out"])
+# each option's values: those a well-formed call uses, and wrong ones
+FUZZ_VALUES = {
+    "--box": (["-2,2", "0,0", "-1,1,-1,1", "-4,4,-4,4"], ["3,1", "2,1,0,0", "1,2,3", "a,b", ""]),
+    "--tree": (["e2,e3,e4,e5,e6,e7"], ["e1", "e0", "e99", "e2,x", "x", ""]),
+    "--radius": (["0", "1", "3"], ["-3", "x", ""]),
+    "--window-lo": (["-2", "0", "3"], ["x", ""]),
+    "--end": (["low", "high"], ["mid"]),
+    "--format": (["json", "tsv"], ["xml"]),
+    "--type": (["I", "II", "III", "IV", "V"], ["VI", ""]),
+    "--l": _PARAMS, "--m": _PARAMS, "--n": _PARAMS,
+    "-o": _OUTPUT, "--output": _OUTPUT, "--certificate": _OUTPUT,
+}
+# each command with the inputs it reads and the options it takes
+FUZZ_COMMANDS = {
+    ("analyze",): (FUZZ_POSETS + FUZZ_CONES, ["--tree", "--format"]),
+    ("classify",): (FUZZ_POSETS, ["--format"]),
+    ("conic",): (FUZZ_POSETS + FUZZ_CONES, ["--tree", "--format"]),
+    ("mcm-region",): (FUZZ_POSETS + FUZZ_CONES, ["--tree", "--box", "--format"]),
+    ("nccr", "verify"): (FUZZ_POSETS, ["--certificate", "--format"]),
+    ("generate",): (None, ["--l", "--m", "--n", "-o", "--output"]),
+    ("z1", "analyze"): (FUZZ_CONES, ["--format"]),
+    ("z1", "exchange-graph"): (FUZZ_CONES, ["--generators-only", "--radius"]),
+    ("z1", "mutate"): (FUZZ_CONES, ["--window-lo", "--end", "--format"]),
+}
+_fuzz_input = st.sampled_from(FUZZ_POSETS + FUZZ_CONES + FUZZ_PATHS)
+_fuzz_noise = st.one_of(
+    _fuzz_input,
+    st.sampled_from(sorted(FUZZ_VALUES) + ["--generators-only"]),
+    st.sampled_from(sorted({v for good, bad in FUZZ_VALUES.values() for v in good + bad})),
+    st.sampled_from(["-h", "--help", "--bogus", "bogus", "-", "--", "-x", "=",
+                     "--format=json", "--box=-2,2,-2,2", "nccr", "z1", "verify",
+                     "analyze", "generate"]),
+)
+
+
+def _fuzz_value(option: str):
+    good, bad = FUZZ_VALUES[option]
+    return st.one_of(st.sampled_from(good), st.sampled_from(good + bad))
+
+
+@st.composite
+def cli_argvs(draw):
+    """A call of one command, mostly well formed: an input of the kind it
+    reads (``--type`` for ``generate``) and options it takes, with values
+    mostly from their domains; now and then a noise token (any option,
+    value, input, command name or junk) put anywhere, or the argv cut
+    short.  Inputs are small corpus files and ``generate`` parameters stay
+    at most 3, so no call is expensive."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    inputs, options = FUZZ_COMMANDS[command]
+    argv = list(command)
+    if draw(st.integers(0, 9)) < 9:
+        if inputs is None:
+            argv += ["--type", draw(_fuzz_value("--type"))]
+        else:
+            argv.append(draw(st.one_of(st.sampled_from(inputs), _fuzz_input)))
+    for option in draw(st.lists(st.sampled_from(options), unique=True)):
+        argv.append(option)
+        if option in FUZZ_VALUES:
+            argv.append(draw(_fuzz_value(option)))
+    while draw(st.integers(0, 3)) == 3:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_fuzz_noise))
+    if draw(st.integers(0, 9)) == 9:
+        argv = argv[:draw(st.integers(0, len(argv)))]
+    return argv
+
+
+def _fuzz_path(token: str, tmp: str) -> str:
+    if token in FUZZ_POSETS + FUZZ_CONES:
+        return corpus(token)
+    return (token.replace("<missing-file>", os.path.join(tmp, "missing.poset"))
+                 .replace("<scratch-dir>", tmp)
+                 .replace("<out>", os.path.join(tmp, "out"))
+                 .replace("<missing-dir>", os.path.join(tmp, "missing")))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cli_argvs())
+def test_argv_fuzz(argv):
+    """Any argv: exit 0, 1 or 2, no traceback, exactly one ``error:`` line
+    on a usage error, the same bytes twice."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [_fuzz_path(token, tmp) for token in argv]
+        first = _main_in_process(argv)
+        code, _, err = first
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+        assert _main_in_process(argv) == first
