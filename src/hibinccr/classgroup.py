@@ -1,11 +1,12 @@
 """Divisor class groups of Hibi rings and of raw toric cones.
 
 The cone of a bounded poset is spanned by one linear form per Hasse edge;
-the class group is the cokernel of the resulting integer matrix.  Both kinds
-of input compute that cokernel one way, by Smith normal form, which fixes a
-basis up to a documented sign convention.  Raw ray input keeps that basis.
-Hibi input then moves to the basis given by the cotree edges of a chosen
-spanning tree, so that their divisor classes are the standard basis vectors.
+the class group is the cokernel of the resulting integer matrix.  Hibi input
+gets the basis given by the cotree edges of a chosen spanning tree, so that
+their divisor classes are the standard basis vectors; every tree edge's class
+then follows by balancing the divisor relations over the tree, in integers.
+Only raw ray input computes the cokernel by Smith normal form, which fixes a
+basis up to a documented sign convention.
 """
 
 from __future__ import annotations
@@ -140,27 +141,74 @@ def class_group(s: SigmaMatrix, tree: Optional[TreeSelection] = None) -> ClassGr
 
 
 def _class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
+    """Cotree coordinates by balancing the spanning tree.
+
+    The relations of the class group say that at every element below the
+    top, the classes of the edges going up sum to those of the edges coming
+    down.  With cotree edge j set to e_j and the tree rooted at the top,
+    visiting the elements leaves first leaves one unknown at each, its edge
+    to its parent, which takes the class that balances it.  Coordinates in
+    the cotree basis are unique, so these are the classes of the cokernel.
+    """
     n, d = s.n, s.d
     rank = n - d
     cotree = tree.cotree_edges
     if len(tree.tree_edges) != d or len(cotree) != rank:
         raise ValueError("spanning tree does not match the sigma matrix")
-    smith = _class_group_cone(s).weights
-    if rank == 0:
-        weights = smith
-    else:
-        # columns: the Smith classes of the cotree edges, a Z-basis exactly
-        # when the tree submatrix of sigma is unimodular
-        basis = [[smith[e][k] for e in cotree] for k in range(rank)]
-        try:
-            coords = [intlattice.solve_integer(basis, w) for w in smith]
-        except ValueError:  # the basis matrix is singular
-            coords = None
-        if coords is None or None in coords:
-            raise ValueError("the cotree classes are not a basis of the class group")
-        weights = tuple(tuple(c) for c in coords)
-    return ClassGroupData(rank=rank, torsion=(), weights=weights,
+    not_a_basis = ValueError("the cotree classes are not a basis of the class group")
+    weights: list[Vec] = [()] * n
+    in_tree = [True] * n
+    for j, e in enumerate(cotree):
+        if not 0 <= e < n or not in_tree[e]:
+            raise not_a_basis
+        in_tree[e] = False
+        weights[e] = tuple(int(i == j) for i in range(rank))
+    # element d is the top, whose coordinate sigma drops
+    ends = [_hasse_edge(row, d, k) for k, row in enumerate(s.rows)]
+    incident: list[list[int]] = [[] for _ in range(d + 1)]
+    for k, (lower, upper) in enumerate(ends):
+        incident[lower].append(k)
+        incident[upper].append(k)
+    parent_edge = [-1] * (d + 1)
+    order = [d]  # breadth-first from the top over the tree edges
+    for v in order:
+        for k in incident[v]:
+            if in_tree[k] and k != parent_edge[v]:
+                lower, upper = ends[k]
+                w = lower if v == upper else upper
+                if w == d or parent_edge[w] != -1:
+                    raise not_a_basis  # the tree edges hold a cycle
+                parent_edge[w] = k
+                order.append(w)
+    if len(order) != d + 1:
+        raise not_a_basis
+    for v in reversed(order[1:]):
+        up = parent_edge[v]
+        balance = [0] * rank  # up-edge classes minus down-edge classes at v
+        for k in incident[v]:
+            if k != up:
+                sign = 1 if ends[k][0] == v else -1
+                balance = [b + sign * c for b, c in zip(balance, weights[k])]
+        sign = 1 if ends[up][0] == v else -1
+        weights[up] = tuple(-sign * b for b in balance)
+    return ClassGroupData(rank=rank, torsion=(), weights=tuple(weights),
                           cotree=cotree, source=HIBI)
+
+
+def _hasse_edge(row: Vec, top: int, k: int) -> tuple[int, int]:
+    """The (lower, upper) positions of the Hasse edge a sigma row encodes:
+    +1 at the lower element, and -1 at the upper one unless it is the top."""
+    try:
+        lower = row.index(1)
+    except ValueError:
+        lower = -1
+    try:
+        upper = row.index(-1)
+    except ValueError:
+        upper = top
+    if lower < 0 or len(row) - row.count(0) != 1 + (upper != top):
+        raise ValueError(f"sigma row {k} is not a Hasse edge")
+    return lower, upper
 
 
 def _class_group_cone(s: SigmaMatrix) -> ClassGroupData:

@@ -140,6 +140,9 @@ def _weights_for_input(text: str, tree_arg: Optional[str]):
         tree = _parse_tree_arg(tree_arg, p)
         cgd = class_group(sigma_matrix(p), tree)
         return kind, p, tree, cgd
+    if tree_arg is not None:
+        raise UsageError("error: --tree applies only to poset input, "
+                         "not to a cone file")
     cone = parse_cone(text)
     cgd = class_group(cone)
     return kind, cone, None, cgd

@@ -17,9 +17,7 @@ the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
 from typing import Optional, Sequence, TypeAlias, Union
 
 from . import intlattice
@@ -96,14 +94,14 @@ def enumerate_conic(cp: ConicPolytope) -> list[Vec]:
     """All lattice points of the polytope, lexicographically sorted."""
     if cp.rank == 0:
         return [()]
-    cons: list[tuple[Vec, Fraction]] = []
+    cons: list[tuple[Vec, int]] = []  # <coeffs, z> <= b
     for coeffs, lo, hi in cp.ineqs:
-        cons.append((coeffs, Fraction(hi)))
-        cons.append((tuple(-c for c in coeffs), Fraction(-lo)))
+        cons.append((coeffs, hi))
+        cons.append((tuple(-c for c in coeffs), -lo))
     return sorted(_enumerate_rec(cons, cp.rank))
 
 
-def _fm_eliminate(cons: list[tuple[Vec, Fraction]], j: int) -> list[tuple[Vec, Fraction]]:
+def _fm_eliminate(cons: list[tuple[Vec, int]], j: int) -> list[tuple[Vec, int]]:
     kept, uppers, lowers = [], [], []
     for coeffs, b in cons:
         if coeffs[j] == 0:
@@ -119,30 +117,29 @@ def _fm_eliminate(cons: list[tuple[Vec, Fraction]], j: int) -> list[tuple[Vec, F
     return kept
 
 
-def _first_var_range(cons: list[tuple[Vec, Fraction]], r: int) -> Optional[tuple[int, int]]:
+def _first_var_range(cons: list[tuple[Vec, int]], r: int) -> Optional[tuple[int, int]]:
     sys_ = cons
     for j in range(r - 1, 0, -1):
         sys_ = _fm_eliminate(sys_, j)
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
+    lo: Optional[int] = None
+    hi: Optional[int] = None
     for coeffs, b in sys_:
         a = coeffs[0]
         if a == 0:
             if b < 0:
                 return None
         elif a > 0:
-            v = b / a
+            v = b // a  # floor(b / a)
             hi = v if hi is None else min(hi, v)
         else:
-            v = b / a
+            v = -(-b // a)  # ceil(b / a)
             lo = v if lo is None else max(lo, v)
     if lo is None or hi is None:
         raise UnboundedPolytopeError("inequality system is unbounded")
-    ilo, ihi = ceil(lo), floor(hi)
-    return None if ilo > ihi else (ilo, ihi)
+    return None if lo > hi else (lo, hi)
 
 
-def _enumerate_rec(cons: list[tuple[Vec, Fraction]], r: int) -> list[Vec]:
+def _enumerate_rec(cons: list[tuple[Vec, int]], r: int) -> list[Vec]:
     rng = _first_var_range(cons, r)
     if rng is None:
         return []

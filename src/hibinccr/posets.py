@@ -22,6 +22,7 @@ BOTTOM = "bot"
 TOP = "top"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.+-]+$")
+_COVER_RE = re.compile(r"^cover:\s*(\S+)\s*<\s*(\S+)\s*$")
 
 
 class PosetError(ValueError):
@@ -183,7 +184,7 @@ def parse_poset(text: str) -> BoundedPoset:
         elif line.startswith("cover:"):
             if elements is None:
                 raise PosetError(f"line {lineno}: cover before elements line")
-            m = re.match(r"^cover:\s*(\S+)\s*<\s*(\S+)\s*$", line)
+            m = _COVER_RE.match(line)
             if not m:
                 raise PosetError(f"line {lineno}: cannot parse cover line {line!r}")
             a, b = m.group(1), m.group(2)

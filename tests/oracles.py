@@ -25,6 +25,15 @@ working window with ``nccr.certify_gldim``.
 ``permutation_unimodular_match`` is the unimodular multiset match the
 library used before it iterated over distinct target values: it tries every
 ordered pair of target vectors as the image of an independent source pair.
+
+``snf_class_group_hibi`` is the Hibi class group the library computed before
+it balanced the spanning tree: the Smith-normal-form cokernel of the whole
+sigma matrix, moved to the cotree basis by one rational solve per edge.  It
+never looks at the tree edges, only at the cotree classes.
+
+``fraction_enumerate_conic`` is the Fourier-Motzkin lattice-point
+enumeration the library ran on ``Fraction`` right-hand sides, taking exact
+ceilings and floors of rational bounds instead of integer floor division.
 """
 
 from __future__ import annotations
@@ -32,15 +41,17 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
 from hibinccr import divisorial, intlattice
-from hibinccr.divisorial import WeightsLike, weight_list
+from hibinccr.classgroup import HIBI, ClassGroupData, SigmaMatrix, _class_group_cone
+from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
 from hibinccr.intlattice import Matrix, Vec
 from hibinccr.nccr import (CertStep, CharacterSet, GldimCertificate, GldimResult,
                            UnusableDirectionError, _working_window, default_directions,
                            is_separated, koszul_terms)
-from hibinccr.posets import BoundedPoset, Circuit
+from hibinccr.posets import BoundedPoset, Circuit, TreeSelection
 
 
 def vertex_is_conic(chi: Vec, weights) -> bool:
@@ -359,3 +370,95 @@ def permutation_unimodular_match(source: Sequence[Vec],
                   for v in src) == tgt:
             return U
     return None
+
+
+def snf_class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
+    """The class group of a Hibi sigma matrix in the basis of the cotree
+    classes, from the Smith cokernel."""
+    n, d = s.n, s.d
+    rank = n - d
+    cotree = tree.cotree_edges
+    if len(tree.tree_edges) != d or len(cotree) != rank:
+        raise ValueError("spanning tree does not match the sigma matrix")
+    smith = _class_group_cone(s).weights
+    if rank == 0:
+        weights = smith
+    else:
+        # columns: the Smith classes of the cotree edges, a Z-basis exactly
+        # when the tree submatrix of sigma is unimodular
+        basis = [[smith[e][k] for e in cotree] for k in range(rank)]
+        try:
+            coords = [intlattice.solve_integer(basis, w) for w in smith]
+        except ValueError:  # the basis matrix is singular
+            coords = None
+        if coords is None or None in coords:
+            raise ValueError("the cotree classes are not a basis of the class group")
+        weights = tuple(tuple(c) for c in coords)
+    return ClassGroupData(rank=rank, torsion=(), weights=weights,
+                          cotree=cotree, source=HIBI)
+
+
+def fraction_enumerate_conic(cp: ConicPolytope) -> list[Vec]:
+    """All lattice points of the polytope, lexicographically sorted."""
+    if cp.rank == 0:
+        return [()]
+    cons: list[tuple[Vec, Fraction]] = []
+    for coeffs, lo, hi in cp.ineqs:
+        cons.append((coeffs, Fraction(hi)))
+        cons.append((tuple(-c for c in coeffs), Fraction(-lo)))
+    return sorted(_fraction_enumerate_rec(cons, cp.rank))
+
+
+def _fraction_fm_eliminate(cons: list[tuple[Vec, Fraction]],
+                           j: int) -> list[tuple[Vec, Fraction]]:
+    kept, uppers, lowers = [], [], []
+    for coeffs, b in cons:
+        if coeffs[j] == 0:
+            kept.append((coeffs, b))
+        elif coeffs[j] > 0:
+            uppers.append((coeffs, b))
+        else:
+            lowers.append((coeffs, b))
+    for (cu, bu), (cl, bl) in product(uppers, lowers):
+        p, q = cu[j], -cl[j]
+        coeffs = tuple(q * a + p * c for a, c in zip(cu, cl))
+        kept.append((coeffs, q * bu + p * bl))
+    return kept
+
+
+def _fraction_first_var_range(cons: list[tuple[Vec, Fraction]],
+                              r: int) -> Optional[tuple[int, int]]:
+    sys_ = cons
+    for j in range(r - 1, 0, -1):
+        sys_ = _fraction_fm_eliminate(sys_, j)
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    for coeffs, b in sys_:
+        a = coeffs[0]
+        if a == 0:
+            if b < 0:
+                return None
+        elif a > 0:
+            v = b / a
+            hi = v if hi is None else min(hi, v)
+        else:
+            v = b / a
+            lo = v if lo is None else max(lo, v)
+    if lo is None or hi is None:
+        raise UnboundedPolytopeError("inequality system is unbounded")
+    ilo, ihi = ceil(lo), floor(hi)
+    return None if ilo > ihi else (ilo, ihi)
+
+
+def _fraction_enumerate_rec(cons: list[tuple[Vec, Fraction]], r: int) -> list[Vec]:
+    rng = _fraction_first_var_range(cons, r)
+    if rng is None:
+        return []
+    lo, hi = rng
+    if r == 1:
+        return [(v,) for v in range(lo, hi + 1)]
+    out = []
+    for v in range(lo, hi + 1):
+        reduced = [(coeffs[1:], b - coeffs[0] * v) for coeffs, b in cons]
+        out += [(v, *tail) for tail in _fraction_enumerate_rec(reduced, r - 1)]
+    return out

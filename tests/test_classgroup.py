@@ -10,10 +10,12 @@ from hibinccr import (ConeError, TorsionError, class_group,
                       class_of, parse_cone, parse_poset, same_class,
                       serialize_cone, sigma_matrix, spanning_tree,
                       verify_divisor_relations)
+from hibinccr.families import generate_family
 from hibinccr.posets import PosetError, TreeSelection, is_pure
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
-from test_posets import random_posets
+from oracles import snf_class_group_hibi
+from test_posets import CORPUS_POSETS, FAMILY_SIZES, random_posets
 
 
 def test_sigma_rows(running_example):
@@ -144,6 +146,44 @@ def test_cotree_not_a_basis(running_example):
         class_group(sigma_matrix(p), tree)
 
 
+def test_tree_count_mismatch(running_example):
+    p = running_example
+    tree = spanning_tree(p)
+    short = TreeSelection(tree_edges=frozenset(sorted(tree.tree_edges)[1:]),
+                          cotree_edges=tree.cotree_edges)
+    with pytest.raises(ValueError, match="does not match the sigma matrix"):
+        class_group(sigma_matrix(p), short)
+
+
+def test_sigma_row_must_be_a_hasse_edge(running_example):
+    s = sigma_matrix(running_example)
+    bad = type(s)(rows=((1, 1, 0, 0, 0, 0),) + s.rows[1:], source=s.source)
+    with pytest.raises(ValueError, match="sigma row 0 is not a Hasse edge"):
+        class_group(bad, spanning_tree(running_example))
+
+
+def _agrees_with_snf_oracle(p, tree):
+    """The two routes give the same class group, or both refuse the tree
+    with the same message."""
+    s = sigma_matrix(p)
+    try:
+        expected = snf_class_group_hibi(s, tree)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            class_group(s, tree)
+        assert str(info.value) == str(exc)
+        return
+    cgd = class_group(s, tree)
+    assert cgd == expected
+    assert verify_divisor_relations(p, cgd)
+
+
+def _selection(p, edges):
+    edges = frozenset(edges)
+    return TreeSelection(tree_edges=edges,
+                         cotree_edges=tuple(k for k in range(p.n_edges) if k not in edges))
+
+
 def _tree_in_order(p, order):
     """The spanning tree grown by taking edges in the given order."""
     parent = {el: el for el in p.elements}
@@ -168,14 +208,19 @@ def posets_with_edge_orders(draw):
     return p, draw(st.permutations(range(p.n_edges)))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(posets_with_edge_orders())
 def test_random_posets_rank_and_relations(case):
     """The cotree classes are the standard basis and the relations hold;
-    together these fix every weight."""
+    together these fix every weight.  Tree balancing agrees with the Smith
+    route on these trees and on |P| + 1 edges chosen at random, which need
+    not span."""
     p, order = case
     s = sigma_matrix(p)
+    for edges in (order[:p.dim], order[-p.dim:]):
+        _agrees_with_snf_oracle(p, _selection(p, edges))
     for tree in (spanning_tree(p), spanning_tree(p, hint=_tree_in_order(p, order))):
+        _agrees_with_snf_oracle(p, tree)
         cgd = class_group(s, tree)
         assert cgd.rank == p.n_edges - p.dim
         assert cgd.cotree == tree.cotree_edges
@@ -184,3 +229,29 @@ def test_random_posets_rank_and_relations(case):
         assert verify_divisor_relations(p, cgd)
         if is_pure(p).pure:
             assert all(sum(w[k] for w in cgd.weights) == 0 for k in range(cgd.rank))
+
+
+# the corpus, families I-V at two sizes each, and two posets of rank 0
+ORACLE_CASES = ([load_corpus(name) for name in CORPUS_POSETS]
+                + [generate_family(tag, params) for tag, params in FAMILY_SIZES]
+                + ["elements:\n", "elements: a b\ncover: a < b\n"])
+ORACLE_IDS = (CORPUS_POSETS + [tag + "_".join(map(str, params)) for tag, params in FAMILY_SIZES]
+              + ["empty", "chain"])
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=ORACLE_IDS)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_corpus_and_families_match_snf_oracle(case, data):
+    """The breadth-first tree, the figure tree of a family, random spanning
+    trees and random d-edge selections that need not span."""
+    if isinstance(case, str):
+        p, trees = parse_poset(case), []
+    else:
+        p, trees = case.poset, [case.figure_tree]
+    trees.append(spanning_tree(p))
+    order = data.draw(st.permutations(range(p.n_edges)))
+    trees.append(spanning_tree(p, hint=_tree_in_order(p, order)))
+    trees.append(_selection(p, order[:p.dim]))
+    for tree in trees:
+        _agrees_with_snf_oracle(p, tree)

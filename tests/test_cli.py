@@ -225,10 +225,14 @@ SCRATCH_INPUTS = {
     ["analyze", "huge_box.cone"],
     ["generate", "--type", "I", "--m", "1", "--n", "1", "-o", "missing-dir/x.poset"],
     ["nccr", "verify", "type1_m0_n1.poset", "--certificate", "missing-dir/x.jsonl"],
+    ["conic", "rank2_demo.cone", "--tree", "x"],
+    ["mcm-region", "rank1_example.cone", "--tree", "e2,x"],
+    ["analyze", "rank2_demo.cone", "--tree", "e1,e2,e3,e4"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
         "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
         "unknown-option", "bad-format-choice", "negative-radius", "conic-huge-box",
-        "analyze-huge-box", "unwritable-output", "unwritable-certificate"])
+        "analyze-huge-box", "unwritable-output", "unwritable-certificate",
+        "conic-cone-tree", "mcm-region-cone-tree", "analyze-cone-tree"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
     """The command run as a program: exit 2, one ``error:`` line and no
     report (an output path in a missing directory is refused too)."""

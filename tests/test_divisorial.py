@@ -12,7 +12,7 @@ from hibinccr.divisorial import UnboundedPolytopeError, ConicPolytope
 from hibinccr.families import generate_family
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
-from oracles import vertex_conic_classes, vertex_is_conic
+from oracles import fraction_enumerate_conic, vertex_conic_classes, vertex_is_conic
 
 
 def _poset_conic(p, hint=None):
@@ -78,6 +78,20 @@ def test_enumerate_unbounded_rejected():
     cp = ConicPolytope(ineqs=(((1, 0), -2, 2),), rank=2)
     with pytest.raises(UnboundedPolytopeError):
         enumerate_conic(cp)
+
+
+def test_enumerate_rounds_rational_bounds_inward():
+    # -7 <= 3x <= 5 and -3 <= 2y - x <= 3: x in [-2, 1], y by x's parity
+    cp = ConicPolytope(ineqs=(((1, 0), -9, 9), ((3, 0), -7, 5), ((-1, 2), -3, 3)),
+                       rank=2)
+    expected = [(x, y) for x in range(-2, 2) for y in range(-9, 10)
+                if -3 <= 2 * y - x <= 3]
+    assert enumerate_conic(cp) == fraction_enumerate_conic(cp) == expected
+
+
+def test_enumerate_empty_polytope():
+    cp = ConicPolytope(ineqs=(((2, 0), 1, 1), ((0, 1), -4, 4)), rank=2)
+    assert enumerate_conic(cp) == fraction_enumerate_conic(cp) == []
 
 
 def test_type4_small_rectangle():
@@ -235,3 +249,37 @@ def test_facet_rule_on_degenerate_systems(ws, expected):
 def test_facet_rule_needs_matching_rank():
     with pytest.raises(ValueError, match="3 coordinates"):
         conic_facets([(1, 0)], 3)
+
+
+# ---------------------------------------------------------------------------
+# integer Fourier-Motzkin against the Fraction route of tests/oracles.py
+
+
+@st.composite
+def conic_polytope_systems(draw):
+    """Integer inequality systems of rank 1-3 with negative, inverted
+    (empty) and one-sided bounds; with a box on every coordinate or
+    without, so that some are unbounded."""
+    rank = draw(st.integers(1, 3))
+    coeffs = st.tuples(*[st.integers(-3, 3)] * rank)
+    bound = st.integers(-6, 6)
+    ineqs = draw(st.lists(st.tuples(coeffs, bound, bound), max_size=5))
+    if draw(st.booleans()):
+        for k in range(rank):
+            lo, hi = draw(bound), draw(bound)
+            ineqs.append((tuple(int(i == k) for i in range(rank)), min(lo, hi), max(lo, hi)))
+    return ConicPolytope(ineqs=tuple(ineqs), rank=rank)
+
+
+def _lattice_points(enumerate_, cp):
+    try:
+        return enumerate_(cp)
+    except UnboundedPolytopeError:
+        return "unbounded"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(conic_polytope_systems())
+def test_enumerate_conic_matches_fraction_route(cp):
+    assert (_lattice_points(enumerate_conic, cp)
+            == _lattice_points(fraction_enumerate_conic, cp))
