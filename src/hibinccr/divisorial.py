@@ -10,12 +10,16 @@ independent routes decide it:
   normal of the zonotope sum_i [-1, 0] w_i, open or closed as the weights
   decide (``conic_facets``, ``is_conic``, ``conic_classes``).
 
-Their agreement on every input is one of the strongest end-to-end checks in
-the test suite.
+The two inequality systems are built independently; both are listed by
+the one integer Fourier-Motzkin enumerator, ``enumerate_conic``, as
+``conic_classes`` reads the facet rule as a ``ConicPolytope``.  Their
+agreement on every input is one of the strongest end-to-end checks in the
+test suite.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Sequence, TypeAlias, Union
@@ -255,20 +259,37 @@ def is_conic(chi: Vec, weights: WeightsLike) -> bool:
 
 
 def conic_classes(weights: WeightsLike) -> list[Vec]:
-    """All conic classes, by the facet rule over their bounding box.  Agrees
-    with the circuit-polytope enumeration on Hibi inputs."""
+    """All conic classes, lexicographically sorted: the lattice points of
+    the facet rule read as a :class:`ConicPolytope` and listed by
+    :func:`enumerate_conic`, the enumerator of the circuit route.  Agrees
+    with the circuit-polytope enumeration on Hibi inputs.
+
+    As h_u >= 0, the rule for (u, h_u) is <u, chi> <= h_u - [h_u != 0], so
+    each pair of opposite normals u, -u bounds <u, chi> on both sides and
+    each equation e pins <e, chi> to 0.  The points lie in the box
+    |chi_k| <= sum_i |w_ik|; a box whose side has more points than a Python
+    sequence can hold is refused with :class:`ConicBoxError`.
+    """
     ws = weight_list(weights)
     if not ws:
         return [()]
     rank = len(ws[0])
     if rank == 0:
         return [()]
-    rule = conic_facets(ws, rank)
     bounds = [sum(abs(w[k]) for w in ws) for k in range(rank)]
-    try:
-        points = product(*[range(-b, b + 1) for b in bounds])
-    except OverflowError:
+    if any(2 * b + 1 > sys.maxsize for b in bounds):
         box = " x ".join(f"[{-b}, {b}]" for b in bounds)
         raise ConicBoxError(f"the bounding box {box} of the conic classes "
-                            f"is too large to enumerate") from None
-    return [pt for pt in points if rule.contains(pt)]
+                            f"is too large to enumerate")
+    return enumerate_conic(_facet_polytope(conic_facets(ws, rank), rank))
+
+
+def _facet_polytope(rule: ConicFacets, rank: int) -> ConicPolytope:
+    """The facet rule as one bound pair per pair of opposite normals and a
+    zero bound pair per equation."""
+    tops = {u: h - (h != 0) for u, h in rule.facets}
+    ineqs = [(e, 0, 0) for e in rule.equations]
+    for u, top in tops.items():
+        if next(c for c in u if c) > 0:
+            ineqs.append((u, -tops[tuple(-c for c in u)], top))
+    return ConicPolytope(ineqs=tuple(ineqs), rank=rank)

@@ -10,15 +10,18 @@ term shifts land on already-discharged characters.  The search compiles
 each candidate direction once (a separation threshold and a sorted tuple of
 Koszul shifts), so testing a character costs one pairing and one
 translation per direction.  The certificate replays independently of the
-search that produced it: the replay recomputes separation and the Koszul
-terms from scratch with :func:`is_separated` and :func:`koszul_terms`.
+search that produced it: the replay computes each direction's least pairing
+with the set itself, once per direction, and recomputes every step's Koszul
+terms with :func:`koszul_terms`.  The first half asks :func:`mcm.is_mcm`
+once per distinct difference.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import divisorial, families, mcm, rank1 as rank1_mod
@@ -77,25 +80,40 @@ class EndMcmReport:
 
 def endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> EndMcmReport:
     """Hom between two covariants is the covariant of the difference, so the
-    endomorphism ring is MCM iff every ordered difference of characters is."""
+    endomorphism ring is MCM iff every ordered difference of characters is.
+
+    The pairs are taken in sorted order.  Each distinct difference is asked
+    of :func:`mcm.is_mcm` once, in order of first occurrence, stopping at
+    the first that fails; the first failing pair is that difference's first
+    occurrence, and ``checked`` counts the pairs up to it.
+    """
     ws = weight_list(weights)
     ordered = sorted(chars.chars)
-    checked = 0
-    seen: dict[Vec, bool] = {}
-    for chi in ordered:
-        for chi2 in ordered:
-            diff = tuple(b - a for a, b in zip(chi, chi2))
-            checked += 1
-            if diff not in seen:
-                seen[diff] = mcm.is_mcm(diff, ws)
-            if not seen[diff]:
-                return EndMcmReport(ok=False, checked=checked,
-                                    first_failure=(chi, chi2, diff))
-    return EndMcmReport(ok=True, checked=checked)
+    diffs = dict.fromkeys(tuple(map(sub, chi2, chi))
+                          for chi in ordered for chi2 in ordered)
+    for diff in diffs:
+        if not mcm.is_mcm(diff, ws):
+            checked = 0
+            for chi in ordered:
+                for chi2 in ordered:
+                    checked += 1
+                    if tuple(map(sub, chi2, chi)) == diff:
+                        return EndMcmReport(ok=False, checked=checked,
+                                            first_failure=(chi, chi2, diff))
+    return EndMcmReport(ok=True, checked=len(ordered) ** 2)
+
+
+def _check_rank(kind: str, v: Vec, rank: int) -> None:
+    if len(v) != rank:
+        raise ValueError(f"{kind} {tuple(v)} has rank {len(v)}, expected rank {rank}")
 
 
 def is_separated(chi: Vec, chars: CharacterSet, direction: Vec) -> bool:
-    """Strictly smaller pairing with the direction than every set member."""
+    """Strictly smaller pairing with the direction than every set member.
+    The character and the direction must have the rank of the set."""
+    rank = len(chars.chars[0]) if chars.chars else len(chi)
+    _check_rank("character", chi, rank)
+    _check_rank("direction", direction, rank)
     val = dot(direction, chi)
     return all(val < dot(direction, nu) for nu in chars.chars)
 
@@ -104,21 +122,25 @@ def koszul_terms(chi: Vec, direction: Vec, weights: WeightsLike) -> tuple[Vec, .
     """All shifts of chi by sums of distinct positively-pairing weights.
 
     Weights are grouped by value; picking distinct indices is the same as
-    capping each value's coefficient at its multiplicity.  Terms are
-    deduplicated and sorted; chi itself never appears (every shift pairs
-    strictly positively with the direction).
+    capping each value's coefficient at its multiplicity, so each value w
+    of multiplicity m contributes the steps w, 2w, ..., mw, computed once,
+    and each term is chi translated by at most one step per value.  Terms
+    are deduplicated and sorted; chi itself never appears (every shift pairs
+    strictly positively with the direction).  The character and the
+    direction must have the rank of the weights.
     """
     ws = weight_list(weights)
-    positive: dict[Vec, int] = {}
-    for w in ws:
-        if dot(direction, w) > 0:
-            positive[w] = positive.get(w, 0) + 1
-    if not positive:
-        raise UnusableDirectionError(f"no weight pairs positively with {direction}")
+    rank = len(ws[0]) if ws else len(chi)
+    _check_rank("character", chi, rank)
+    _check_rank("direction", direction, rank)
+    multiplicity = Counter(ws)
     terms = {chi}
-    for value, mult in sorted(positive.items()):
-        terms = {tuple(t[k] + c * value[k] for k in range(len(chi)))
-                 for t in terms for c in range(mult + 1)}
+    for value in sorted(multiplicity):
+        if sum(map(mul, direction, value)) > 0:
+            steps = [[c * v for v in value] for c in range(1, multiplicity[value] + 1)]
+            terms.update([tuple(map(add, t, step)) for t in terms for step in steps])
+    if len(terms) == 1:  # every usable weight adds a term
+        raise UnusableDirectionError(f"no weight pairs positively with {direction}")
     terms.discard(chi)
     return tuple(sorted(terms))
 
@@ -166,10 +188,13 @@ class GldimResult:
 
 def default_directions(chars: CharacterSet) -> list[Vec]:
     """Axis and diagonal directions plus the outward edge normals of the
-    character set's convex hull."""
+    character set's convex hull, for a set of rank 1 or 2."""
     rank = len(chars.chars[0])
     if rank == 1:
         return [(1,), (-1,)]
+    if rank != 2:
+        raise ValueError(f"default directions exist for rank 1 and 2, not {rank}; "
+                         f"pass the directions")
     dirs: list[Vec] = [(0, 1), (1, 0), (0, -1), (-1, 0),
                        (1, 1), (1, -1), (-1, 1), (-1, -1)]
     hull = convex_hull(list(chars.chars))
@@ -204,7 +229,11 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     keeps its blocked (direction, first missing term) pairs from its last
     attempt; reason strings are made only for the characters left uncovered.
     """
+    if not chars.chars:
+        raise ValueError("empty character set")
     ws = weight_list(weights)
+    if not ws:
+        raise ValueError("empty weight system")
     rank = len(ws[0])
     base = frozenset(chars.chars)
     if goal is None:
@@ -337,16 +366,39 @@ def _working_window(goal: Sequence[Vec], chars: CharacterSet, ws: list[Vec],
 
 def replay_certificate(cert: GldimCertificate, chars: CharacterSet,
                        weights: WeightsLike) -> tuple[bool, str]:
-    """Independent check of a certificate: separation, exact Koszul term
-    sets, dependency availability, and goal coverage.  Shares only
-    :func:`is_separated` and :func:`koszul_terms` with the producer."""
+    """Independent check of a certificate: ranks, separation, exact Koszul
+    term sets, dependency availability, and goal coverage.
+
+    A step's direction d separates chi iff <d, chi> is below the least
+    pairing of d with the character set; replay computes that least pairing
+    once per direction it meets, from the set itself, and shares nothing
+    with the search but :func:`koszul_terms`.  A step whose character,
+    direction or dependency does not have the rank of the weights fails.
+    """
+    if not chars.chars:
+        raise ValueError("empty character set")
     ws = weight_list(weights)
+    if not ws:
+        raise ValueError("empty weight system")
+    rank = len(ws[0])
     base = frozenset(chars.chars)
+    floors: dict[Vec, int] = {}
     admitted: set[Vec] = set()
     for i, step in enumerate(cert.steps):
+        try:
+            _check_rank("character", step.chi, rank)
+            _check_rank("direction", step.direction, rank)
+            for d in step.deps:
+                _check_rank("dependency", d, rank)
+        except ValueError as exc:
+            return False, f"step {i}: {exc}"
         if step.chi in base or step.chi in admitted:
             return False, f"step {i}: {step.chi} already available"
-        if not is_separated(step.chi, chars, step.direction):
+        floor = floors.get(step.direction)
+        if floor is None:
+            floor = floors[step.direction] = min(
+                sum(map(mul, step.direction, nu)) for nu in chars.chars)
+        if sum(map(mul, step.direction, step.chi)) >= floor:
             return False, f"step {i}: {step.direction} does not separate {step.chi}"
         try:
             terms = koszul_terms(step.chi, step.direction, ws)

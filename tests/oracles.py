@@ -34,6 +34,16 @@ never looks at the tree edges, only at the cotree classes.
 ``fraction_enumerate_conic`` is the Fourier-Motzkin lattice-point
 enumeration the library ran on ``Fraction`` right-hand sides, taking exact
 ceilings and floors of rational bounds instead of integer floor division.
+
+``box_conic_classes`` is the conic enumeration the library ran before it
+read the facet rule as a polytope: every point of the bounding box
+|chi_k| <= sum_i |w_ik| is tested with ``ConicFacets.contains``.  It shares
+the rule with ``divisorial.conic_classes`` but not the enumerator.
+
+``pairwise_endomorphism_is_mcm`` is the End-is-MCM check the library ran
+before it collected distinct differences: one loop over every ordered pair
+of characters, asking ``mcm.is_mcm`` about each difference the first time
+it appears.
 """
 
 from __future__ import annotations
@@ -44,12 +54,12 @@ from itertools import combinations, permutations, product
 from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
-from hibinccr import divisorial, intlattice
+from hibinccr import divisorial, intlattice, mcm
 from hibinccr.classgroup import HIBI, ClassGroupData, SigmaMatrix, _class_group_cone
 from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
 from hibinccr.intlattice import Matrix, Vec
-from hibinccr.nccr import (CertStep, CharacterSet, GldimCertificate, GldimResult,
-                           UnusableDirectionError, _working_window, default_directions,
+from hibinccr.nccr import (CertStep, CharacterSet, EndMcmReport, GldimCertificate,
+                           GldimResult, UnusableDirectionError, _working_window, default_directions,
                            is_separated, koszul_terms)
 from hibinccr.posets import BoundedPoset, Circuit, TreeSelection
 
@@ -462,3 +472,36 @@ def _fraction_enumerate_rec(cons: list[tuple[Vec, Fraction]], r: int) -> list[Ve
         reduced = [(coeffs[1:], b - coeffs[0] * v) for coeffs, b in cons]
         out += [(v, *tail) for tail in _fraction_enumerate_rec(reduced, r - 1)]
     return out
+
+
+def box_conic_classes(weights) -> list[Vec]:
+    """All conic classes, by the facet rule over their bounding box."""
+    ws = weight_list(weights)
+    if not ws:
+        return [()]
+    rank = len(ws[0])
+    if rank == 0:
+        return [()]
+    rule = divisorial.conic_facets(ws, rank)
+    bounds = [sum(abs(w[k]) for w in ws) for k in range(rank)]
+    return [pt for pt in product(*[range(-b, b + 1) for b in bounds])
+            if rule.contains(pt)]
+
+
+def pairwise_endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> EndMcmReport:
+    """Every ordered difference of sorted characters in turn, each distinct
+    one asked of ``mcm.is_mcm`` once; stops at the first that fails."""
+    ws = weight_list(weights)
+    ordered = sorted(chars.chars)
+    checked = 0
+    seen: dict[Vec, bool] = {}
+    for chi in ordered:
+        for chi2 in ordered:
+            diff = tuple(b - a for a, b in zip(chi, chi2))
+            checked += 1
+            if diff not in seen:
+                seen[diff] = mcm.is_mcm(diff, ws)
+            if not seen[diff]:
+                return EndMcmReport(ok=False, checked=checked,
+                                    first_failure=(chi, chi2, diff))
+    return EndMcmReport(ok=True, checked=checked)

@@ -8,11 +8,12 @@ from hibinccr import (TypeParams, chordless_circuits, class_group, conic_classes
                       conic_facets, conic_polytope, enumerate_conic,
                       expected_weight_table, is_conic, parse_poset, sigma_matrix,
                       spanning_tree)
-from hibinccr.divisorial import UnboundedPolytopeError, ConicPolytope
+from hibinccr.divisorial import ConicBoxError, UnboundedPolytopeError, ConicPolytope
 from hibinccr.families import generate_family
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
-from oracles import fraction_enumerate_conic, vertex_conic_classes, vertex_is_conic
+from oracles import (box_conic_classes, fraction_enumerate_conic, vertex_conic_classes,
+                     vertex_is_conic)
 
 
 def _poset_conic(p, hint=None):
@@ -243,7 +244,22 @@ def test_is_conic_matches_vertex_route(ws, data):
 ])
 def test_facet_rule_on_degenerate_systems(ws, expected):
     """Zero, repeated and non-spanning weights, against the vertex route."""
-    assert conic_classes(ws) == vertex_conic_classes(ws) == expected
+    assert conic_classes(ws) == vertex_conic_classes(ws) == box_conic_classes(ws) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weight_systems(size=6))
+def test_conic_classes_match_box_scan(ws):
+    """The facet rule's polytope, enumerated, against the same rule tested
+    at every point of the bounding box."""
+    assert conic_classes(ws) == box_conic_classes(ws)
+
+
+def test_conic_classes_refuse_a_box_too_large():
+    big = 10 ** 20
+    with pytest.raises(ConicBoxError, match=rf"^the bounding box \[-{big}, {big}\] x "
+                                            r"\[-2, 2\] of the conic classes is too large"):
+        conic_classes([(big, 1), (0, -1)])
 
 
 def test_facet_rule_needs_matching_rank():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
 from hibinccr import (CertStep, CharacterSet, GldimCertificate, TypeParams,
@@ -7,13 +10,13 @@ from hibinccr import (CertStep, CharacterSet, GldimCertificate, TypeParams,
                       expected_weight_table, is_separated, koszul_terms,
                       nccr_characters, parse_poset, replay_certificate,
                       segre_poset, verify_nccr)
-from hibinccr import rank1
+from hibinccr import mcm, rank1
 from hibinccr.classgroup import class_group, sigma_matrix
-from hibinccr.nccr import UnusableDirectionError, character_window
+from hibinccr.nccr import UnusableDirectionError, character_window, default_directions
 from hibinccr.posets import spanning_tree
 
 from conftest import load_corpus
-from oracles import reference_certify_gldim
+from oracles import pairwise_endomorphism_is_mcm, reference_certify_gldim
 
 
 def table(tag, params):
@@ -73,6 +76,47 @@ def test_end_mcm_failure_detected():
     assert report.first_failure[2] in {(5, 0), (-5, 0)}
 
 
+FAMILY_BOXES = [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (2, 2, 2)),
+                 ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)), ("IV", (3, 4)),
+                 ("V", (1,)), ("V", (3,))]
+
+
+def _end_mcm_cases():
+    for tag, params in FAMILY_BOXES:
+        yield f"{tag}{params}", nccr_characters(tag, params).chars, table(tag, params)
+    box = nccr_characters("I", (0, 1)).chars
+    ws = table("I", (0, 1))
+    yield "box-far-right", box + ((5, 0),), ws
+    yield "far-first", ((-9, 4),) + box, ws
+    yield "two-far", box + ((0, 7), (7, 0)), ws
+    yield "far-middle", nccr_characters("II", (1, 1, 1)).chars + ((2, -6),), \
+        table("II", (1, 1, 1))
+    yield "single", ((0, 0),), ws
+    yield "rank1-window", tuple((c,) for c in range(-3, 4)), [(1,), (1,), (-2,)]
+
+
+END_MCM_CASES = list(_end_mcm_cases())
+
+
+@pytest.mark.parametrize("chars,ws", [c[1:] for c in END_MCM_CASES],
+                         ids=[c[0] for c in END_MCM_CASES])
+def test_end_mcm_matches_pairwise_oracle(monkeypatch, chars, ws):
+    """The report and the exact sequence of ``is_mcm`` queries equal those
+    of the loop over every ordered pair."""
+    queries = []
+    is_mcm = mcm.is_mcm
+
+    def recording(chi, weights):
+        queries.append(chi)
+        return is_mcm(chi, weights)
+
+    monkeypatch.setattr(mcm, "is_mcm", recording)
+    report = endomorphism_is_mcm(CharacterSet(chars=chars), ws)
+    ours, queries[:] = list(queries), []
+    assert report == pairwise_endomorphism_is_mcm(CharacterSet(chars=chars), ws)
+    assert ours == queries
+
+
 def test_end_mcm_translation_invariant():
     ws = table("II", (1, 1, 1))
     chars = nccr_characters("II", (1, 1, 1))
@@ -113,6 +157,19 @@ def test_koszul_terms_diagonal_type4():
 def test_koszul_dead_direction_is_the_error_path():
     with pytest.raises(UnusableDirectionError):
         koszul_terms((0,), (1,), [(-1,), (-2,)])
+
+
+@pytest.mark.parametrize("chi,direction,bad", [
+    ((0,), (0, 1), "character (0,)"), ((0, 0, 0), (0, 1), "character (0, 0, 0)"),
+    ((0, -1), (1,), "direction (1,)"), ((0, -1), (1, 0, 7), "direction (1, 0, 7)")],
+    ids=["short-character", "long-character", "short-direction", "long-direction"])
+def test_wrong_rank_is_an_error(chi, direction, bad):
+    chars = nccr_characters("I", (0, 1))
+    for call in (lambda: is_separated(chi, chars, direction),
+                 lambda: koszul_terms(chi, direction, table("I", (0, 1)))):
+        with pytest.raises(ValueError, match=rf"^{re.escape(bad)} has rank \d, "
+                                             r"expected rank 2$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +241,80 @@ def test_replay_rejects_corruption():
     ok, why = replay_certificate(tampered, chars, ws)
     assert not ok and "Koszul" in why
 
-    # claim a non-separating direction
-    bad_dir = CertStep(chi=cert.steps[0].chi, direction=(0, 1),
-                       deps=cert.steps[0].deps)
-    if not is_separated(bad_dir.chi, chars, (0, 1)):
-        tampered = GldimCertificate(steps=(bad_dir,) + cert.steps[1:], goal=cert.goal)
-        ok, why = replay_certificate(tampered, chars, ws)
-        assert not ok
+    # claim a non-separating direction: the opposite of a separating one
+    # pairs with chi above the set's largest pairing
+    first = cert.steps[0]
+    opposite = tuple(-c for c in first.direction)
+    assert not is_separated(first.chi, chars, opposite)
+    bad_dir = CertStep(chi=first.chi, direction=opposite, deps=first.deps)
+    tampered = GldimCertificate(steps=(bad_dir,) + cert.steps[1:], goal=cert.goal)
+    assert replay_certificate(tampered, chars, ws) == \
+        (False, f"step 0: {opposite} does not separate {first.chi}")
+
+
+@pytest.mark.parametrize("late", [CertStep(chi=(3, 0), direction=(0, 1), deps=()),
+                                  CertStep(chi=(1, -1), direction=(-1, 0), deps=())],
+                         ids=["same-direction", "other-direction"])
+def test_replay_separation_is_per_step(late):
+    """The first step's direction separates it; the later step's direction
+    (the same one, or one whose least pairing with the set is lower) does
+    not separate the later character, and that step is refused."""
+    ws = table("I", (0, 1))
+    chars = nccr_characters("I", (0, 1))
+    early = CertStep(chi=(0, -1), direction=(0, 1), deps=((0, 0), (0, 1)))
+    cert = GldimCertificate(steps=(early, late), goal=((0, -1), late.chi))
+    assert replay_certificate(cert, chars, ws) == \
+        (False, f"step 1: {late.direction} does not separate {late.chi}")
+    assert replay_certificate(GldimCertificate(steps=(early,), goal=((0, -1),)),
+                              chars, ws) == (True, "certificate replays")
+
+
+@pytest.mark.parametrize("direction,deps,message", [
+    ([1], [[0, 0], [0, 1]], "direction (1,) has rank 1"),
+    ([1, 0, 7], [[0, 0], [0, 1]], "direction (1, 0, 7) has rank 3"),
+    ([0, 1], [[0, 0], [0, 1, 0]], "dependency (0, 1, 0) has rank 3"),
+], ids=["short-direction", "long-direction", "long-dependency"])
+def test_replay_rejects_wrong_rank(direction, deps, message):
+    ws = table("I", (0, 1))
+    chars = nccr_characters("I", (0, 1))
+    cert = certify_gldim(chars, ws).certificate
+    first = json.dumps({"chi": [0, -1], "direction": direction, "deps": deps})
+    rest = cert.to_json_lines().split("\n", 1)[1]
+    tampered = GldimCertificate.from_json_lines(first + "\n" + rest, cert.goal)
+    assert replay_certificate(tampered, chars, ws) == \
+        (False, f"step 0: {message}, expected rank 2")
+
+
+def test_replay_rejects_long_character():
+    ws = table("I", (0, 1))
+    chars = nccr_characters("I", (0, 1))
+    line = json.dumps({"chi": [0, -1, 4], "direction": [0, 1], "deps": [[0, 0], [0, 1]]})
+    cert = GldimCertificate.from_json_lines(line + "\n", [(0, -1)])
+    assert replay_certificate(cert, chars, ws) == \
+        (False, "step 0: character (0, -1, 4) has rank 3, expected rank 2")
+
+
+CERTIFIED = FAMILY_BOXES + [("segre", (m,)) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("tag,params", CERTIFIED, ids=[f"{t}{p}" for t, p in CERTIFIED])
+def test_replay_separation_matches_is_separated(tag, params):
+    """Each step's character against its own direction and every default
+    direction: a one-step certificate is refused for separation exactly
+    when ``is_separated`` says no, and the whole certificate replays."""
+    if tag == "segre":
+        chars, ws = segre_window(*params)
+        cert = certify_gldim(chars, ws, goal=conic_classes(ws)).certificate
+    else:
+        ws, chars = table(tag, params), nccr_characters(tag, params)
+        cert = certify_gldim(chars, ws).certificate
+    assert replay_certificate(cert, chars, ws) == (True, "certificate replays")
+    for step in cert.steps:
+        for direction in {step.direction, *default_directions(chars)}:
+            alone = GldimCertificate(steps=(CertStep(step.chi, direction, ()),), goal=())
+            ok, why = replay_certificate(alone, chars, ws)
+            refused = why == f"step 0: {direction} does not separate {step.chi}"
+            assert not ok and refused == (not is_separated(step.chi, chars, direction))
 
 
 def test_certify_reports_failure():
@@ -310,3 +434,24 @@ def test_verify_segre_rank1():
 
 def test_window_characters_helper():
     assert character_window([0, -1, -2]).chars == ((0,), (-1,), (-2,))
+
+
+def test_default_directions_need_rank_one_or_two():
+    ws = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    chars = CharacterSet(chars=((0, 0, 0), (1, 0, 0)))
+    with pytest.raises(ValueError, match="rank 1 and 2, not 3"):
+        certify_gldim(chars, ws)
+    result = certify_gldim(chars, ws, goal=[(-1, 0, 0)], directions=[(1, 0, 0)])
+    assert result.certificate.steps == (CertStep((-1, 0, 0), (1, 0, 0), ((0, 0, 0),)),)
+    assert replay_certificate(result.certificate, chars, ws)[0]
+
+
+@pytest.mark.parametrize("chars,ws,message", [
+    ((), [(1, 0), (-1, 0)], "empty character set"),
+    (((0, 0),), [], "empty weight system")], ids=["no-characters", "no-weights"])
+def test_certify_and_replay_refuse_empty_inputs(chars, ws, message):
+    chars = CharacterSet(chars=chars)
+    with pytest.raises(ValueError, match=message):
+        certify_gldim(chars, ws)
+    with pytest.raises(ValueError, match=message):
+        replay_certificate(GldimCertificate(steps=(), goal=()), chars, ws)
