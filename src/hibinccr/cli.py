@@ -8,14 +8,16 @@ Exit codes: 0 success or verified, 1 verified-negative, 2 usage error; an
 input that cannot be read or an output path that cannot be written is a
 usage error.
 
-Parsers are built on demand.  ``build_parser`` makes only the top-level
-parser; a subcommand's parser (and, under ``nccr`` and ``z1``, the leaf's)
-is built when the argv chooses it, so one call builds at most three parsers
-of the twelve, and help, usage and error messages read the same as if all
-were built.  Nothing is kept between calls: argparse parsers are reference
-cycles that only a full garbage collection frees, and a parser cached per
-process (an earlier attempt) raised the benchmark's ``peak_rss_mib`` by
-7.8-10.9% on nccr-verify and cone-mcm.
+Parsing is routed by one table from command words to leaf parser builders.
+When the first one or two words of the argv name a leaf, ``main`` builds
+that leaf's parser alone, with the prog it has in the tree, and parses the
+rest of the argv with it; the leaf prints its own help and errors.  Only an
+argv that names no leaf, or leaves arguments over, is parsed by the whole
+tree from ``build_parser``, so help, usage and error messages read the same
+as if every parser were built.  Nothing is kept between calls: argparse
+parsers are reference cycles that only a full garbage collection frees, and
+a parser cached per process (an earlier attempt) raised the benchmark's
+``peak_rss_mib`` by 7.8-10.9% on nccr-verify and cone-mcm.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import divisorial, families, mcm, nccr, rank1
 from .classgroup import (ConeError, TorsionError, class_group, parse_cone,
@@ -375,39 +377,6 @@ def _cmd_z1_mutate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _LazySubParsers(argparse._SubParsersAction):
-    """Subcommands whose parsers are built only when the argv chooses them.
-
-    ``add_command`` reserves the name, and its help line if it has one, in
-    argparse's choice map in registration order, so usage, help and
-    invalid-choice messages read exactly as if every parser existed.
-    ``__call__`` builds the chosen parser in place, then lets argparse hand
-    it the rest of the argv."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._builders: dict = {}
-
-    def add_command(self, name: str, build: Callable[[argparse.ArgumentParser], None],
-                    help: Optional[str] = None) -> None:
-        if help is not None:
-            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = None
-        self._builders[name] = build
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        build = self._builders.pop(values[0], None)
-        if build is not None:
-            sub = self._parser_class(prog=f"{self._prog_prefix} {values[0]}")
-            build(sub)
-            self._name_parser_map[values[0]] = sub
-        super().__call__(parser, namespace, values, option_string)
-
-
-def _add_commands(parser: argparse.ArgumentParser, dest: str) -> _LazySubParsers:
-    return parser.add_subparsers(dest=dest, required=True, action=_LazySubParsers)
-
-
 def _add_format(sp, default="json", choices=("json",)) -> None:
     sp.add_argument("--format", default=default, choices=choices)
 
@@ -440,11 +409,6 @@ def _build_mcm_region(sp) -> None:
     sp.set_defaults(func=_cmd_mcm_region)
 
 
-def _build_nccr(sp) -> None:
-    _add_commands(sp, "nccr_command").add_command(
-        "verify", _build_nccr_verify, help="verify the splitting NCCR")
-
-
 def _build_nccr_verify(sp) -> None:
     sp.add_argument("input")
     sp.add_argument("--certificate", help="write the replayable certificate "
@@ -460,13 +424,6 @@ def _build_generate(sp) -> None:
     sp.add_argument("--n", type=int)
     sp.add_argument("-o", "--output")
     sp.set_defaults(func=_cmd_generate)
-
-
-def _build_z1(sp) -> None:
-    sub = _add_commands(sp, "z1_command")
-    sub.add_command("analyze", _build_z1_analyze)
-    sub.add_command("exchange-graph", _build_z1_exchange_graph)
-    sub.add_command("mutate", _build_z1_mutate)
 
 
 def _build_z1_analyze(sp) -> None:
@@ -490,26 +447,59 @@ def _build_z1_mutate(sp) -> None:
     sp.set_defaults(func=_cmd_z1_mutate)
 
 
+# Each leaf command's words, parser builder and help line (None: not
+# listed), in the order the help lists them; then each group's help line.
+_LEAVES = {
+    ("analyze",): (_build_analyze, "full report for a poset or cone file"),
+    ("classify",): (_build_classify, "match a poset against the five families"),
+    ("conic",): (_build_conic, "enumerate conic classes"),
+    ("mcm-region",): (_build_mcm_region, "MCM classes over a box"),
+    ("nccr", "verify"): (_build_nccr_verify, "verify the splitting NCCR"),
+    ("generate",): (_build_generate, "emit a family poset file"),
+    ("z1", "analyze"): (_build_z1_analyze, None),
+    ("z1", "exchange-graph"): (_build_z1_exchange_graph, None),
+    ("z1", "mutate"): (_build_z1_mutate, None),
+}
+_GROUP_HELP = {"nccr": "NCCR pipeline", "z1": "rank-one pipeline on cone files"}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser; each subcommand's parser is built when chosen."""
+    """The whole parser tree, every command and group built, new on each
+    call and kept by nothing.  ``main`` routes by ``_LEAVES`` and uses the
+    tree only for an argv that names no leaf or leaves arguments over,
+    where its help, usage and error messages are the ones to print."""
     parser = _Parser(
         prog="hibinccr",
         description="Exact class groups, conic/MCM classes and splitting "
                     "NCCRs for Hibi rings with small class group.")
-    sub = _add_commands(parser, "command")
-    sub.add_command("analyze", _build_analyze, help="full report for a poset or cone file")
-    sub.add_command("classify", _build_classify,
-                    help="match a poset against the five families")
-    sub.add_command("conic", _build_conic, help="enumerate conic classes")
-    sub.add_command("mcm-region", _build_mcm_region, help="MCM classes over a box")
-    sub.add_command("nccr", _build_nccr, help="NCCR pipeline")
-    sub.add_command("generate", _build_generate, help="emit a family poset file")
-    sub.add_command("z1", _build_z1, help="rank-one pipeline on cone files")
+    commands = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, (build, line) in _LEAVES.items():
+        group = words[:-1]
+        if group not in commands:
+            sub = commands[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            commands[group] = sub.add_subparsers(dest=f"{group[0]}_command",
+                                                 required=True)
+        listed = {} if line is None else {"help": line}
+        build(commands[group].add_parser(words[-1], **listed))
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the one leaf parser the first words of argv name; with the
+    whole tree when they name none or the leaf leaves arguments over."""
+    for n in (1, 2):
+        words = tuple(argv[:n])
+        if words in _LEAVES:
+            leaf = _Parser(prog=" ".join(("hibinccr",) + words))
+            _LEAVES[words][0](leaf)
+            args, rest = leaf.parse_known_args(argv[n:])
+            if not rest:
+                return args
+            break
+    return build_parser().parse_args(argv)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except (PosetError, ConeError, TorsionError, divisorial.ConicBoxError) as exc:
@@ -519,6 +509,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rank1.Rank1InputError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return NEGATIVE
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return _run(_parse(sys.argv[1:] if argv is None else list(argv)))
 
 
 if __name__ == "__main__":

@@ -44,6 +44,10 @@ the rule with ``divisorial.conic_classes`` but not the enumerator.
 before it collected distinct differences: one loop over every ordered pair
 of characters, asking ``mcm.is_mcm`` about each difference the first time
 it appears.
+
+``tree_main`` is the CLI as it ran before it routed each argv to its leaf
+parser: every argv is parsed by the whole tree from ``cli.build_parser``,
+then dispatched like ``cli.main``.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from itertools import combinations, permutations, product
 from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
-from hibinccr import divisorial, intlattice, mcm
+from hibinccr import cli, divisorial, intlattice, mcm
 from hibinccr.classgroup import HIBI, ClassGroupData, SigmaMatrix, _class_group_cone
 from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
 from hibinccr.intlattice import Matrix, Vec
@@ -505,3 +509,8 @@ def pairwise_endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> E
                 return EndMcmReport(ok=False, checked=checked,
                                     first_failure=(chi, chi2, diff))
     return EndMcmReport(ok=True, checked=checked)
+
+
+def tree_main(argv: Sequence[str]) -> int:
+    """``cli.main`` with every argv parsed by the whole parser tree."""
+    return cli._run(cli.build_parser().parse_args(list(argv)))

@@ -18,6 +18,7 @@ from hibinccr import cli, corpus_path
 from hibinccr.cli import main
 
 from conftest import load_corpus
+from oracles import tree_main
 
 
 def run_cli(capsys, *argv):
@@ -302,11 +303,11 @@ def poset_files(draw):
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
-def _main_in_process(argv):
+def _main_in_process(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(argv)
+            code = entry(argv)
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -380,14 +381,20 @@ def test_cone_grammar_fuzz(text):
 
 
 # ---------------------------------------------------------------------------
-# parsers: built per call, only the chosen ones, none kept
+# parsers: built per call, the named leaf alone, none kept
+
+
+TREE_PROGS = ["hibinccr", "hibinccr analyze", "hibinccr classify", "hibinccr conic",
+              "hibinccr mcm-region", "hibinccr nccr", "hibinccr nccr verify",
+              "hibinccr generate", "hibinccr z1", "hibinccr z1 analyze",
+              "hibinccr z1 exchange-graph", "hibinccr z1 mutate"]
 
 
 @pytest.mark.parametrize("argv, progs", [
-    (["z1", "analyze", "rank1_example.cone"], ["hibinccr", "hibinccr z1", "hibinccr z1 analyze"]),
-    (["classify", "type1_m0_n1.poset"], ["hibinccr", "hibinccr classify"]),
-    (["nccr", "verify", "type1_m0_n1.poset"], ["hibinccr", "hibinccr nccr", "hibinccr nccr verify"]),
-    (["bogus"], ["hibinccr"]),
+    (["z1", "analyze", "rank1_example.cone"], ["hibinccr z1 analyze"]),
+    (["classify", "type1_m0_n1.poset"], ["hibinccr classify"]),
+    (["nccr", "verify", "type1_m0_n1.poset"], ["hibinccr nccr verify"]),
+    (["bogus"], TREE_PROGS),
 ], ids=["z1-analyze", "classify", "nccr-verify", "invalid-choice"])
 def test_main_builds_only_the_chosen_parsers(monkeypatch, argv, progs):
     built = []
@@ -553,3 +560,67 @@ def test_argv_fuzz(argv):
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
         assert _main_in_process(argv) == first
+
+
+# ---------------------------------------------------------------------------
+# routed argvs against the whole parser tree
+
+
+# command heads: every leaf, each group alone, and heads that name no leaf
+ROUTE_HEADS = [
+    [], ["--"], ["--he"], ["-h"], ["bogus"], ["analyze"], ["classify"], ["conic"],
+    ["mcm-region"], ["nccr"], ["nccr", "verify"], ["nccr", "bogus"], ["generate"],
+    ["z1"], ["z1", "analyze"], ["z1", "exchange-graph"], ["z1", "mutate"],
+    ["z1", "bogus"], ["--", "analyze"], ["z1", "--he"],
+]
+# option and noise tails on corpus files and the placeholder paths of
+# FUZZ_PATHS
+P, C = "type1_m0_n1.poset", "rank1_example.cone"
+ROUTE_TAILS = [
+    [], [P], [C], ["<missing-file>"], ["<scratch-dir>"],
+    [P, "--format", "json"], [C, "--format", "tsv"],
+    [P, "--format", "xml"], [C, "--form", "json"],
+    [P, "--format=json"], [P, "--format"],
+    [P, "--tree", "e2,e3"], [P, "--tree=e1"], [C, "--tree", "e1"],
+    [C, "--box", "-2,2"], [P, "--box=-1,1,-1,1"],
+    [P, "--certificate", "<out>"], [P, "--cert", "<missing-dir>/out"],
+    [C, "--window-lo", "0", "--end", "low"],
+    [C, "--end", "high", "--window-lo", "-1", "--format", "json"],
+    [C, "--window-lo", "x", "--end", "mid"],
+    [C, "--generators-only"], [C, "--gen", "--radius", "1"],
+    [C, "--radius", "-3"],
+    ["--type", "V", "--n", "1"], ["--type", "I", "--m", "0", "--n", "1", "-o", "<out>"],
+    ["--type", "II", "--l", "1"], ["--type", "VI"], ["--ty", "IV", "--m", "1", "--n", "x"],
+    ["--type", "III", "--l", "0", "--m", "1", "--n", "0", "--output", "<missing-dir>/out"],
+    ["-h"], ["--help"], ["--he"], [C, "-h"], [P, "extra"],
+    [P, "--bogus"], [P, "--bogus", "-h"], ["--", P],
+    [C, "--"], ["-", P], ["-x", C], ["verify", P],
+    ["analyze", C], [P, C, "--format", "json"], ["="],
+    ["--format", "json", C],
+]
+
+
+def _namespace(parse, argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize("head", ROUTE_HEADS, ids=[" ".join(h) or "(none)" for h in ROUTE_HEADS])
+def test_routed_argv_matches_the_tree(monkeypatch, head):
+    """An argv routed to its leaf parser gives the exit code, stdout and
+    stderr of the same argv parsed by the whole tree, and the namespace
+    apart from the tree's command names."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with tempfile.TemporaryDirectory() as tmp:
+        for tail in ROUTE_TAILS:
+            argv = head + [_fuzz_path(token, tmp) for token in tail]
+            assert _main_in_process(argv) == _main_in_process(argv, tree_main), argv
+            routed = _namespace(cli._parse, argv)
+            tree = _namespace(cli.build_parser().parse_args, argv)
+            if tree is not None:
+                for key in ("command", "nccr_command", "z1_command"):
+                    tree.pop(key, None)
+            assert routed == tree, argv

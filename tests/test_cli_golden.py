@@ -37,6 +37,9 @@ ARGVS = [
     ["analyze", "x", "--bogus"], ["z1", "mutate", "x"],
     ["z1", "mutate", "x", "--window-lo", "a", "--end", "mid"],
     ["z1", "exchange-graph", "x", "--radius", "-3"],
+    ["z1", "analyze", "x", "--bogus"], ["nccr", "verify", "x", "extra"],
+    ["conic", "x", "--form", "xml"], ["z1", "mutate", "x", "-h"],
+    ["-h", "z1", "analyze", "x"],
 ]
 
 
