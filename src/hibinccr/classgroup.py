@@ -113,7 +113,7 @@ def parse_cone(text: str) -> SigmaMatrix:
             raise ConeError(f"line {lineno}: unrecognized line {line!r}")
     if dim is None or not rays:
         raise ConeError("cone file needs a dim line and at least one ray")
-    if intlattice.rational_rank([list(r) for r in rays]) != dim:
+    if len(intlattice.invariant_factors(rays)) != dim:
         raise ConeError("rays are rank deficient: the cone is not full-dimensional")
     return SigmaMatrix(rows=tuple(rays), source=CONE)
 
@@ -249,9 +249,9 @@ def class_of(a: Sequence[int], cgd: ClassGroupData) -> Vec:
 def same_class(a: Sequence[int], b: Sequence[int], s: SigmaMatrix) -> bool:
     """Do two divisor coefficient vectors define isomorphic divisorial
     ideals?  True iff their difference is an integer combination of the
-    sigma rows (i.e. a principal divisor)."""
-    diff = [x - y for x, y in zip(a, b)]
-    return intlattice.solve_integer([list(r) for r in s.rows], diff) is not None
+    sigma columns (i.e. a principal divisor)."""
+    diff = tuple(x - y for x, y in zip(a, b))
+    return intlattice.lattice_contains(list(zip(*s.rows)), diff)
 
 
 def verify_divisor_relations(p: BoundedPoset, cgd: ClassGroupData) -> bool:

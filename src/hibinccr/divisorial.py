@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import gcd
 from typing import Optional, Sequence, TypeAlias, Union
 
 from . import intlattice
@@ -106,10 +107,14 @@ def enumerate_conic(cp: ConicPolytope) -> list[Vec]:
 
 
 def _fm_eliminate(cons: list[tuple[Vec, int]], j: int) -> list[tuple[Vec, int]]:
-    kept, uppers, lowers = [], [], []
+    """Eliminate z_j.  Each combined row is divided by the gcd of its
+    coefficients with its bound floored, which every integer point still
+    satisfies, and only the least bound per coefficient tuple is kept."""
+    least: dict[Vec, int] = {}
+    uppers, lowers = [], []
     for coeffs, b in cons:
         if coeffs[j] == 0:
-            kept.append((coeffs, b))
+            least[coeffs] = min(b, least.get(coeffs, b))
         elif coeffs[j] > 0:
             uppers.append((coeffs, b))
         else:
@@ -117,8 +122,12 @@ def _fm_eliminate(cons: list[tuple[Vec, int]], j: int) -> list[tuple[Vec, int]]:
     for (cu, bu), (cl, bl) in product(uppers, lowers):
         p, q = cu[j], -cl[j]
         coeffs = tuple(q * a + p * c for a, c in zip(cu, cl))
-        kept.append((coeffs, q * bu + p * bl))
-    return kept
+        b = q * bu + p * bl
+        g = gcd(*coeffs)
+        if g > 1:
+            coeffs, b = tuple(c // g for c in coeffs), b // g
+        least[coeffs] = min(b, least.get(coeffs, b))
+    return list(least.items())
 
 
 def _first_var_range(cons: list[tuple[Vec, int]], r: int) -> Optional[tuple[int, int]]:

@@ -252,8 +252,6 @@ def generate_family(type_tag: str, params: Sequence[int]) -> GeneratedFamily:
     assert all(k is not None for k in cot)
     tree = spanning_tree(poset, hint=[k for k in range(poset.n_edges)
                                       if k not in cot])
-    tp = classify(poset)
-    assert isinstance(tp, TypeParams) and tp.type_tag == type_tag
     return GeneratedFamily(poset=poset, params=TypeParams(type_tag, params, AS_GIVEN),
                            figure_tree=tree)
 

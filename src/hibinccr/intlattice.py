@@ -1,5 +1,11 @@
-"""Exact integer linear algebra: Smith normal form, integer solving, lattice
-membership and small unimodular searches.
+"""Exact integer linear algebra on one eliminator, the Smith normal form.
+
+The Smith form answers every linear question the library asks: rank is the
+number of invariant factors, lattice membership compares the transformed
+vector with the diagonal (``lattice_contains``), and ``solve_rational``
+solves the diagonal system, the library's only rational arithmetic.
+Unimodular matching and the planar helpers, the angle order included, use
+integers alone.
 
 Everything works on plain Python ints (lists of lists); inputs here are tiny
 (tens of rows), so clarity beats asymptotics throughout.
@@ -8,6 +14,7 @@ Everything works on plain Python ints (lists of lists); inputs here are tiny
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -103,58 +110,22 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:
     return [D[i][i] for i in range(k) if D[i][i] != 0]
 
 
-def _gauss_jordan(M: list[list[Fraction]], cols: int) -> list[int]:
-    """Reduce M in place to reduced row echelon form on its first ``cols``
-    columns (later columns ride along); return the pivot columns."""
-    n = len(M)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, n) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(n):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def rational_rank(a: Sequence[Sequence[int]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in a]
-    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0))
-
-
 def solve_rational(a: Sequence[Sequence[int]],
                    b: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
     """Unique rational solution of A y = b, or None when inconsistent.
 
-    Raises ValueError when A does not have full column rank.
+    Raises ValueError when A does not have full column rank.  Solved on the
+    Smith form: with U A V = D, D z = U b is diagonal and y = V z.
     """
     d = len(a[0])
-    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
-    pivots = _gauss_jordan(M, d)
-    if len(pivots) < d:
+    D, U, V = smith_normal_form(a)
+    if len(D) < d or any(D[i][i] == 0 for i in range(d)):
         raise ValueError("matrix does not have full column rank")
-    if any(row[d] != 0 for row in M[d:]):
+    ub = [sum(u * bv for u, bv in zip(row, b)) for row in U]
+    if any(ub[d:]):
         return None
-    y: list[Fraction] = [Fraction(0)] * d
-    for i, c in enumerate(pivots):
-        y[c] = M[i][d]
-    return y
-
-
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
-    """Integer solution of A y = b (A full column rank), or None."""
-    y = solve_rational(a, b)
-    if y is None or any(v.denominator != 1 for v in y):
-        return None
-    return [int(v) for v in y]
+    z = [Fraction(ub[i]) / D[i][i] for i in range(d)]
+    return [sum(V[r][i] * z[i] for i in range(d)) for r in range(d)]
 
 
 def lattice_contains(basis: Sequence[Vec], x: Vec) -> bool:
@@ -256,15 +227,21 @@ def primitive(v: Vec) -> Vec:
     return v if g in (0, 1) else tuple(c // g for c in v)
 
 
-def angle_key(v: Vec) -> tuple[int, Fraction | int]:
-    """Sort key ordering 2D vectors counterclockwise starting at angle 0."""
-    x, y = v
-    assert (x, y) != (0, 0)
-    if y == 0:
-        return (0, 0) if x > 0 else (2, 0)
-    if y > 0:
-        return (1, Fraction(-x, y))  # angle in (0, pi): -cot is increasing
-    return (3, Fraction(-x, y))
+def _upper_half(v: Vec) -> bool:
+    """Is v at an angle in [0, pi)?"""
+    assert v != (0, 0)
+    return v[1] > 0 or (v[1] == 0 and v[0] > 0)
+
+
+def _angle_cmp(a: Vec, b: Vec) -> int:
+    ua, ub = _upper_half(a), _upper_half(b)
+    if ua != ub:
+        return -1 if ua else 1
+    return -cross(a, b)  # within a half-plane, b is counterclockwise of a iff cross > 0
+
+
+# Sort key ordering 2D vectors counterclockwise starting at angle 0.
+angle_key = cmp_to_key(_angle_cmp)
 
 
 def convex_hull(points: Sequence[Vec]) -> list[Vec]:

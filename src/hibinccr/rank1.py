@@ -189,11 +189,6 @@ def exchange_graph(w: Rank1Weights, generators_only: bool = True,
         # vertices[i+1] is vertices[i] shifted up; the move between them
         # mutates the low end of the lower window
         edges.append((i, i + 1, vertices[i].lo))
-    for i, j, cls in edges:
-        res = mutate_window(vertices[i], "low", w)
-        assert res.window == vertices[j] and res.mutated_class == cls
-        back = mutate_window(vertices[j], "high", w)
-        assert back.window == vertices[i], "double mutation must return"
     return ExchangeGraph(vertices=vertices, edges=tuple(edges))
 
 

@@ -48,6 +48,14 @@ it appears.
 ``tree_main`` is the CLI as it ran before it routed each argv to its leaf
 parser: every argv is parsed by the whole tree from ``cli.build_parser``,
 then dispatched like ``cli.main``.
+
+``rational_rank``, ``fraction_solve_rational`` and ``solve_integer`` are the
+``Fraction`` Gauss-Jordan eliminator the library ran before the Smith form
+answered its rank checks, rational solves and lattice membership; the vertex
+route above solves through it, so it shares no code with
+``intlattice.smith_normal_form``.  ``fraction_angle_key`` is the angle order
+the library sorted rays by before it compared half-planes and cross
+products: a ``Fraction`` slope per vector.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from itertools import combinations, permutations, product
 from math import ceil, floor
 from typing import Iterable, Optional, Sequence
 
-from hibinccr import cli, divisorial, intlattice, mcm
+from hibinccr import cli, divisorial, mcm
 from hibinccr.classgroup import HIBI, ClassGroupData, SigmaMatrix, _class_group_cone
 from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
 from hibinccr.intlattice import Matrix, Vec
@@ -113,7 +121,7 @@ def _box_slice_feasible(vecs: list[Vec], lows: list[Fraction], highs: list[Fract
                     rhs[c] -= val * vecs[i][c]
             mat = [[cols[j][c] for j in range(rk)] for c in range(r)]
             try:
-                sol = intlattice.solve_rational(mat, rhs)
+                sol = fraction_solve_rational(mat, rhs)
             except ValueError:
                 sol = None
             if sol is None:
@@ -154,7 +162,72 @@ def vertex_conic_classes(weights) -> list[Vec]:
 def lattice_rank(vectors: Sequence[Vec]) -> int:
     if not vectors:
         return 0
-    return intlattice.rational_rank([list(v) for v in vectors])
+    return rational_rank([list(v) for v in vectors])
+
+
+def _gauss_jordan(M: list[list[Fraction]], cols: int) -> list[int]:
+    """Reduce M in place to reduced row echelon form on its first ``cols``
+    columns (later columns ride along); return the pivot columns."""
+    n = len(M)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, n) if M[i][c] != 0), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        pv = M[r][c]
+        M[r] = [x / pv for x in M[r]]
+        for i in range(n):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rational_rank(a: Sequence[Sequence[int]]) -> int:
+    rows = [[Fraction(x) for x in row] for row in a]
+    return len(_gauss_jordan(rows, len(rows[0]) if rows else 0))
+
+
+def fraction_solve_rational(a: Sequence[Sequence[int]],
+                            b: Sequence[int | Fraction]) -> Optional[list[Fraction]]:
+    """Unique rational solution of A y = b, or None when inconsistent.
+
+    Raises ValueError when A does not have full column rank.
+    """
+    d = len(a[0])
+    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a, b)]
+    pivots = _gauss_jordan(M, d)
+    if len(pivots) < d:
+        raise ValueError("matrix does not have full column rank")
+    if any(row[d] != 0 for row in M[d:]):
+        return None
+    y: list[Fraction] = [Fraction(0)] * d
+    for i, c in enumerate(pivots):
+        y[c] = M[i][d]
+    return y
+
+
+def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
+    """Integer solution of A y = b (A full column rank), or None."""
+    y = fraction_solve_rational(a, b)
+    if y is None or any(v.denominator != 1 for v in y):
+        return None
+    return [int(v) for v in y]
+
+
+def fraction_angle_key(v: Vec) -> tuple[int, Fraction | int]:
+    """Sort key ordering 2D vectors counterclockwise starting at angle 0."""
+    x, y = v
+    assert (x, y) != (0, 0)
+    if y == 0:
+        return (0, 0) if x > 0 else (2, 0)
+    if y > 0:
+        return (1, Fraction(-x, y))  # angle in (0, pi): -cot is increasing
+    return (3, Fraction(-x, y))
 
 
 def semigroup_members(generators: Sequence[Vec], targets: Iterable[Vec]) -> set[Vec]:
@@ -402,7 +475,7 @@ def snf_class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
         # when the tree submatrix of sigma is unimodular
         basis = [[smith[e][k] for e in cotree] for k in range(rank)]
         try:
-            coords = [intlattice.solve_integer(basis, w) for w in smith]
+            coords = [solve_integer(basis, w) for w in smith]
         except ValueError:  # the basis matrix is singular
             coords = None
         if coords is None or None in coords:

@@ -14,7 +14,7 @@ from hibinccr.families import generate_family
 from hibinccr.posets import PosetError, TreeSelection, is_pure
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
-from oracles import snf_class_group_hibi
+from oracles import snf_class_group_hibi, solve_integer
 from test_posets import CORPUS_POSETS, FAMILY_SIZES, random_posets
 
 
@@ -118,6 +118,29 @@ def test_same_class_matches_class_of(running_example):
             [0, 0, 0, 0, 1, 0, 0, 1], [2, 0, 0, 0, 0, 0, 1, 0]]
     for a, b in itertools.product(vecs, repeat=2):
         assert same_class(a, b, s) == (class_of(a, cgd) == class_of(b, cgd))
+
+
+@st.composite
+def posets_with_divisor_pairs(draw):
+    """A random poset and two divisor coefficient vectors: unrelated, or
+    differing by the principal divisor of a random lattice vector."""
+    p = draw(random_posets())
+    s = sigma_matrix(p)
+    a = draw(st.lists(st.integers(-3, 3), min_size=s.n, max_size=s.n))
+    if draw(st.booleans()):
+        b = draw(st.lists(st.integers(-3, 3), min_size=s.n, max_size=s.n))
+    else:
+        y = draw(st.lists(st.integers(-3, 3), min_size=s.d, max_size=s.d))
+        b = [x - sum(c * v for c, v in zip(row, y)) for x, row in zip(a, s.rows)]
+    return s, a, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(posets_with_divisor_pairs())
+def test_same_class_agrees_with_gauss_jordan(case):
+    s, a, b = case
+    diff = [x - y for x, y in zip(a, b)]
+    assert same_class(a, b, s) == (solve_integer([list(r) for r in s.rows], diff) is not None)
 
 
 def test_tree_hint_and_default_agree_on_rank(running_example):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import hibinccr
 from hibinccr import cli, corpus_path
 from hibinccr.cli import main
+from hibinccr.divisorial import conic_facets
 
 from conftest import load_corpus
 from oracles import tree_main
@@ -256,6 +257,34 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert proc.stdout == ""
+
+
+# the 2 x 4 poset: a0, a1 below each of b0..b3; class group rank 7
+RANK_SEVEN_POSET = "elements: a0 a1 b0 b1 b2 b3\n" + "".join(
+    f"cover: a{i} < b{j}\n" for i in range(2) for j in range(4))
+
+
+def test_rank_seven_poset_lists_conic_classes(tmp_path):
+    """Fourier-Motzkin elimination stays small at rank 7: analyze and conic
+    finish well inside the timeout, and every listed class passes the facet
+    rule of the reported weights."""
+    path = tmp_path / "two_by_four.poset"
+    path.write_text(RANK_SEVEN_POSET)
+    env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-m", "hibinccr.cli", *args, str(path)],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    report = run("analyze")
+    assert report["class_group_rank"] == 7
+    assert report["conic_count"] == 245
+    listing = run("conic", "--format", "json")
+    assert listing["conic_count"] == 245 == len(listing["points"])
+    rule = conic_facets([tuple(w) for w in report["divisor_classes"].values()], 7)
+    assert all(rule.contains(tuple(pt)) for pt in listing["points"])
 
 
 def test_help_is_not_an_error(capsys):

@@ -12,10 +12,10 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from hibinccr.intlattice import (angle_key, convex_hull, cross,
                                  find_unimodular_match, invariant_factors,
                                  lattice_contains, primitive,
-                                 rational_rank, smith_normal_form,
-                                 solve_integer, solve_rational)
+                                 smith_normal_form, solve_rational)
 
-from oracles import lattice_rank, permutation_unimodular_match
+from oracles import (fraction_angle_key, fraction_solve_rational, lattice_rank,
+                     permutation_unimodular_match, rational_rank, solve_integer)
 
 
 def _matmul(a, b):
@@ -66,6 +66,61 @@ def test_solve_rational():
     assert solve_rational([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None  # inconsistent
     with pytest.raises(ValueError, match="full column rank"):
         solve_rational([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
+
+
+@st.composite
+def matrices(draw):
+    """An integer matrix, often rank deficient: a product of a rows x k and
+    a k x cols factor with k at most the smaller size, or a plain draw."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    if draw(st.booleans()):
+        return [[draw(entry) for _ in range(d)] for _ in range(n)]
+    k = draw(st.integers(0, min(n, d)))
+    left = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    right = [[draw(entry) for _ in range(d)] for _ in range(k)]
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(d)]
+            for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices())
+def test_snf_rank_agrees_with_gauss_jordan(a):
+    assert len(invariant_factors(a)) == rational_rank(a)
+
+
+def _solve_or_error(solve, a, b):
+    try:
+        return solve(a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def linear_systems(draw):
+    """A system A y = b: b is A times a rational vector (consistent), or
+    drawn at random with integer or Fraction entries (mostly inconsistent
+    when A has more rows than columns); A may lack full column rank."""
+    a = draw(matrices())
+    n, d = len(a), len(a[0])
+    frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    if draw(st.booleans()):
+        y = [draw(frac) for _ in range(d)]
+        b = [sum(row[j] * y[j] for j in range(d)) for row in a]
+    else:
+        b = [draw(st.one_of(st.integers(-6, 6), frac)) for _ in range(n)]
+    return a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(linear_systems())
+def test_solve_rational_agrees_with_gauss_jordan(system):
+    a, b = system
+    got = _solve_or_error(solve_rational, a, b)
+    assert got == _solve_or_error(fraction_solve_rational, a, b)
+    if isinstance(got, list):
+        assert all(isinstance(v, Fraction) for v in got)
 
 
 def test_solve_integer():
@@ -153,6 +208,25 @@ def test_unimodular_match_agrees_with_permutation_search(instance):
 def test_angle_key_orders_counterclockwise():
     vecs = [(1, 0), (2, 1), (0, 1), (-1, 1), (-1, 0), (-2, -1), (0, -1), (1, -1)]
     assert sorted(vecs, key=angle_key) == vecs
+
+
+@st.composite
+def planar_vectors(draw):
+    """Nonzero vectors, many of them positive or negative multiples of a
+    few directions, so parallel and opposite pairs are common."""
+    vec = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0))
+    bases = draw(st.lists(vec, min_size=1, max_size=4))
+    out = draw(st.lists(vec, max_size=6))
+    for base in bases:
+        for m in draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), max_size=4)):
+            out.append((m * base[0], m * base[1]))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(planar_vectors())
+def test_angle_key_agrees_with_fraction_slopes(vecs):
+    assert sorted(vecs, key=angle_key) == sorted(vecs, key=fraction_angle_key)
 
 
 def test_convex_hull_square():

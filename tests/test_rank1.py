@@ -169,6 +169,20 @@ def test_exchange_graph_segment():
     assert len(graph.edges) == 4
 
 
+@pytest.mark.parametrize("line", [FOUR_RAY, CONIFOLD], ids=["four_ray", "conifold"])
+@pytest.mark.parametrize("generators_only,radius", [(True, None), (False, 3)])
+def test_exchange_graph_edges_are_mutations(line, generators_only, radius):
+    """Each edge's low mutation gives the next vertex and the edge's class,
+    and the high mutation of that vertex returns."""
+    graph = exchange_graph(line, generators_only=generators_only, radius=radius)
+    assert graph.edges
+    for i, j, cls in graph.edges:
+        res = mutate_window(graph.vertices[i], "low", line)
+        assert res.window == graph.vertices[j] and res.mutated_class == cls
+        back = mutate_window(graph.vertices[j], "high", line)
+        assert back.window == graph.vertices[i]
+
+
 def test_exchange_graph_negative_radius_rejected():
     with pytest.raises(Rank1InputError, match="radius"):
         exchange_graph(FOUR_RAY, generators_only=False, radius=-3)
