@@ -1,12 +1,15 @@
 """Divisor class groups of Hibi rings and of raw toric cones.
 
-The cone of a bounded poset is spanned by one linear form per Hasse edge;
-the class group is the cokernel of the resulting integer matrix.  Hibi input
-gets the basis given by the cotree edges of a chosen spanning tree, so that
-their divisor classes are the standard basis vectors; every tree edge's class
-then follows by balancing the divisor relations over the tree, in integers.
-Only raw ray input computes the cokernel by Smith normal form, which fixes a
-basis up to a documented sign convention.
+The cone of a bounded poset is spanned by one linear form per Hasse edge,
+x_lower - x_upper; the class group is the cokernel of the resulting integer
+matrix.  A Hibi sigma matrix is stored sparse, as the (lower, upper) element
+positions of each edge, and its dense rows are built only when asked for.
+Hibi input gets the basis given by the cotree edges of a chosen spanning
+tree, so that their divisor classes are the standard basis vectors; every
+tree edge's class then follows by balancing the divisor relations over the
+tree, in integers, read straight from the edge pairs.  Only raw ray input
+computes the cokernel by Smith normal form, which fixes a basis up to a
+documented sign convention.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import intlattice
 from .intlattice import Vec
-from .posets import BOTTOM, BoundedPoset, TreeSelection
+from .posets import BoundedPoset, TreeSelection
 
 HIBI = "hibi"
 CONE = "cone"
@@ -32,18 +35,37 @@ class TorsionError(ValueError):
 
 @dataclass(frozen=True)
 class SigmaMatrix:
-    """Rows are the ray generators of the cone read as linear forms."""
+    """Rows are the ray generators of the cone read as linear forms, one per
+    prime divisor, in ``d`` coordinates.
 
-    rows: tuple[Vec, ...]
+    Cone input keeps its rays as given.  Hibi input keeps only the (lower,
+    upper) element positions of each Hasse edge: its row is x_lower -
+    x_upper with the top's coordinate, position ``d``, dropped.  ``rows``
+    gives the dense rows of either kind; for Hibi input they are built
+    anew on each request and never stored.
+    """
+
     source: str  # HIBI or CONE
+    d: int
+    rays: tuple[Vec, ...] = ()                   # CONE
+    edge_ends: tuple[tuple[int, int], ...] = ()  # HIBI
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.edge_ends) if self.source == HIBI else len(self.rays)
 
     @property
-    def d(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> tuple[Vec, ...]:
+        if self.source != HIBI:
+            return self.rays
+        rows = []
+        for lower, upper in self.edge_ends:
+            row = [0] * self.d
+            row[lower] += 1
+            if upper != self.d:
+                row[upper] -= 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -61,23 +83,11 @@ class ClassGroupData:
     cotree: Optional[tuple[int, ...]] = None
     source: str = HIBI
 
-    def weight_of_divisor(self, i: int) -> Vec:
-        return self.weights[i]
-
 
 def sigma_matrix(p: BoundedPoset) -> SigmaMatrix:
     """One row per Hasse edge: x_lower - x_upper, dropping the coordinate of
-    the maximum element."""
-    d = p.dim
-    rows = []
-    for lower, upper in p.edges:
-        row = [0] * d
-        row[p.index(lower)] += 1
-        j = p.index(upper)
-        if j != d:
-            row[j] -= 1
-        rows.append(tuple(row))
-    return SigmaMatrix(rows=tuple(rows), source=HIBI)
+    the maximum element; stored as the poset's edge position pairs."""
+    return SigmaMatrix(source=HIBI, d=p.dim, edge_ends=p.edge_ends)
 
 
 def parse_cone(text: str) -> SigmaMatrix:
@@ -115,7 +125,7 @@ def parse_cone(text: str) -> SigmaMatrix:
         raise ConeError("cone file needs a dim line and at least one ray")
     if len(intlattice.invariant_factors(rays)) != dim:
         raise ConeError("rays are rank deficient: the cone is not full-dimensional")
-    return SigmaMatrix(rows=tuple(rays), source=CONE)
+    return SigmaMatrix(source=CONE, d=dim, rays=tuple(rays))
 
 
 def serialize_cone(s: SigmaMatrix) -> str:
@@ -156,7 +166,7 @@ def _class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
     if len(tree.tree_edges) != d or len(cotree) != rank:
         raise ValueError("spanning tree does not match the sigma matrix")
     not_a_basis = ValueError("the cotree classes are not a basis of the class group")
-    weights: list[Vec] = [()] * n
+    weights: list[Vec] = [(0,) * rank] * n  # tree edges: zero until balanced
     in_tree = [True] * n
     for j, e in enumerate(cotree):
         if not 0 <= e < n or not in_tree[e]:
@@ -164,9 +174,11 @@ def _class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
         in_tree[e] = False
         weights[e] = tuple(int(i == j) for i in range(rank))
     # element d is the top, whose coordinate sigma drops
-    ends = [_hasse_edge(row, d, k) for k, row in enumerate(s.rows)]
+    ends = s.edge_ends
     incident: list[list[int]] = [[] for _ in range(d + 1)]
     for k, (lower, upper) in enumerate(ends):
+        if not (0 <= lower < d and 0 <= upper <= d and lower != upper):
+            raise ValueError(f"sigma row {k} is not a Hasse edge")
         incident[lower].append(k)
         incident[upper].append(k)
     parent_edge = [-1] * (d + 1)
@@ -184,31 +196,21 @@ def _class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
         raise not_a_basis
     for v in reversed(order[1:]):
         up = parent_edge[v]
-        balance = [0] * rank  # up-edge classes minus down-edge classes at v
-        for k in incident[v]:
-            if k != up:
-                sign = 1 if ends[k][0] == v else -1
-                balance = [b + sign * c for b, c in zip(balance, weights[k])]
         sign = 1 if ends[up][0] == v else -1
-        weights[up] = tuple(-sign * b for b in balance)
+        weights[up] = tuple(-sign * b for b in _balance(v, incident[v], ends, weights))
     return ClassGroupData(rank=rank, torsion=(), weights=tuple(weights),
                           cotree=cotree, source=HIBI)
 
 
-def _hasse_edge(row: Vec, top: int, k: int) -> tuple[int, int]:
-    """The (lower, upper) positions of the Hasse edge a sigma row encodes:
-    +1 at the lower element, and -1 at the upper one unless it is the top."""
-    try:
-        lower = row.index(1)
-    except ValueError:
-        lower = -1
-    try:
-        upper = row.index(-1)
-    except ValueError:
-        upper = top
-    if lower < 0 or len(row) - row.count(0) != 1 + (upper != top):
-        raise ValueError(f"sigma row {k} is not a Hasse edge")
-    return lower, upper
+def _balance(v: int, edge_ids: Sequence[int], ends: Sequence[tuple[int, int]],
+             weights: Sequence[Vec]) -> list[int]:
+    """The classes of the given edges going up from position v minus those
+    of the ones coming down to it."""
+    out = [0] * len(weights[0])
+    for k in edge_ids:
+        sign = 1 if ends[k][0] == v else -1
+        out = [b + sign * c for b, c in zip(out, weights[k])]
+    return out
 
 
 def _class_group_cone(s: SigmaMatrix) -> ClassGroupData:
@@ -256,25 +258,8 @@ def same_class(a: Sequence[int], b: Sequence[int], s: SigmaMatrix) -> bool:
 
 def verify_divisor_relations(p: BoundedPoset, cgd: ClassGroupData) -> bool:
     """Check the defining relations of the class group on a Hibi input:
-    at every interior element the up-edge classes sum to the down-edge
-    classes, and the up-edges at the minimum sum to zero."""
-    zero = (0,) * cgd.rank
-
-    def wsum(edge_ids: Sequence[int]) -> Vec:
-        out = [0] * cgd.rank
-        for e in edge_ids:
-            for k in range(cgd.rank):
-                out[k] += cgd.weights[e][k]
-        return tuple(out)
-
-    by_lower: dict[str, list[int]] = {}
-    by_upper: dict[str, list[int]] = {}
-    for k, (l, u) in enumerate(p.edges):
-        by_lower.setdefault(l, []).append(k)
-        by_upper.setdefault(u, []).append(k)
-    if wsum(by_lower.get(BOTTOM, [])) != zero:
-        return False
-    for el in p.interior:
-        if wsum(by_lower.get(el, [])) != wsum(by_upper.get(el, [])):
-            return False
-    return True
+    at every element below the top the up-edge classes sum to the down-edge
+    classes (at the minimum, to zero)."""
+    ends = p.edge_ends
+    return not any(any(_balance(v, p.incident_edges(v), ends, cgd.weights))
+                   for v in range(p.dim))

@@ -87,7 +87,8 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"error: cannot write {path}: {exc.strerror}")
 
 
-def _sniff(text: str) -> str:
+def _sniff(text: str) -> Optional[str]:
+    """The input kind the first content line declares, if any."""
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -97,8 +98,18 @@ def _sniff(text: str) -> str:
         if line.startswith("dim:"):
             return "cone"
         break
-    raise UsageError("error: input is neither a poset file (elements:) "
-                     "nor a cone file (dim:)")
+    return None
+
+
+def _read_kind(path: str, kind: str) -> str:
+    """The text of an input file, refused if it declares the other kind."""
+    text = _read(path)
+    found = _sniff(text)
+    if found is not None and found != kind:
+        heads = {"poset": "elements:", "cone": "dim:"}
+        raise UsageError(f"error: expected a {kind} file ({heads[kind]}), "
+                         f"got a {found} file ({heads[found]})")
+    return text
 
 
 def _edge_labels(p: BoundedPoset) -> list[str]:
@@ -137,6 +148,9 @@ def _parse_box_arg(arg: Optional[str], default: Sequence[tuple[int, int]]):
 def _weights_for_input(text: str, tree_arg: Optional[str]):
     """Weight system for either input kind, plus provenance details."""
     kind = _sniff(text)
+    if kind is None:
+        raise UsageError("error: input is neither a poset file (elements:) "
+                         "nor a cone file (dim:)")
     if kind == "poset":
         p = parse_poset(text)
         tree = _parse_tree_arg(tree_arg, p)
@@ -206,7 +220,7 @@ def _classification_dict(result: families.ClassifyResult) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    p = parse_poset(_read(args.input))
+    p = parse_poset(_read_kind(args.input, "poset"))
     result = families.classify(p)
     _emit({"input": args.input, **_classification_dict(result)}, args.format)
     return 0 if isinstance(result, families.TypeParams) else NEGATIVE
@@ -277,7 +291,7 @@ def _default_box(ws) -> list[tuple[int, int]]:
 
 
 def _cmd_nccr_verify(args) -> int:
-    p = parse_poset(_read(args.input))
+    p = parse_poset(_read_kind(args.input, "poset"))
     report = nccr.verify_nccr(p)
     out: dict = {"input": args.input, "verdict": report.verdict,
                  "reason": report.reason}
@@ -323,7 +337,7 @@ def _cmd_generate(args) -> int:
 
 
 def _rank1_weights(path: str) -> rank1.Rank1Weights:
-    cone = parse_cone(_read(path))
+    cone = parse_cone(_read_kind(path, "cone"))
     cgd = class_group(cone)
     if cgd.rank != 1:
         raise UsageError(f"error: class group rank is {cgd.rank}, expected 1")

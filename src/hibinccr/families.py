@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, TypeAlias, Union
 
 from .intlattice import Vec
-from .posets import (BOTTOM, TOP, BoundedPoset, TreeSelection, build_poset, is_pure,
+from .posets import (BOTTOM, TOP, BoundedPoset, TreeSelection, build_poset,
                      polynomial_extension_edge, rank_function, spanning_tree)
 
 AS_GIVEN = "as-given"
@@ -90,13 +90,11 @@ def classify(p: BoundedPoset) -> ClassifyResult:
         l, u = p.edges[poly]
         return Rejection("polynomial-extension",
                          f"edge e{poly + 1} = {{{l}, {u}}} lies on every maximal chain")
-    purity = is_pure(p)
-    if not purity.pure:
+    rank = rank_function(p)
+    if rank is None:
         return Rejection("not-gorenstein", "poset is not pure, the ring is not Gorenstein")
 
-    rank = rank_function(p)
-    assert rank is not None and purity.chain_length is not None
-    length = purity.chain_length
+    length = rank[TOP]
     deg3 = [el for el in p.elements if p.degree(el) == 3]
     deg4 = [el for el in p.elements if p.degree(el) == 4]
     assert (len(deg3), len(deg4)) in ((2, 0), (0, 1)), "degree profile is forced"

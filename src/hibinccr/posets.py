@@ -69,11 +69,12 @@ class PurityReport:
     chain_length: Optional[int]  # common edge count of maximal chains, if pure
 
 
-# Everything the accessors of one poset look up, built in one pass: the
-# position of each element, its upper and lower covers in edge order, and
-# (lower, upper) -> first edge index.  A plain named tuple, because a
+# Everything the accessors and graph walks of one poset look up, built in
+# one pass: element positions, upper and lower covers in edge order, (lower,
+# upper) -> first edge index, and each edge's end positions and each
+# position's edge ids, in edge order.  A plain named tuple, because a
 # dataclass or a typed NamedTuple takes 0.1-0.5 ms more to create at import.
-_HasseIndex = namedtuple("_HasseIndex", "position up down edge")
+_HasseIndex = namedtuple("_HasseIndex", "position up down edge ends incident")
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,15 @@ class BoundedPoset:
     last; the position of an element is its coordinate index for the cone of
     linear forms.  ``edges`` lists the Hasse edges as (lower, upper) pairs in
     canonical order (upward depth-first search from ``bot`` with neighbours
-    in element order).  Positions, neighbours, degrees and edge indices are
-    answered from one index over the Hasse graph, built on first use.
+    in element order).  Positions, neighbours, degrees, edge indices, edge
+    ends and incident edges are answered from one index over the Hasse
+    graph, built on first use.
     """
 
     elements: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
     # -- basic accessors ----------------------------------------------------
-
-    @property
-    def covers(self) -> tuple[tuple[str, str], ...]:
-        return self.edges
 
     @property
     def interior(self) -> tuple[str, ...]:
@@ -121,15 +119,21 @@ class BoundedPoset:
         up: dict[str, list[str]] = {}
         down: dict[str, list[str]] = {}
         edge: dict[tuple[str, str], int] = {}
+        ends: list[tuple[int, int]] = []
+        incident: list[list[int]] = [[] for _ in self.elements]
         for k, e in enumerate(self.edges):
             l, u = e
             up.setdefault(l, []).append(u)
             down.setdefault(u, []).append(l)
             edge.setdefault(e, k)
+            i, j = position[l], position[u]
+            ends.append((i, j))
+            incident[i].append(k)
+            incident[j].append(k)
         return _HasseIndex(position=position,
                            up={el: tuple(vs) for el, vs in up.items()},
                            down={el: tuple(vs) for el, vs in down.items()},
-                           edge=edge)
+                           edge=edge, ends=tuple(ends), incident=incident)
 
     def index(self, el: str) -> int:
         try:
@@ -151,6 +155,15 @@ class BoundedPoset:
         edge = self._hasse.edge
         k = edge.get((a, b))
         return edge.get((b, a)) if k is None else k
+
+    @property
+    def edge_ends(self) -> tuple[tuple[int, int], ...]:
+        """The (lower, upper) positions of each edge, in edge order."""
+        return self._hasse.ends
+
+    def incident_edges(self, i: int) -> Sequence[int]:
+        """The ids of the edges at the element in position i, ascending."""
+        return self._hasse.incident[i]
 
 
 # ---------------------------------------------------------------------------
@@ -330,42 +343,37 @@ def is_pure(p: BoundedPoset) -> PurityReport:
     return PurityReport(pure=True, chain_length=rank[TOP])
 
 
-def _linear_extension(p: BoundedPoset) -> list[str]:
-    """Kahn's order, always taking the available element of least index."""
-    indeg = [len(p.down_neighbors(el)) for el in p.elements]
-    queue = [i for i, d in enumerate(indeg) if d == 0]
-    out = []
-    while queue:
-        v = p.elements[heapq.heappop(queue)]
-        out.append(v)
-        for u in p.up_neighbors(v):
-            j = p.index(u)
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(queue, j)
-    return out
-
-
 def polynomial_extension_edge(p: BoundedPoset) -> Optional[int]:
     """First edge lying on every maximal chain, or ``None``.
 
     Such an edge makes the associated ring a polynomial extension; the NCCR
     pipeline refuses those inputs.
     """
-    order = _linear_extension(p)
-    to: dict[str, int] = {BOTTOM: 1}  # saturated chains from bot
-    for el in order:
-        if el == BOTTOM:
-            continue
-        to[el] = sum(to[d] for d in p.down_neighbors(el))
-    total = to[TOP]  # all maximal chains
-    frm: dict[str, int] = {TOP: 1}
-    for el in reversed(order):
-        if el == TOP:
-            continue
-        frm[el] = sum(frm[u] for u in p.up_neighbors(el))
-    for k, (l, u) in enumerate(p.edges):
-        if to[l] * frm[u] == total:
+    ends, incident = p._hasse.ends, p._hasse.incident
+    bottom, top = p.index(BOTTOM), p.index(TOP)
+    indeg = [0] * len(p.elements)
+    for _, u in ends:
+        indeg[u] += 1
+    to = [0] * len(p.elements)  # saturated chains from bot
+    to[bottom] = 1
+    order = [bottom]  # Kahn's order: an element comes after all its lower covers
+    for v in order:
+        for k in incident[v]:
+            l, u = ends[k]
+            if l == v:
+                to[u] += to[v]
+                indeg[u] -= 1
+                if indeg[u] == 0:
+                    order.append(u)
+    frm = [0] * len(p.elements)  # saturated chains to top
+    frm[top] = 1
+    for v in reversed(order):
+        for k in incident[v]:
+            l, u = ends[k]
+            if l == v:
+                frm[v] += frm[u]
+    for k, (l, u) in enumerate(ends):
+        if to[l] * frm[u] == to[top]:  # to[top] counts all maximal chains
             return k
     return None
 
@@ -391,27 +399,20 @@ def chordless_circuits(p: BoundedPoset) -> list[Circuit]:
     smaller-indexed of that vertex's two cycle neighbours; circuits are
     returned sorted by (length, vertex indices).
     """
-    ends = [(p.index(l), p.index(u)) for l, u in p.edges]
-    neighbours: list[set[int]] = [set() for _ in p.elements]
-    for a, b in ends:
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-
+    ends, incident = p._hasse.ends, p._hasse.incident
     tree = spanning_tree(p)
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in p.elements]
-    for k in tree.tree_edges:
-        a, b = ends[k]
-        tree_adj[a].append((b, k))
-        tree_adj[b].append((a, k))
     root = p.index(BOTTOM)
     root_path = {root: 0}  # edge bitset of the tree path from bot
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w, k in tree_adj[v]:
-            if w not in root_path:
-                root_path[w] = root_path[v] | (1 << k)
-                queue.append(w)
+        for k in incident[v]:
+            if k in tree.tree_edges:
+                l, u = ends[k]
+                w = u if v == l else l
+                if w not in root_path:
+                    root_path[w] = root_path[v] | (1 << k)
+                    queue.append(w)
     fundamental = [root_path[ends[k][0]] ^ root_path[ends[k][1]] ^ (1 << k)
                    for k in tree.cotree_edges]
 
@@ -419,7 +420,7 @@ def chordless_circuits(p: BoundedPoset) -> list[Circuit]:
     element = 0
     for i in range(1, 1 << len(fundamental)):
         element ^= fundamental[(i & -i).bit_length() - 1]
-        walk = _chordless_walk(element, ends, neighbours)
+        walk = _chordless_walk(element, ends, incident)
         if walk is not None:
             walks.append(walk)
     walks.sort(key=lambda w: (len(w), w))
@@ -427,7 +428,7 @@ def chordless_circuits(p: BoundedPoset) -> list[Circuit]:
 
 
 def _chordless_walk(edge_bits: int, ends: Sequence[tuple[int, int]],
-                    neighbours: Sequence[set[int]]) -> Optional[tuple[int, ...]]:
+                    incident: Sequence[Sequence[int]]) -> Optional[tuple[int, ...]]:
     """The vertices of the edge set in canonical cycle order, or ``None``
     unless the set is one chordless cycle."""
     on_cycle: dict[int, list[int]] = {}
@@ -449,8 +450,9 @@ def _chordless_walk(edge_bits: int, ends: Sequence[tuple[int, int]],
     if len(walk) != len(on_cycle):
         return None  # two or more disjoint cycles
     members = set(walk)
-    if any(len(neighbours[v] & members) != 2 for v in walk):
-        return None  # a chord
+    for v in walk:  # the far end of an edge (l, u) at v is l + u - v
+        if sum(ends[k][0] + ends[k][1] - v in members for k in incident[v]) != 2:
+            return None  # a chord
     return tuple(walk)
 
 
@@ -488,17 +490,15 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
         cotree = tuple(k for k in range(p.n_edges) if k not in tree)
         return TreeSelection(tree_edges=tree, cotree_edges=cotree)
 
-    incident: dict[str, list[int]] = {el: [] for el in p.elements}
-    for k, (l, u) in enumerate(p.edges):
-        incident[l].append(k)
-        incident[u].append(k)
-    visited = {BOTTOM}
-    queue = deque([BOTTOM])
+    ends, incident = p._hasse.ends, p._hasse.incident
+    root = p.index(BOTTOM)
+    visited = {root}
+    queue = deque([root])
     tree_list: list[int] = []
     while queue:
         v = queue.popleft()
         for k in incident[v]:
-            l, u = p.edges[k]
+            l, u = ends[k]
             other = u if v == l else l
             if other not in visited:
                 visited.add(other)
@@ -510,19 +510,19 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
 
 
 def _spans(p: BoundedPoset, tree: frozenset[int]) -> bool:
-    parent: dict[str, str] = {el: el for el in p.elements}
+    parent = list(range(len(p.elements)))
 
-    def find(x: str) -> str:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     for k in tree:
-        l, u = p.edges[k]
+        l, u = p.edge_ends[k]
         rl, ru = find(l), find(u)
         if rl == ru:
             return False  # cycle
         parent[rl] = ru
-    roots = {find(el) for el in p.elements}
+    roots = {find(i) for i in range(len(parent))}
     return len(roots) == 1

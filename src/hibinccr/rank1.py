@@ -52,10 +52,6 @@ class Rank1Weights:
         return Rank1Weights(weights=tuple(sorted(w[0] for w in cgd.weights)))
 
     @property
-    def negative_count(self) -> int:
-        return sum(1 for w in self.weights if w < 0)
-
-    @property
     def negatives(self) -> tuple[int, ...]:
         return tuple(w for w in self.weights if w < 0)
 

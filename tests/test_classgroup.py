@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hibinccr import (ConeError, TorsionError, class_group,
                       serialize_cone, sigma_matrix, spanning_tree,
                       verify_divisor_relations)
 from hibinccr.families import generate_family
-from hibinccr.posets import PosetError, TreeSelection, is_pure
+from hibinccr.posets import BoundedPoset, PosetError, TreeSelection, is_pure
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
 from oracles import snf_class_group_hibi, solve_integer
@@ -180,9 +182,52 @@ def test_tree_count_mismatch(running_example):
 
 def test_sigma_row_must_be_a_hasse_edge(running_example):
     s = sigma_matrix(running_example)
-    bad = type(s)(rows=((1, 1, 0, 0, 0, 0),) + s.rows[1:], source=s.source)
+    bad = replace(s, edge_ends=((1, 1),) + s.edge_ends[1:])
     with pytest.raises(ValueError, match="sigma row 0 is not a Hasse edge"):
         class_group(bad, spanning_tree(running_example))
+
+
+@pytest.mark.parametrize("pair", [(-1, 2), (1, 7), (6, 2), (6, 6)])
+def test_sigma_pair_out_of_range_or_from_the_top(running_example, pair):
+    """A Hibi pair needs its lower end below the top (position 6 here) and
+    its upper end inside the poset; the error names the row."""
+    s = sigma_matrix(running_example)
+    bad = replace(s, edge_ends=s.edge_ends[:3] + (pair,) + s.edge_ends[4:])
+    with pytest.raises(ValueError, match="sigma row 3 is not a Hasse edge"):
+        class_group(bad, spanning_tree(running_example))
+
+
+def test_hibi_rows_are_built_on_request(running_example):
+    """The sparse Hibi sigma matrix gives the dense rows x_lower - x_upper
+    (top coordinate dropped) when asked, and keeps only the edge pairs."""
+    p = running_example
+    s = sigma_matrix(p)
+    assert (s.n, s.d) == (p.n_edges, p.dim)
+    for (lower, upper), row in zip(p.edges, s.rows):
+        expected = [0] * p.dim
+        expected[p.index(lower)] += 1
+        if upper != "top":
+            expected[p.index(upper)] -= 1
+        assert row == tuple(expected)
+    assert parse_cone(serialize_cone(s)).rows == s.rows
+    assert vars(s) == {"source": "hibi", "d": p.dim, "rays": (),
+                       "edge_ends": p.edge_ends}
+
+
+def test_hibi_class_group_is_linear_in_size():
+    """IV (600, 600) has 2403 elements.  Its index, sparse sigma matrix,
+    spanning tree and class group stay under 5 MiB together; dense sigma
+    rows alone would take about 45 MiB."""
+    p = generate_family("IV", (600, 600)).poset
+    fresh = BoundedPoset(p.elements, p.edges)  # its Hasse index not built yet
+    tracemalloc.start()
+    try:
+        cgd = class_group(sigma_matrix(fresh), spanning_tree(fresh))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cgd.rank == 2 and len(cgd.weights) == p.n_edges
+    assert peak < 5 * 2 ** 20
 
 
 def _agrees_with_snf_oracle(p, tree):

@@ -230,11 +230,18 @@ SCRATCH_INPUTS = {
     ["conic", "rank2_demo.cone", "--tree", "x"],
     ["mcm-region", "rank1_example.cone", "--tree", "e2,x"],
     ["analyze", "rank2_demo.cone", "--tree", "e1,e2,e3,e4"],
+    ["classify", "rank2_demo.cone"],
+    ["nccr", "verify", "rank2_demo.cone"],
+    ["z1", "analyze", "running_example.poset"],
+    ["z1", "exchange-graph", "running_example.poset"],
+    ["z1", "mutate", "running_example.poset", "--window-lo", "0", "--end", "low"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
         "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
         "unknown-option", "bad-format-choice", "negative-radius", "conic-huge-box",
         "analyze-huge-box", "unwritable-output", "unwritable-certificate",
-        "conic-cone-tree", "mcm-region-cone-tree", "analyze-cone-tree"])
+        "conic-cone-tree", "mcm-region-cone-tree", "analyze-cone-tree",
+        "classify-cone", "nccr-verify-cone", "z1-analyze-poset",
+        "z1-exchange-graph-poset", "z1-mutate-poset"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
     """The command run as a program: exit 2, one ``error:`` line and no
     report (an output path in a missing directory is refused too)."""
@@ -257,6 +264,25 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, expected, got", [
+    (["classify", "rank2_demo.cone"], "poset", "cone"),
+    (["nccr", "verify", "rank1_example.cone"], "poset", "cone"),
+    (["z1", "analyze", "running_example.poset"], "cone", "poset"),
+    (["z1", "exchange-graph", "type1_m0_n1.poset"], "cone", "poset"),
+    (["z1", "mutate", "segre_m1.poset", "--window-lo", "0", "--end", "high"],
+     "cone", "poset"),
+])
+def test_wrong_input_kind_names_the_expected_kind(capsys, argv, expected, got):
+    heads = {"poset": "elements:", "cone": "dim:"}
+    argv = [corpus(a) if a.endswith((".poset", ".cone")) else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 2 and out == ""
+    assert err == (f"error: expected a {expected} file ({heads[expected]}), "
+                   f"got a {got} file ({heads[got]})\n")
 
 
 # the 2 x 4 poset: a0, a1 below each of b0..b3; class group rank 7

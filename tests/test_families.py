@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
+import networkx as nx
 import pytest
 
-from hibinccr import (Rejection, TypeParams, class_group, classify,
-                      expected_weight_table, flip, generate_family, parse_poset,
-                      segre_poset, sigma_matrix, spanning_tree)
+from hibinccr import (Rejection, TypeParams, build_poset, class_group, classify,
+                      expected_weight_table, flip, generate_family, is_pure,
+                      parse_poset, polynomial_extension_edge, segre_poset,
+                      sigma_matrix, spanning_tree, verify_nccr)
 from hibinccr.families import AS_GIVEN, FLIPPED, validate_params
 from hibinccr.intlattice import find_unimodular_match
 
@@ -191,3 +195,83 @@ def test_corpus_segre_files_match_generator():
     from hibinccr import serialize_poset
     for m in (1, 2, 3):
         assert load_corpus(f"segre_m{m}.poset") == serialize_poset(segre_poset(m))
+
+
+# ---------------------------------------------------------------------------
+# census: every naturally labelled poset on at most six interior elements
+
+CENSUS_SIZE = 6
+
+
+def _natural_posets(size: int):
+    """Cover lists of every naturally labelled poset on v0..v{n-1}, n <=
+    size, each once: element j's lower covers are an antichain among
+    v0..v{j-1}, and every such antichain gives a different poset."""
+    def extend(below: list[int], covers: list[tuple[int, int]]):
+        yield len(below), covers
+        if len(below) == size:
+            return
+        j = len(below)
+        for subset in range(1 << j):
+            lower = [a for a in range(j) if subset >> a & 1]
+            if any(below[a] & subset for a in lower):
+                continue  # not an antichain
+            down = 0
+            for a in lower:
+                down |= below[a] | 1 << a
+            yield from extend(below + [down], covers + [(a, j) for a in lower])
+
+    for n, covers in extend([], []):
+        yield build_poset([f"v{i}" for i in range(n)],
+                          [(f"v{a}", f"v{b}") for a, b in covers])
+
+
+def _family_members(size: int):
+    """Every (tag, params) whose family poset has at most size interior
+    elements."""
+    for tag, n_params in (("I", 2), ("II", 3), ("III", 3), ("IV", 2), ("V", 1)):
+        for params in itertools.product(range(size + 1), repeat=n_params):
+            if sum(params) > size:
+                continue  # each parameter counts elements of the poset
+            try:
+                fam = generate_family(tag, params)
+            except ValueError:
+                continue  # below the family's least parameters
+            if len(fam.poset.interior) <= size:
+                yield tag, params, fam.poset
+
+
+def _digraph(p):
+    return nx.DiGraph(p.edges)
+
+
+def test_classification_census():
+    """The classification over all small posets: it never raises, every
+    accepted poset is its reported family member in the reported
+    orientation, every small family member is accepted, non-purity is the
+    only rejection left once rank and polynomial extensions are ruled out,
+    and the NCCR verdict follows the classification."""
+    accepted = {}  # tag -> digraphs of the accepted posets
+    count = 0
+    for p in _natural_posets(CENSUS_SIZE):
+        count += 1
+        result = classify(p)
+        rank = p.n_edges - len(p.elements) + 1
+        if isinstance(result, TypeParams):
+            fam = generate_family(result.type_tag, result.params).poset
+            as_given = p if result.orientation == AS_GIVEN else flip(p)
+            assert nx.is_isomorphic(_digraph(as_given), _digraph(fam)), (p, result)
+            accepted.setdefault(result.type_tag, []).append(_digraph(p))
+            assert verify_nccr(p).verdict == "verified", p
+            continue
+        assert isinstance(result, Rejection)
+        if rank != 2:
+            assert result.code == "rank"
+            continue
+        if polynomial_extension_edge(p) is None:
+            assert (result.code == "not-gorenstein") == (not is_pure(p).pure), p
+        assert verify_nccr(p).verdict == "rejected", p
+    assert count == 1 + 1 + 2 + 7 + 40 + 357 + 4824  # OEIS A006455
+    for tag, params, fam in _family_members(CENSUS_SIZE):
+        assert any(nx.is_isomorphic(g, _digraph(fam)) for g in accepted.get(tag, ())), \
+            (tag, params)

@@ -315,6 +315,17 @@ def random_posets(draw):
     return build_poset(names, covers)
 
 
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_posets())
+def test_polynomial_extension_edge_agrees_with_chain_listing(p):
+    """The first edge on every maximal chain, against listing the chains."""
+    chains = [set(zip(path, path[1:]))
+              for path in nx.all_simple_paths(nx.DiGraph(p.edges), BOTTOM, TOP)]
+    expected = next((k for k, e in enumerate(p.edges)
+                     if all(e in chain for chain in chains)), None)
+    assert polynomial_extension_edge(p) == expected
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(random_posets())
 def test_roundtrip_random(p):
