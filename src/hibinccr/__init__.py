@@ -14,8 +14,9 @@ from .divisorial import (ConicFacets, ConicPolytope, conic_classes,
 from .families import (GeneratedFamily, Rejection, TypeParams, classify,
                        expected_weight_table, generate_family, segre_poset)
 from .mcm import (Chamber, ChamberDecomposition, CriterionHypothesisError,
-                  NonMcmCone, NotGorensteinError, chamber_decomposition,
-                  is_mcm, mcm_region, non_mcm_cone, semigroup_member)
+                  McmTest, NonMcmCone, NotGorensteinError,
+                  chamber_decomposition, is_mcm, mcm_region, non_mcm_cone,
+                  semigroup_member)
 from .nccr import (CertStep, CharacterSet, GldimCertificate, GldimResult,
                    NccrReport, certify_gldim, default_directions,
                    endomorphism_is_mcm, is_separated, koszul_terms,

@@ -15,11 +15,15 @@ documented sign convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import intlattice
-from .intlattice import Vec
+from .intlattice import Matrix, Vec
 from .posets import BoundedPoset, TreeSelection
+
+if TYPE_CHECKING:
+    from .mcm import McmTest
 
 HIBI = "hibi"
 CONE = "cone"
@@ -67,6 +71,14 @@ class SigmaMatrix:
             rows.append(tuple(row))
         return tuple(rows)
 
+    @cached_property
+    def _smith(self) -> tuple[Matrix, Matrix, Matrix]:
+        """The Smith form (D, U, V) of the rows, computed once: ``parse_cone``
+        reads the rank from it and ``class_group`` the cokernel.  Only cone
+        input asks for it, so a Hibi matrix stores nothing beyond its
+        fields."""
+        return intlattice.smith_normal_form(self.rows)
+
 
 @dataclass(frozen=True)
 class ClassGroupData:
@@ -82,6 +94,15 @@ class ClassGroupData:
     weights: tuple[Vec, ...]
     cotree: Optional[tuple[int, ...]] = None
     source: str = HIBI
+
+    @cached_property
+    def mcm_test(self) -> "McmTest":
+        """The compiled MCM test of these weights (:class:`mcm.McmTest`),
+        built on first use and held by this instance, so it is freed with
+        it.  Stored in the instance ``__dict__``, as ``BoundedPoset`` keeps
+        its Hasse index; fields, equality and hashing are untouched."""
+        from .mcm import McmTest  # mcm imports this module
+        return McmTest(self.weights)
 
 
 def sigma_matrix(p: BoundedPoset) -> SigmaMatrix:
@@ -123,9 +144,11 @@ def parse_cone(text: str) -> SigmaMatrix:
             raise ConeError(f"line {lineno}: unrecognized line {line!r}")
     if dim is None or not rays:
         raise ConeError("cone file needs a dim line and at least one ray")
-    if len(intlattice.invariant_factors(rays)) != dim:
+    s = SigmaMatrix(source=CONE, d=dim, rays=tuple(rays))
+    D = s._smith[0]
+    if sum(1 for i in range(min(len(D), dim)) if D[i][i]) != dim:
         raise ConeError("rays are rank deficient: the cone is not full-dimensional")
-    return SigmaMatrix(source=CONE, d=dim, rays=tuple(rays))
+    return s
 
 
 def serialize_cone(s: SigmaMatrix) -> str:
@@ -215,8 +238,7 @@ def _balance(v: int, edge_ids: Sequence[int], ends: Sequence[tuple[int, int]],
 
 def _class_group_cone(s: SigmaMatrix) -> ClassGroupData:
     n, d = s.n, s.d
-    A = [list(row) for row in s.rows]
-    D, U, _ = intlattice.smith_normal_form(A)
+    D, U, _ = s._smith
     factors = [D[i][i] for i in range(d)]
     if any(f == 0 for f in factors):
         raise ConeError("rays are rank deficient: the cone is not full-dimensional")

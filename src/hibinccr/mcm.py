@@ -7,19 +7,28 @@ contains both of its boundary rays, and every open sector, contributes an
 affine semigroup of non-MCM characters; a class is MCM iff it avoids all of
 them (half-open chambers never matter).
 All decisions are exact integer arithmetic.  Each of those chambers is
-compiled once into a :class:`NonMcmCone`, the one membership engine: it
-serves :func:`is_mcm`, :func:`mcm_region` and :func:`semigroup_member`.
+compiled once into a :class:`NonMcmCone`, the one membership engine: its
+membership function, closed over plain integers, serves
+:meth:`NonMcmCone.contains`, :func:`semigroup_member` and the compiled test
+of a whole weight system, :class:`McmTest`.
+
+Whoever owns the weights holds their compiled test.  A
+:class:`~hibinccr.classgroup.ClassGroupData` keeps it as an instance
+attribute (``mcm_test``), built on first use and freed with it; a plain
+weight sequence is compiled on every call of :func:`is_mcm` or
+:func:`mcm_region`, and a caller with many questions about one sequence
+compiles it once with :class:`McmTest` (as ``nccr.endomorphism_is_mcm``
+does).  Nothing is cached at module level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 from typing import Callable, Optional, Sequence
 
-from . import intlattice
+from .classgroup import ClassGroupData
 from .divisorial import WeightsLike, weight_list
 from .intlattice import Vec, angle_key, cross, dot, primitive
 
@@ -60,23 +69,22 @@ class NonMcmCone:
     """Characters offset + (non-negative combination of generators) are the
     non-MCM classes detected by one chamber.
 
-    The cone is compiled once and then answers :meth:`contains` for any
-    number of characters; rank one is the rank-two case on the first axis.
-    Generators whose negative lies in the rational cone of the whole set act
-    invertibly, so they collapse into a unit lattice.  The remaining
-    generators admit an integer functional phi, zero on the unit line and
-    strictly positive on them, which sorts the classes they reach modulo the
-    line into finite levels; the levels are closed up to the largest phi
-    asked so far.
+    The cone is compiled once into plain integers and then answers
+    :meth:`contains` for any number of characters; rank one is the rank-two
+    case on the first axis.  Generators whose negative lies in the rational
+    cone of the whole set act invertibly, so they collapse into a unit
+    lattice.  The remaining generators admit an integer functional phi, zero
+    on the unit lattice (a line, then) and strictly positive on them, which
+    sorts the classes they reach modulo the line into finite levels; the
+    levels are closed up to the largest phi asked so far.  The compiled test
+    is one function of the two plane coordinates of a character
+    (``_member``); it holds no reference to the cone, so a dropped cone is
+    freed at once.
     """
 
     offset: Vec
     generators: tuple[Vec, ...]
-    _units: tuple[Vec, ...] = field(init=False, repr=False, compare=False)
-    _line: Optional[Vec] = field(init=False, repr=False, compare=False)
-    _phi: Vec = field(init=False, repr=False, compare=False)
-    _steps: tuple[tuple[int, Vec], ...] = field(init=False, repr=False, compare=False)
-    _levels: list[set[Vec]] = field(init=False, repr=False, compare=False)
+    _member: Callable[[int, int], bool] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rank = len(self.offset)
@@ -87,37 +95,74 @@ class NonMcmCone:
         gens = sorted({_plane(g) for g in self.generators} - {(0, 0)})
         units = [g for g in gens if _in_cone_2d((-g[0], -g[1]), gens)]
         rest = [g for g in gens if g not in units]
-        line = _lattice_line(units) if rest else None
-        phi = _positive_functional(rest, line) if rest else (0, 0)
-        compiled = {"_units": tuple(units), "_line": line, "_phi": phi,
-                    "_steps": tuple((dot(phi, g), g) for g in rest),
-                    "_levels": [{(0, 0)}]}
-        for name, value in compiled.items():
-            object.__setattr__(self, name, value)
+        lattice = _unit_lattice(units)
+        phi = (0, 0)
+        if rest:
+            a, b, c = lattice
+            assert not (a and c), "unit directions must be collinear"
+            phi = _positive_functional(rest, (a, b) if a else (0, c) if c else None)
+        steps = tuple((dot(phi, g), g[0], g[1]) for g in rest)
+        object.__setattr__(self, "_member",
+                           _member_test(_plane(self.offset), lattice, phi, steps))
 
     def contains(self, chi: Vec) -> bool:
         """Is chi one of the cone's non-MCM characters?"""
         _check_rank(chi, len(self.offset))
-        t = _plane(tuple(c - o for c, o in zip(chi, self.offset)))
-        if not self._steps:
-            return intlattice.lattice_contains(self._units, t)
-        level = dot(self._phi, t)
-        return level >= 0 and _canon_mod_line(t, self._line) in self._reached(level)
+        return self._member(*_plane(chi))
 
-    def _reached(self, level: int) -> set[Vec]:
-        """Classes mod the unit line reached at this phi level.  New levels
-        are built on a copy that replaces the stored list only when complete,
-        so no query ever reads a half-closed level."""
-        levels = self._levels
-        if level >= len(levels):
-            levels = list(levels)
-            while len(levels) <= level:
-                n = len(levels)
-                levels.append({_canon_mod_line((x[0] + g[0], x[1] + g[1]), self._line)
-                               for cost, g in self._steps if cost <= n
-                               for x in levels[n - cost]})
-            object.__setattr__(self, "_levels", levels)
-        return levels[level]
+
+def _member_test(offset: Vec, lattice: tuple[int, int, int], phi: Vec,
+                 steps: tuple[tuple[int, int, int], ...]) -> Callable[[int, int], bool]:
+    """Membership in one compiled cone, as a function of chi's plane
+    coordinates: shift by the offset, test the phi level, reduce modulo the
+    unit lattice (echelon form, see :func:`_unit_lattice`) and look the class
+    up in the reached level.  A cone without steps has phi = 0 and only
+    level 0, the zero class, so it tests lattice membership.  New levels
+    are built on a copy that replaces the stored list only when complete,
+    so no query ever reads a half-closed level."""
+    ox, oy = offset
+    a, b, c = lattice
+    px, py = phi
+    levels = [{(0, 0)}]
+
+    def member(x: int, y: int) -> bool:
+        x -= ox
+        y -= oy
+        level = px * x + py * y
+        if level < 0:
+            return False
+        if a:
+            k = x // a
+            x -= k * a
+            y -= k * b
+        if c:
+            y %= c
+        reached = levels if level < len(levels) else grow(level)
+        return (x, y) in reached[level]
+
+    def grow(level: int) -> list[set[Vec]]:
+        nonlocal levels
+        new = list(levels)
+        while len(new) <= level:
+            n = len(new)
+            reached = set()
+            for cost, gx, gy in steps:
+                if cost <= n:
+                    for x, y in new[n - cost]:
+                        x += gx
+                        y += gy
+                        if a:
+                            k = x // a
+                            x -= k * a
+                            y -= k * b
+                        if c:
+                            y %= c
+                        reached.add((x, y))
+            new.append(reached)
+        levels = new
+        return new
+
+    return member
 
 
 def _plane(v: Vec) -> Vec:
@@ -285,26 +330,32 @@ def _positive_functional(rest: Sequence[Vec], lat: Optional[Vec]) -> Vec:
     raise AssertionError("generator cone is not pointed")
 
 
-def _lattice_line(units: Sequence[Vec]) -> Optional[Vec]:
-    """Generator of the rank-1 sublattice spanned by the unit directions."""
-    if not units:
-        return None
-    direction = primitive(units[0])
-    comp = 0 if direction[0] != 0 else 1
-    g = 0
-    for u in units:
-        assert cross(direction, u) == 0, "unit directions must be collinear"
-        g = gcd(g, abs(u[comp]))
-    scale = g // abs(direction[comp])
-    return (direction[0] * scale, direction[1] * scale)
+def _unit_lattice(units: Sequence[Vec]) -> tuple[int, int, int]:
+    """The lattice spanned by the units in echelon form (a, b, c), a, c >= 0:
+    its points are k (a, b) + m (0, c).  Each class modulo it has exactly one
+    representative with 0 <= x < a when a > 0 and 0 <= y < c when c > 0."""
+    a = b = c = 0
+    for x, y in units:
+        g, s, t = _ext_gcd(a, x)
+        if g:
+            # the unimodular rows (s, t) and (-x/g, a/g) take (a, b), (x, y)
+            # to (g, .) and a vector on the y-axis
+            c = gcd(c, (x // g) * b - (a // g) * y)
+            a, b = g, s * b + t * y
+        else:
+            c = gcd(c, y)
+    return a, b, c
 
 
-def _canon_mod_line(x: Vec, lat: Optional[Vec]) -> Vec:
-    if lat is None:
-        return x
-    comp = 0 if lat[0] != 0 else 1
-    k = x[comp] // lat[comp]
-    return (x[0] - k * lat[0], x[1] - k * lat[1])
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,44 +379,77 @@ def _weight_rank(ws: Sequence[Vec]) -> int:
     return len(ws[0])
 
 
+class McmTest:
+    """The MCM test of one weight system, compiled once.
+
+    Rank 1 is an interval test.  Rank 2 holds the :class:`NonMcmCone` of
+    every closed chamber and open sector (``cones``) and asks each cone's
+    membership function in turn; their reached levels grow with the queries
+    and live as long as the test.  Calling the test checks the rank of chi.
+    Build one with :meth:`of` to reuse the test a
+    :class:`~hibinccr.classgroup.ClassGroupData` already holds.
+    """
+
+    def __init__(self, weights: WeightsLike):
+        ws = weight_list(weights)
+        self.rank = _weight_rank(ws)
+        _check_gorenstein(ws)
+        if self.rank == 1:
+            lo, hi = rank1_mcm_interval(ws)
+            self.cones: tuple[NonMcmCone, ...] = ()
+            self._decide: Callable[[Vec], bool] = lambda chi: lo <= chi[0] <= hi
+            return
+        decomposition = chamber_decomposition(ws)
+        if not decomposition.hypothesis_ok:
+            raise CriterionHypothesisError(
+                f"criterion hypothesis fails on chambers {decomposition.hypothesis_failures}")
+        self.cones = tuple(non_mcm_cone(chamber, ws) for chamber in decomposition.chambers
+                           if chamber.kind != HALF_OPEN)
+        members = tuple(cone._member for cone in self.cones)
+
+        def decide(chi: Vec) -> bool:
+            x, y = chi
+            for member in members:
+                if member(x, y):
+                    return False
+            return True
+        self._decide = decide
+
+    @classmethod
+    def of(cls, weights: WeightsLike) -> "McmTest":
+        """The test a class group holds, or a new one for a plain sequence."""
+        if isinstance(weights, ClassGroupData):
+            return weights.mcm_test
+        return cls(weights)
+
+    def __call__(self, chi: Vec) -> bool:
+        """Is the rank-one class chi MCM?"""
+        _check_rank(chi, self.rank)
+        return self._decide(chi)
+
+
 def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
     """Is the rank-one class MCM?  Rank 1 reduces to an interval test; rank 2
-    runs the chamber criterion (whose hypothesis must hold)."""
+    runs the chamber criterion (whose hypothesis must hold).
+
+    A :class:`~hibinccr.classgroup.ClassGroupData` holds its compiled
+    :class:`McmTest`, so repeated queries against it share one compilation.
+    A plain weight sequence is compiled on every call; to ask many questions
+    of one, build ``McmTest(weights)`` once and call it.
+    """
     ws = weight_list(weights)
     _check_rank(chi, _weight_rank(ws))
-    return _mcm_test(ws)(chi)
+    return McmTest.of(weights)._decide(chi)
 
 
 def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]:
     """All MCM classes inside the box (inclusive coordinate ranges): the
     points that no compiled non-MCM cone contains, as :func:`is_mcm` decides
-    them pointwise."""
+    them pointwise.  The test is compiled once per call, or taken from the
+    class group that holds it."""
     ws = weight_list(weights)
     rank = _weight_rank(ws)
     if len(box) != rank:
         raise ValueError(f"expected a box of rank {rank}, got {len(box)} ranges")
-    return set(filter(_mcm_test(ws), product(*(range(lo, hi + 1) for lo, hi in box))))
-
-
-def _mcm_test(ws: Sequence[Vec]) -> Callable[[Vec], bool]:
-    if len(ws[0]) == 1:
-        _check_gorenstein(ws)
-        lo, hi = rank1_mcm_interval(ws)
-        return lambda chi: lo <= chi[0] <= hi
-    cones = _non_mcm_cones(tuple(ws))
-    return lambda chi: not any(cone.contains(chi) for cone in cones)
-
-
-@lru_cache(maxsize=1)
-def _non_mcm_cones(ws: tuple[Vec, ...]) -> tuple[NonMcmCone, ...]:
-    """The compiled cones of every closed chamber and open sector.  One
-    weight system is kept, so a run of queries against it shares the cones'
-    reached levels."""
-    _check_gorenstein(ws)
-    decomposition = chamber_decomposition(ws)
-    if not decomposition.hypothesis_ok:
-        raise CriterionHypothesisError(
-            f"criterion hypothesis fails on chambers {decomposition.hypothesis_failures}")
-    return tuple(non_mcm_cone(chamber, ws) for chamber in decomposition.chambers
-                 if chamber.kind != HALF_OPEN)
-
+    test = McmTest.of(weights)
+    return set(filter(test._decide, product(*(range(lo, hi + 1) for lo, hi in box))))

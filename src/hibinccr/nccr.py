@@ -12,8 +12,9 @@ Koszul shifts), so testing a character costs one pairing and one
 translation per direction.  The certificate replays independently of the
 search that produced it: the replay computes each direction's least pairing
 with the set itself, once per direction, and recomputes every step's Koszul
-terms with :func:`koszul_terms`.  The first half asks :func:`mcm.is_mcm`
-once per distinct difference.
+terms with :func:`koszul_terms`.  The first half compiles the MCM test
+(:class:`mcm.McmTest`) once per check and asks it once per distinct
+difference.
 """
 
 from __future__ import annotations
@@ -82,17 +83,19 @@ def endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> EndMcmRepo
     """Hom between two covariants is the covariant of the difference, so the
     endomorphism ring is MCM iff every ordered difference of characters is.
 
-    The pairs are taken in sorted order.  Each distinct difference is asked
-    of :func:`mcm.is_mcm` once, in order of first occurrence, stopping at
-    the first that fails; the first failing pair is that difference's first
+    The pairs are taken in sorted order.  The MCM test is compiled once (a
+    class group's own test is reused) and asked about each distinct
+    difference once, in order of first occurrence, stopping at the first
+    that fails; the first failing pair is that difference's first
     occurrence, and ``checked`` counts the pairs up to it.
     """
-    ws = weight_list(weights)
     ordered = sorted(chars.chars)
     diffs = dict.fromkeys(tuple(map(sub, chi2, chi))
                           for chi in ordered for chi2 in ordered)
+    # an empty set asks nothing, so its weights are never compiled
+    test = mcm.McmTest.of(weights) if diffs else None
     for diff in diffs:
-        if not mcm.is_mcm(diff, ws):
+        if not test(diff):
             checked = 0
             for chi in ordered:
                 for chi2 in ordered:

@@ -70,11 +70,12 @@ class PurityReport:
 
 
 # Everything the accessors and graph walks of one poset look up, built in
-# one pass: element positions, upper and lower covers in edge order, (lower,
-# upper) -> first edge index, and each edge's end positions and each
-# position's edge ids, in edge order.  A plain named tuple, because a
-# dataclass or a typed NamedTuple takes 0.1-0.5 ms more to create at import.
-_HasseIndex = namedtuple("_HasseIndex", "position up down edge ends incident")
+# one pass: element positions, (lower, upper) -> first edge index, and each
+# edge's end positions and each position's edge ids, in edge order; the
+# covers of an element are read from its edge ids.  A plain named tuple,
+# because a dataclass or a typed NamedTuple takes 0.1-0.5 ms more to create
+# at import.
+_HasseIndex = namedtuple("_HasseIndex", "position edge ends incident")
 
 
 @dataclass(frozen=True)
@@ -116,24 +117,17 @@ class BoundedPoset:
         position: dict[str, int] = {}
         for i, el in enumerate(self.elements):
             position.setdefault(el, i)
-        up: dict[str, list[str]] = {}
-        down: dict[str, list[str]] = {}
         edge: dict[tuple[str, str], int] = {}
         ends: list[tuple[int, int]] = []
         incident: list[list[int]] = [[] for _ in self.elements]
         for k, e in enumerate(self.edges):
-            l, u = e
-            up.setdefault(l, []).append(u)
-            down.setdefault(u, []).append(l)
             edge.setdefault(e, k)
-            i, j = position[l], position[u]
+            i, j = position[e[0]], position[e[1]]
             ends.append((i, j))
             incident[i].append(k)
             incident[j].append(k)
-        return _HasseIndex(position=position,
-                           up={el: tuple(vs) for el, vs in up.items()},
-                           down={el: tuple(vs) for el, vs in down.items()},
-                           edge=edge, ends=tuple(ends), incident=incident)
+        return _HasseIndex(position=position, edge=edge, ends=tuple(ends),
+                           incident=incident)
 
     def index(self, el: str) -> int:
         try:
@@ -142,13 +136,25 @@ class BoundedPoset:
             raise ValueError(f"{el!r} is not an element") from None
 
     def up_neighbors(self, el: str) -> tuple[str, ...]:
-        return self._hasse.up.get(el, ())
+        """The upper covers of el, in edge order."""
+        return self._covers(el, 0)
 
     def down_neighbors(self, el: str) -> tuple[str, ...]:
-        return self._hasse.down.get(el, ())
+        """The lower covers of el, in edge order."""
+        return self._covers(el, 1)
+
+    def _covers(self, el: str, side: int) -> tuple[str, ...]:
+        # the far ends of the edges whose `side` end (0 lower, 1 upper) is el
+        h = self._hasse
+        i = h.position.get(el)
+        if i is None:
+            return ()
+        ends, elements = h.ends, self.elements
+        return tuple(elements[ends[k][1 - side]] for k in h.incident[i] if ends[k][side] == i)
 
     def degree(self, el: str) -> int:
-        return len(self.up_neighbors(el)) + len(self.down_neighbors(el))
+        i = self._hasse.position.get(el)
+        return 0 if i is None else len(self._hasse.incident[i])
 
     def edge_index(self, a: str, b: str) -> Optional[int]:
         """Index of the edge joining a and b, in either order."""

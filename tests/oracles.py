@@ -45,6 +45,16 @@ before it collected distinct differences: one loop over every ordered pair
 of characters, asking ``mcm.is_mcm`` about each difference the first time
 it appears.
 
+``LevelNonMcmCone`` is the non-MCM cone membership the library ran before it
+compiled each cone into one integer function: every query shifts by the
+offset with tuple arithmetic, pairs with phi through ``dot``, reduces modulo
+the unit line by its own rule and, for a cone without phi steps, asks the
+Smith form for lattice membership.  ``cones_is_mcm`` is the whole-system
+test it served: ``not any(cone.contains(chi) for cone in cones)`` over the
+closed chambers and open sectors.  It shares the chamber decomposition, the
+cone definition (``mcm.non_mcm_cone``) and the choice of units and phi with
+``mcm.McmTest``, not the compiled membership.
+
 ``tree_main`` is the CLI as it ran before it routed each argv to its leaf
 parser: every argv is parsed by the whole tree from ``cli.build_parser``,
 then dispatched like ``cli.main``.
@@ -63,13 +73,13 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import Iterable, Optional, Sequence
 
 from hibinccr import cli, divisorial, mcm
 from hibinccr.classgroup import HIBI, ClassGroupData, SigmaMatrix, _class_group_cone
 from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
-from hibinccr.intlattice import Matrix, Vec
+from hibinccr.intlattice import Matrix, Vec, cross, dot, lattice_contains, primitive
 from hibinccr.nccr import (CertStep, CharacterSet, EndMcmReport, GldimCertificate,
                            GldimResult, UnusableDirectionError, _working_window, default_directions,
                            is_separated, koszul_terms)
@@ -582,6 +592,79 @@ def pairwise_endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> E
                 return EndMcmReport(ok=False, checked=checked,
                                     first_failure=(chi, chi2, diff))
     return EndMcmReport(ok=True, checked=checked)
+
+
+class LevelNonMcmCone:
+    """A non-MCM cone's membership test as per-query tuple arithmetic over
+    levels of classes modulo the unit line (see the module docstring)."""
+
+    def __init__(self, offset: Vec, generators: Sequence[Vec]):
+        rank = len(offset)
+        self.offset = tuple(offset)
+        gens = sorted({_plane(g) for g in generators} - {(0, 0)})
+        self.units = [g for g in gens if mcm._in_cone_2d((-g[0], -g[1]), gens)]
+        rest = [g for g in gens if g not in self.units]
+        self.line = _lattice_line(self.units) if rest else None
+        self.phi = mcm._positive_functional(rest, self.line) if rest else (0, 0)
+        self.steps = [(dot(self.phi, g), g) for g in rest]
+        self.levels: list[set[Vec]] = [{(0, 0)}]
+        self.rank = rank
+
+    def contains(self, chi: Vec) -> bool:
+        if len(chi) != self.rank:
+            raise ValueError(f"expected a vector of rank {self.rank}, got {tuple(chi)}")
+        t = _plane(tuple(c - o for c, o in zip(chi, self.offset)))
+        if not self.steps:
+            return lattice_contains(self.units, t)
+        level = dot(self.phi, t)
+        if level < 0:
+            return False
+        while len(self.levels) <= level:
+            n = len(self.levels)
+            self.levels.append({_canon_mod_line((x[0] + g[0], x[1] + g[1]), self.line)
+                                for cost, g in self.steps if cost <= n
+                                for x in self.levels[n - cost]})
+        return _canon_mod_line(t, self.line) in self.levels[level]
+
+
+def _plane(v: Vec) -> Vec:
+    return v if len(v) == 2 else (v[0], 0)
+
+
+def _lattice_line(units: Sequence[Vec]) -> Optional[Vec]:
+    """Generator of the rank-1 sublattice spanned by collinear units."""
+    if not units:
+        return None
+    direction = primitive(units[0])
+    comp = 0 if direction[0] != 0 else 1
+    g = 0
+    for u in units:
+        assert cross(direction, u) == 0, "unit directions must be collinear"
+        g = gcd(g, abs(u[comp]))
+    scale = g // abs(direction[comp])
+    return (direction[0] * scale, direction[1] * scale)
+
+
+def _canon_mod_line(x: Vec, lat: Optional[Vec]) -> Vec:
+    if lat is None:
+        return x
+    comp = 0 if lat[0] != 0 else 1
+    k = x[comp] // lat[comp]
+    return (x[0] - k * lat[0], x[1] - k * lat[1])
+
+
+def level_cones(weights: WeightsLike) -> list[LevelNonMcmCone]:
+    """The reference cone of every closed chamber and open sector."""
+    ws = weight_list(weights)
+    return [LevelNonMcmCone(cone.offset, cone.generators)
+            for cone in (mcm.non_mcm_cone(c, ws)
+                         for c in mcm.chamber_decomposition(ws).chambers
+                         if c.kind != mcm.HALF_OPEN)]
+
+
+def cones_is_mcm(chi: Vec, cones: Sequence[LevelNonMcmCone]) -> bool:
+    """Is chi outside every one of the cones?"""
+    return not any(cone.contains(chi) for cone in cones)
 
 
 def tree_main(argv: Sequence[str]) -> int:

@@ -75,6 +75,24 @@ def test_parse_cone_errors():
         parse_cone("ray: 1 0\n")
 
 
+def test_cone_input_runs_one_smith_form(monkeypatch):
+    """Parsing a cone file and taking its class group share one Smith form,
+    and the rank and torsion messages are the same as before."""
+    from hibinccr import intlattice
+    calls = []
+    snf = intlattice.smith_normal_form
+    monkeypatch.setattr(intlattice, "smith_normal_form",
+                        lambda a: calls.append(len(a)) or snf(a))
+    cgd = class_group(parse_cone(load_corpus("rank2_demo.cone")))
+    assert cgd.rank == 2 and calls == [6]
+    with pytest.raises(ConeError, match="^rays are rank deficient: the cone is not "
+                                        "full-dimensional$"):
+        parse_cone("dim: 3\nray: 1 0 0\nray: 0 1 0\n")
+    with pytest.raises(TorsionError, match=r"^class group has torsion \(invariant "
+                                           r"factors \[2\]\)$"):
+        class_group(parse_cone("dim: 2\nray: 1 0\nray: 1 2\n"))
+
+
 def test_smooth_cone_rank_zero():
     cgd = class_group(parse_cone("dim: 2\nray: 1 0\nray: 0 1\n"))
     assert cgd.rank == 0

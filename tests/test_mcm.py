@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hibinccr import (CriterionHypothesisError, NotGorensteinError, TypeParams,
-                      chamber_decomposition, expected_weight_table, is_conic,
-                      is_mcm, mcm_region, non_mcm_cone, semigroup_member)
+from hibinccr import (CharacterSet, CriterionHypothesisError, NotGorensteinError,
+                      McmTest, TypeParams, chamber_decomposition, class_group,
+                      corpus_path, endomorphism_is_mcm, expected_weight_table,
+                      is_conic, is_mcm, mcm, mcm_region, nccr_characters,
+                      non_mcm_cone, parse_cone, semigroup_member)
 from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN, NonMcmCone
 
-from oracles import semigroup_members
+from oracles import LevelNonMcmCone, cones_is_mcm, level_cones, semigroup_members
 
 
 def table(tag, params):
@@ -379,6 +383,111 @@ def test_interleaved_weight_systems_match_fresh_cones():
     for pt in points:
         for i in (0, 1, 0, 2, 0):
             assert is_mcm(pt, systems[i]) == fresh[i][pt], (i, pt)
+
+
+# ---------------------------------------------------------------------------
+# the compiled test against the per-query level cones
+
+
+FAMILY_TABLES = [table(tag, params) for tag, params in
+                 [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (3, 3, 3)),
+                  ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)), ("IV", (4, 5)),
+                  ("V", (0,)), ("V", (3,))]]
+_point = st.tuples(st.integers(-14, 14), st.integers(-14, 14))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(FAMILY_TABLES), _gorenstein_rank2()),
+       st.lists(_point, min_size=1, max_size=40))
+def test_compiled_test_agrees_with_level_cones(ws, points):
+    assume(chamber_decomposition(ws).hypothesis_ok)
+    test, cones = McmTest(ws), level_cones(ws)
+    assert [test(pt) for pt in points] == [cones_is_mcm(pt, cones) for pt in points]
+    assert [is_mcm(pt, ws) for pt in points[:3]] == [test(pt) for pt in points[:3]]
+
+
+@st.composite
+def _cone(draw):
+    """Rank 1 or 2; some generators with their negatives (a unit line, or
+    with every negative a group, so no phi steps), the rest random."""
+    rank = draw(st.sampled_from([1, 2, 2, 2]))
+    vec = st.tuples(*[st.integers(-4, 4)] * rank)
+    gens = draw(st.lists(vec, max_size=4))
+    shape = draw(st.sampled_from(["free", "line", "group"]))
+    if shape == "line":
+        u = draw(vec)
+        gens += [u, tuple(-c for c in u), tuple(2 * c for c in u)]
+    elif shape == "group":
+        gens += [tuple(-c for c in g) for g in gens]
+    offset = draw(vec)
+    return offset, tuple(gens)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_cone(), st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                         min_size=1, max_size=30))
+def test_compiled_cone_agrees_with_level_cone(cone, points):
+    offset, gens = cone
+    points = [pt[:len(offset)] for pt in points]
+    ours, ref = NonMcmCone(offset, gens), LevelNonMcmCone(offset, gens)
+    assert [ours.contains(pt) for pt in points] == [ref.contains(pt) for pt in points]
+
+
+def test_unit_line_and_group_cones_by_hand():
+    """A cone with a unit line and phi steps, and one with no phi steps."""
+    line = NonMcmCone((0, 0), ((1, 1), (-1, -1), (2, 0)))
+    group = NonMcmCone((1, 0), ((2, 1), (-2, -1), (0, 3), (0, -3)))
+    assert LevelNonMcmCone(line.offset, line.generators).line in {(1, 1), (-1, -1)}
+    assert not LevelNonMcmCone(group.offset, group.generators).steps
+    for pt in product(range(-5, 6), repeat=2):
+        assert line.contains(pt) == (pt[0] >= pt[1] and (pt[0] - pt[1]) % 2 == 0)
+        assert group.contains(pt) == ((pt[0] - 1) % 2 == 0
+                                      and (pt[1] - (pt[0] - 1) // 2) % 3 == 0)
+
+
+def test_compiled_test_wrong_rank_message():
+    ws = table("I", (2, 3))
+    for chi in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError) as ours:
+            McmTest(ws)(chi)
+        with pytest.raises(ValueError) as ref:
+            cones_is_mcm(chi, level_cones(ws))
+        assert str(ours.value) == str(ref.value) == f"expected a vector of rank 2, got {chi}"
+    with pytest.raises(ValueError, match="^expected a vector of rank 1, got \\(1, 2\\)$"):
+        McmTest([(1,), (-2,), (4,), (-3,)])((1, 2))
+
+
+def test_compiled_cones_are_freed_with_their_owner(monkeypatch):
+    """No compiled cone outlives the class group that holds it, or the call
+    that compiled it, without a garbage collection."""
+    refs = []
+    build = mcm.non_mcm_cone
+
+    def recording(chamber, weights):
+        cone = build(chamber, weights)
+        refs.append(weakref.ref(cone))
+        return cone
+
+    monkeypatch.setattr(mcm, "non_mcm_cone", recording)
+    text = corpus_path("rank2_demo.cone").read_text()
+    chars = nccr_characters("I", (0, 1))
+    gc.disable()
+    try:
+        cgd = class_group(parse_cone(text))
+        assert is_mcm((0, 0), cgd) and is_mcm((0, 0), cgd)
+        built = len(refs)
+        assert built and all(r() is not None for r in refs)
+        assert mcm_region(cgd, [(-2, 2), (-2, 2)])
+        assert len(refs) == built  # the held test is reused
+        assert endomorphism_is_mcm(CharacterSet(chars=((0, 0), (1, 0))), cgd).checked
+        mcm_region(list(cgd.weights), [(-2, 2), (-2, 2)])
+        endomorphism_is_mcm(chars, table("I", (0, 1)))
+        assert len(refs) > built
+        assert all(r() is None for r in refs[built:])  # compiled per call
+        del cgd
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,18 @@ def test_polynomial_extension_edge_agrees_with_chain_listing(p):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(random_posets())
+def test_covers_and_degrees_agree_with_the_edge_list(p):
+    """Neighbours in edge order and degrees, read from the one index, equal
+    a scan of the edge list; a name outside the poset has none."""
+    for el in p.elements + ("no-such-element",):
+        ups = tuple(u for l, u in p.edges if l == el)
+        downs = tuple(l for l, u in p.edges if u == el)
+        assert p.up_neighbors(el) == ups and p.down_neighbors(el) == downs
+        assert p.degree(el) == len(ups) + len(downs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_posets())
 def test_roundtrip_random(p):
     assert parse_poset(serialize_poset(p)) == p
 
