@@ -12,9 +12,10 @@ independent routes decide it:
 
 The two inequality systems are built independently; both are listed by
 the one integer Fourier-Motzkin enumerator, ``enumerate_conic``, as
-``conic_classes`` reads the facet rule as a ``ConicPolytope``.  Their
-agreement on every input is one of the strongest end-to-end checks in the
-test suite.
+``conic_classes`` reads the facet rule as a ``ConicPolytope``.  It projects
+the system once, one level per variable, kept small by Chernikov's rule.
+Their agreement on every input is one of the strongest end-to-end checks
+in the test suite.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ class ConicBoxError(ValueError):
 # A string: typing caches subscripted unions, and a cached union of this
 # module's classes would keep every earlier import of the module alive.
 WeightsLike: TypeAlias = "Union[ClassGroupData, Sequence[Vec]]"
+# (coeffs, b, history): <coeffs, z> <= b, combined from the input rows whose
+# bits the history sets
+Row: TypeAlias = tuple[Vec, int, int]
 
 
 def weight_list(weights: WeightsLike) -> list[Vec]:
@@ -96,51 +100,65 @@ def conic_polytope(circuits: Sequence[Circuit], tree: TreeSelection,
 
 
 def enumerate_conic(cp: ConicPolytope) -> list[Vec]:
-    """All lattice points of the polytope, lexicographically sorted."""
+    """All lattice points of the polytope, lexicographically sorted.  Each
+    sorted prefix z_0..z_{k-1} is extended by the range of z_k that level k
+    of the one projection allows; the last level is the system itself."""
     if cp.rank == 0:
         return [()]
-    cons: list[tuple[Vec, int]] = []  # <coeffs, z> <= b
+    cons: list[Row] = []  # each input row its own bit
     for coeffs, lo, hi in cp.ineqs:
-        cons.append((coeffs, hi))
-        cons.append((tuple(-c for c in coeffs), -lo))
-    return sorted(_enumerate_rec(cons, cp.rank))
+        cons.append((coeffs, hi, 1 << len(cons)))
+        cons.append((tuple(-c for c in coeffs), -lo, 1 << len(cons)))
+    levels = [cons]  # levels[-1 - k]: the rows over z_0..z_k
+    for j in range(cp.rank - 1, 0, -1):
+        levels.append(_fm_eliminate(levels[-1], j, cp.rank - j))
+    points: list[Vec] = [()]
+    for rows in reversed(levels):
+        points = [(*z, v) for z in points for v in _var_range(rows, z)]
+    return points
 
 
-def _fm_eliminate(cons: list[tuple[Vec, int]], j: int) -> list[tuple[Vec, int]]:
-    """Eliminate z_j.  Each combined row is divided by the gcd of its
-    coefficients with its bound floored, which every integer point still
-    satisfies, and only the least bound per coefficient tuple is kept."""
-    least: dict[Vec, int] = {}
+def _fm_eliminate(cons: list[Row], j: int, s: int) -> list[Row]:
+    """Eliminate z_j, the s-th elimination.  Each combined row is divided by
+    the gcd of its coefficients with its bound floored, which every integer
+    point still satisfies, and only the least bound per coefficient tuple is
+    kept.  A row's history is the bitset of input rows it combines; a
+    combined row of more than s + 1 input rows is implied by the others and
+    dropped (Chernikov's rule)."""
+    least: dict[Vec, tuple[int, int]] = {}
     uppers, lowers = [], []
-    for coeffs, b in cons:
+    for coeffs, b, hist in cons:
         if coeffs[j] == 0:
-            least[coeffs] = min(b, least.get(coeffs, b))
+            least[coeffs] = min((b, hist), least.get(coeffs, (b, hist)))
         elif coeffs[j] > 0:
-            uppers.append((coeffs, b))
+            uppers.append((coeffs, b, hist))
         else:
-            lowers.append((coeffs, b))
-    for (cu, bu), (cl, bl) in product(uppers, lowers):
+            lowers.append((coeffs, b, hist))
+    for (cu, bu, hu), (cl, bl, hl) in product(uppers, lowers):
+        hist = hu | hl
+        if hist.bit_count() > s + 1:
+            continue
         p, q = cu[j], -cl[j]
         coeffs = tuple(q * a + p * c for a, c in zip(cu, cl))
         b = q * bu + p * bl
         g = gcd(*coeffs)
         if g > 1:
             coeffs, b = tuple(c // g for c in coeffs), b // g
-        least[coeffs] = min(b, least.get(coeffs, b))
-    return list(least.items())
+        least[coeffs] = min((b, hist), least.get(coeffs, (b, hist)))
+    return [(coeffs, b, hist) for coeffs, (b, hist) in least.items()]
 
 
-def _first_var_range(cons: list[tuple[Vec, int]], r: int) -> Optional[tuple[int, int]]:
-    sys_ = cons
-    for j in range(r - 1, 0, -1):
-        sys_ = _fm_eliminate(sys_, j)
+def _var_range(rows: list[Row], prefix: Vec) -> range:
+    """The values of the next variable that the rows allow after the prefix."""
+    k = len(prefix)
     lo: Optional[int] = None
     hi: Optional[int] = None
-    for coeffs, b in sys_:
-        a = coeffs[0]
+    for coeffs, b, _ in rows:
+        a = coeffs[k]
+        b -= sum(c * z for c, z in zip(coeffs, prefix))
         if a == 0:
             if b < 0:
-                return None
+                return range(0)
         elif a > 0:
             v = b // a  # floor(b / a)
             hi = v if hi is None else min(hi, v)
@@ -149,21 +167,7 @@ def _first_var_range(cons: list[tuple[Vec, int]], r: int) -> Optional[tuple[int,
             lo = v if lo is None else max(lo, v)
     if lo is None or hi is None:
         raise UnboundedPolytopeError("inequality system is unbounded")
-    return None if lo > hi else (lo, hi)
-
-
-def _enumerate_rec(cons: list[tuple[Vec, int]], r: int) -> list[Vec]:
-    rng = _first_var_range(cons, r)
-    if rng is None:
-        return []
-    lo, hi = rng
-    if r == 1:
-        return [(v,) for v in range(lo, hi + 1)]
-    out = []
-    for v in range(lo, hi + 1):
-        reduced = [(coeffs[1:], b - coeffs[0] * v) for coeffs, b in cons]
-        out += [(v, *tail) for tail in _enumerate_rec(reduced, r - 1)]
-    return out
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------

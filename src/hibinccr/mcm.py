@@ -51,7 +51,6 @@ class Chamber:
     t_set: tuple[int, ...]          # divisor indices pairing strictly negatively
     kind: str                       # CLOSED / HALF_OPEN / OPEN
     witness: Vec                    # an integer direction inside the chamber
-    boundary_rays_included: int     # 2 / 1 / 0 matching kind
 
 
 @dataclass(frozen=True)
@@ -186,8 +185,7 @@ def chamber_decomposition(weights: WeightsLike) -> ChamberDecomposition:
     rank = _weight_rank(ws)
     if rank == 1:
         chambers = tuple(
-            Chamber(t_set=_pairing_t_set(lam, ws), kind=CLOSED, witness=lam,
-                    boundary_rays_included=2)
+            Chamber(t_set=_pairing_t_set(lam, ws), kind=CLOSED, witness=lam)
             for lam in ((1,), (-1,)))
         return _with_hypothesis(chambers)
     if rank != 2:
@@ -240,8 +238,7 @@ def chamber_decomposition(weights: WeightsLike) -> ChamberDecomposition:
             included = 2  # a lone ray is its own closed boundary
         kind = {2: CLOSED, 1: HALF_OPEN, 0: OPEN}[included]
         chambers.append(Chamber(t_set=t_sets[run[0]], kind=kind,
-                                witness=pieces[run[0]][1],
-                                boundary_rays_included=included))
+                                witness=pieces[run[0]][1]))
     return _with_hypothesis(tuple(chambers))
 
 
@@ -437,9 +434,9 @@ def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
     A plain weight sequence is compiled on every call; to ask many questions
     of one, build ``McmTest(weights)`` once and call it.
     """
-    ws = weight_list(weights)
-    _check_rank(chi, _weight_rank(ws))
-    return McmTest.of(weights)._decide(chi)
+    test = McmTest.of(weights)
+    _check_rank(chi, test.rank)
+    return test._decide(chi)
 
 
 def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]:
@@ -447,9 +444,7 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     points that no compiled non-MCM cone contains, as :func:`is_mcm` decides
     them pointwise.  The test is compiled once per call, or taken from the
     class group that holds it."""
-    ws = weight_list(weights)
-    rank = _weight_rank(ws)
-    if len(box) != rank:
-        raise ValueError(f"expected a box of rank {rank}, got {len(box)} ranges")
     test = McmTest.of(weights)
+    if len(box) != test.rank:
+        raise ValueError(f"expected a box of rank {test.rank}, got {len(box)} ranges")
     return set(filter(test._decide, product(*(range(lo, hi + 1) for lo, hi in box))))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hibinccr
 from hibinccr import cli, corpus_path
 from hibinccr.cli import main
-from hibinccr.divisorial import conic_facets
+from hibinccr.divisorial import conic_classes, conic_facets
 
 from conftest import load_corpus
 from oracles import tree_main
@@ -285,17 +285,21 @@ def test_wrong_input_kind_names_the_expected_kind(capsys, argv, expected, got):
                    f"got a {got} file ({heads[got]})\n")
 
 
-# the 2 x 4 poset: a0, a1 below each of b0..b3; class group rank 7
-RANK_SEVEN_POSET = "elements: a0 a1 b0 b1 b2 b3\n" + "".join(
-    f"cover: a{i} < b{j}\n" for i in range(2) for j in range(4))
+def _complete_bipartite_poset(m: int, n: int) -> str:
+    """a0..a(m-1) below each of b0..b(n-1), every cover present."""
+    names = [f"a{i}" for i in range(m)] + [f"b{j}" for j in range(n)]
+    return f"elements: {' '.join(names)}\n" + "".join(
+        f"cover: a{i} < b{j}\n" for i in range(m) for j in range(n))
 
 
-def test_rank_seven_poset_lists_conic_classes(tmp_path):
-    """Fourier-Motzkin elimination stays small at rank 7: analyze and conic
-    finish well inside the timeout, and every listed class passes the facet
-    rule of the reported weights."""
-    path = tmp_path / "two_by_four.poset"
-    path.write_text(RANK_SEVEN_POSET)
+@pytest.mark.parametrize("m, n, rank, count", [(2, 4, 7, 245), (3, 3, 8, 445)],
+                         ids=["2x4", "3x3"])
+def test_complete_bipartite_poset_lists_conic_classes(tmp_path, m, n, rank, count):
+    """One Fourier-Motzkin projection stays small at rank 7 and 8: analyze
+    and conic finish well inside the timeout, and every listed class passes
+    the facet rule of the reported weights."""
+    path = tmp_path / f"{m}x{n}.poset"
+    path.write_text(_complete_bipartite_poset(m, n))
     env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]))
 
     def run(*args):
@@ -305,12 +309,15 @@ def test_rank_seven_poset_lists_conic_classes(tmp_path):
         return json.loads(proc.stdout)
 
     report = run("analyze")
-    assert report["class_group_rank"] == 7
-    assert report["conic_count"] == 245
+    assert report["class_group_rank"] == rank
+    assert report["conic_count"] == count
     listing = run("conic", "--format", "json")
-    assert listing["conic_count"] == 245 == len(listing["points"])
-    rule = conic_facets([tuple(w) for w in report["divisor_classes"].values()], 7)
+    assert listing["conic_count"] == count == len(listing["points"])
+    weights = [tuple(w) for w in report["divisor_classes"].values()]
+    rule = conic_facets(weights, rank)
     assert all(rule.contains(tuple(pt)) for pt in listing["points"])
+    if (m, n) == (2, 4):  # the facet route: 0.3 s on 2 x 4, over 2 s on 3 x 3
+        assert conic_classes(weights) == [tuple(pt) for pt in listing["points"]]
 
 
 def test_help_is_not_an_error(capsys):
@@ -324,7 +331,7 @@ def test_help_is_not_an_error(capsys):
 # fuzzing the poset grammar in-process
 
 
-FUZZ_NAMES = ["a", "b", "c", "d", "e"]
+FUZZ_NAMES = ["a", "b", "c", "d", "e", "f"]
 _fuzz_name = st.sampled_from(FUZZ_NAMES + ["bot", "top", "a!", "zz"])
 _fuzz_line = st.one_of(
     st.lists(_fuzz_name, max_size=6).map(lambda names: "elements: " + " ".join(names)),
@@ -337,19 +344,19 @@ _fuzz_line = st.one_of(
 
 @st.composite
 def poset_files(draw):
-    """Poset files over at most five names, which keeps the class group
-    rank, and with it ``analyze``, small: mostly an elements line and cover
+    """Poset files over at most six names and nine cover lines, enough for
+    the 3 x 3 poset (class group rank 8): mostly an elements line and cover
     lines, with malformed, duplicated, commented and garbage lines mixed in
     at random places."""
     lines, names = [], FUZZ_NAMES
     header = draw(st.integers(0, 9)) > 0
     if header:
         names = draw(st.lists(st.sampled_from(FUZZ_NAMES), unique=True, min_size=1,
-                              max_size=5))
+                              max_size=6))
         lines.append("elements: " + " ".join(names))
     if len(names) >= 2:
         pair = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
-        for a, b in draw(st.lists(pair, max_size=7)):
+        for a, b in draw(st.lists(pair, max_size=9)):
             if draw(st.booleans()):
                 a, b = sorted((a, b))  # name-ordered covers alone form no cycle
             lines.append(f"cover: {a} < {b}")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hibinccr import divisorial
 from hibinccr import (TypeParams, chordless_circuits, class_group, conic_classes,
                       conic_facets, conic_polytope, enumerate_conic,
                       expected_weight_table, is_conic, parse_poset, sigma_matrix,
@@ -76,9 +77,35 @@ def test_enumerate_rank_zero():
 
 
 def test_enumerate_unbounded_rejected():
-    cp = ConicPolytope(ineqs=(((1, 0), -2, 2),), rank=2)
-    with pytest.raises(UnboundedPolytopeError):
-        enumerate_conic(cp)
+    # the second system, z0 + z1 + z2 = 0 and z0 + z1 - z2 = 1, has no
+    # integer point, but over the rationals z0 + z1 = 1/2 leaves z0 free
+    for cp in (ConicPolytope(ineqs=(((1, 0), -2, 2),), rank=2),
+               ConicPolytope(ineqs=(((1, 1, 1), 0, 0), ((1, 1, -1), 1, 1)), rank=3)):
+        with pytest.raises(UnboundedPolytopeError):
+            fraction_enumerate_conic(cp)
+        with pytest.raises(UnboundedPolytopeError):
+            enumerate_conic(cp)
+
+
+def test_enumerate_projects_once(monkeypatch):
+    """One elimination per variable but the first, for the whole listing:
+    six for the 245 classes of the 2 x 4 poset (class group rank 7)."""
+    p = parse_poset("elements: a0 a1 b0 b1 b2 b3\n" + "".join(
+        f"cover: a{i} < b{j}\n" for i in range(2) for j in range(4)))
+    tree = spanning_tree(p)
+    cgd = class_group(sigma_matrix(p), tree)
+    cp = conic_polytope(chordless_circuits(p), tree, cgd)
+    calls = []
+    eliminate = divisorial._fm_eliminate
+
+    def counted(*args):
+        calls.append(args[1])
+        return eliminate(*args)
+
+    monkeypatch.setattr(divisorial, "_fm_eliminate", counted)
+    points = enumerate_conic(cp)
+    assert cp.rank == 7 and len(points) == 245
+    assert calls == [6, 5, 4, 3, 2, 1]
 
 
 def test_enumerate_rounds_rational_bounds_inward():
@@ -273,13 +300,13 @@ def test_facet_rule_needs_matching_rank():
 
 @st.composite
 def conic_polytope_systems(draw):
-    """Integer inequality systems of rank 1-3 with negative, inverted
+    """Integer inequality systems of rank 1-4 with negative, inverted
     (empty) and one-sided bounds; with a box on every coordinate or
     without, so that some are unbounded."""
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 4))
     coeffs = st.tuples(*[st.integers(-3, 3)] * rank)
     bound = st.integers(-6, 6)
-    ineqs = draw(st.lists(st.tuples(coeffs, bound, bound), max_size=5))
+    ineqs = draw(st.lists(st.tuples(coeffs, bound, bound), max_size=7))
     if draw(st.booleans()):
         for k in range(rank):
             lo, hi = draw(bound), draw(bound)
