@@ -13,6 +13,7 @@ Everything works on plain Python ints (lists of lists); inputs here are tiny
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
@@ -161,18 +162,19 @@ def find_unimodular_match(source: Sequence[Vec], target: Sequence[Vec]) -> Optio
     """A U in GL_r(Z) with U*multiset(source) == multiset(target), or None.
 
     Only ranks 1 and 2 are needed; the search space is the finite set of maps
-    determined by images of an independent pair of source vectors.
+    determined by images of an independent pair of source vectors.  A
+    candidate is rejected at its first image that the target multiset lacks.
     """
     src = sorted(source)
-    tgt = sorted(target)
-    if len(src) != len(tgt):
+    if len(src) != len(target):
         return None
     r = len(src[0]) if src else 0
     if r == 0:
         return []
+    want = Counter(target)
     if r == 1:
         for sign in (1, -1):
-            if sorted(tuple(sign * c for c in v) for v in src) == tgt:
+            if _maps_onto([[sign]], src, want):
                 return [[sign]]
         return None
     if r != 2:
@@ -192,7 +194,7 @@ def find_unimodular_match(source: Sequence[Vec], target: Sequence[Vec]) -> Optio
     # a unimodular U maps the independent a and b to two distinct target
     # values; pairs of distinct values, taken in sorted order, come in the
     # order in which ordered pairs of target entries first meet them
-    values = sorted(set(tgt))
+    values = sorted(want)
     for ta, tb in permutations(values, 2):
         # U a = ta, U b = tb  =>  U = [ta tb] * [a b]^{-1}
         num = [[ta[0] * b[1] - tb[0] * a[1], -ta[0] * b[0] + tb[0] * a[0]],
@@ -202,9 +204,21 @@ def find_unimodular_match(source: Sequence[Vec], target: Sequence[Vec]) -> Optio
         U = [[num[i][j] // det_ab for j in range(2)] for i in range(2)]
         if abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) != 1:
             continue
-        if sorted(_apply(U, v) for v in src) == tgt:
+        if _maps_onto(U, src, want):
             return U
     return None
+
+
+def _maps_onto(u: Matrix, src: Sequence[Vec], want: Counter) -> bool:
+    """Does u map the source multiset onto the target multiset ``want`` of
+    the same size?  Stops at the first image that the target lacks."""
+    left = want.copy()
+    for v in src:
+        image = _apply(u, v)
+        if not left[image]:
+            return False
+        left[image] -= 1
+    return True
 
 
 # ---------------------------------------------------------------------------

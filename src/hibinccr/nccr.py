@@ -8,13 +8,17 @@ certified by an inductive log: a character outside the box is discharged by
 a direction that strictly separates it from the box and whose Koszul-type
 term shifts land on already-discharged characters.  The search compiles
 each candidate direction once (a separation threshold and a sorted tuple of
-Koszul shifts), so testing a character costs one pairing and one
-translation per direction.  The certificate replays independently of the
-search that produced it: the replay computes each direction's least pairing
-with the set itself, once per direction, and recomputes every step's Koszul
-terms with :func:`koszul_terms`.  The first half compiles the MCM test
-(:class:`mcm.McmTest`) once per check and asks it once per distinct
-difference.
+Koszul shifts) and codes every point of its working window, and every
+shift, as one integer in mixed radix, so testing a term is one addition and
+one set lookup.  A character that fails waits on the first missing term of
+each separating direction and is tried again only once one of them is
+admitted; the window beyond the goal is built only if the goal alone does
+not close.  The certificate replays independently of the search that
+produced it: the replay computes each direction's least pairing with the
+set and its Koszul shifts with :func:`koszul_terms`, once per direction,
+and rebuilds every step's term set from them.  The first half codes the
+characters as integers too, compiles the MCM test (:class:`mcm.McmTest`)
+once per check and asks it once per distinct difference.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import chain, product
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -83,24 +89,42 @@ def endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> EndMcmRepo
     """Hom between two covariants is the covariant of the difference, so the
     endomorphism ring is MCM iff every ordered difference of characters is.
 
-    The pairs are taken in sorted order.  The MCM test is compiled once (a
-    class group's own test is reused) and asked about each distinct
-    difference once, in order of first occurrence, stopping at the first
-    that fails; the first failing pair is that difference's first
-    occurrence, and ``checked`` counts the pairs up to it.
+    The pairs are taken in sorted order.  Each character is coded as one
+    integer in balanced mixed radix: digit k of a difference lies within
+    the set's span s_k in coordinate k, so radix 2 s_k + 1 keeps distinct
+    differences distinct, and the code of a difference is the difference
+    of the codes.  The MCM test is compiled once (a class group's own test
+    is reused) and asked about each distinct difference once, in order of
+    first occurrence, stopping at the first that fails; the first failing
+    pair is that difference's first occurrence, and ``checked`` counts the
+    pairs up to it.
     """
     ordered = sorted(chars.chars)
-    diffs = dict.fromkeys(tuple(map(sub, chi2, chi))
-                          for chi in ordered for chi2 in ordered)
-    # an empty set asks nothing, so its weights are never compiled
-    test = mcm.McmTest.of(weights) if diffs else None
-    for diff in diffs:
+    if not ordered:  # an empty set asks nothing, so its weights are never compiled
+        return EndMcmReport(ok=True, checked=0)
+    rank = len(ordered[0])
+    places = [1] * rank
+    for k in range(rank - 1, 0, -1):
+        span = max(chi[k] for chi in ordered) - min(chi[k] for chi in ordered)
+        places[k - 1] = places[k] * (2 * span + 1)
+    codes = [sum(map(mul, chi, places)) for chi in ordered]
+    test = mcm.McmTest.of(weights)
+    # c.__rsub__ maps c2 to c2 - c
+    for code in dict.fromkeys(chain.from_iterable(map(c.__rsub__, codes) for c in codes)):
+        # every place is odd, and the digits below a place sum to at most
+        # half of it in absolute value
+        diff, rest = [], code
+        for place in places:
+            digit = (rest + place // 2) // place
+            diff.append(digit)
+            rest -= digit * place
+        diff = tuple(diff)
         if not test(diff):
             checked = 0
-            for chi in ordered:
-                for chi2 in ordered:
+            for chi, c in zip(ordered, codes):
+                for chi2, c2 in zip(ordered, codes):
                     checked += 1
-                    if tuple(map(sub, chi2, chi)) == diff:
+                    if c2 - c == code:
                         return EndMcmReport(ok=False, checked=checked,
                                             first_failure=(chi, chi2, diff))
     return EndMcmReport(ok=True, checked=len(ordered) ** 2)
@@ -221,16 +245,35 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     it from the character set and all its Koszul terms are already admitted
     (or in the set).  The certificate lists admissions in order and replays
     independently; on failure the uncovered residue is reported instead.
+    The set members and the goal must have the rank of the weights.
+
+    Characters are tried in admission order (distance from the set's
+    bounding box, then lexicographic), in passes until one admits nothing:
+    first the goal characters alone (the usual strip induction never leaves
+    them), then, only if a goal character is still uncovered, the working
+    window: the box around the goal and the set, widened in each coordinate
+    by the weights' total absolute value, so that auxiliary characters can
+    be admitted.  The window is built only in that case.
 
     Each direction d is compiled once per call: its separation threshold
     t_d = min over the set of <d, nu>, so chi is separated iff <d, chi> < t_d,
     and its sorted Koszul shifts S_d = koszul_terms(0, d), so the terms of chi
-    are chi + s for s in S_d, still sorted because a translation keeps
-    lexicographic order.  Directions without usable weights are dropped.
-    Admissions are kept as (chi, direction, shifts); term tuples are built
-    only for the steps the pruned certificate keeps.  A failing character
-    keeps its blocked (direction, first missing term) pairs from its last
-    attempt; reason strings are made only for the characters left uncovered.
+    are chi + s for s in S_d.  Directions without usable weights are dropped.
+    Window points and shifts are coded as integers in mixed radix, one digit
+    per coordinate, each radix wider than the window's span plus twice the
+    largest shift in that coordinate.  The code of chi + s is then the code
+    of chi plus the code of s, no term aliases another point, and code order
+    is lexicographic order, so the covered characters are a set of codes and
+    a term test is one addition and one lookup.
+
+    A character that fails watches the first missing term of each direction
+    that separates it, and is tried again only after one of those terms is
+    admitted (watched literals, as in Chaff: Moskewicz et al., DAC 2001).
+    This is exact: the covered set only grows, so an earlier retry would fail
+    on the same terms.  A goal character keeps the first two of its blocked
+    (direction, first missing term) pairs from its last attempt; reason
+    strings are made only for the characters left uncovered, and term tuples
+    only for the steps the pruned certificate keeps.
     """
     if not chars.chars:
         raise ValueError("empty character set")
@@ -238,55 +281,119 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     if not ws:
         raise ValueError("empty weight system")
     rank = len(ws[0])
+    for nu in chars.chars:
+        _check_rank("character", nu, rank)
     base = frozenset(chars.chars)
     if goal is None:
         goal_set = sorted(set(divisorial.conic_classes(ws)) - base)
     else:
-        goal_set = sorted(set(tuple(g) for g in goal) - base)
+        goal = [tuple(g) for g in goal]
+        for g in goal:
+            _check_rank("character", g, rank)
+        goal_set = sorted(set(goal) - base)
     if directions is None:
         directions = default_directions(chars)
+    usable = _compile_directions(chars, ws, directions)
 
-    window = _working_window(goal_set, chars, ws, rank)
-    lo = [min(nu[k] for nu in chars.chars) for k in range(rank)]
-    hi = [max(nu[k] for nu in chars.chars) for k in range(rank)]
-    compiled = _compile_directions(chars, ws, directions)
-    covered: set[Vec] = set(base)
-    admitted: list[tuple[Vec, Vec, tuple[Vec, ...]]] = []
-    # the last blocked pairs of each goal character, None until it is tried
-    blocked_on: dict[Vec, Optional[list[tuple[Vec, Vec]]]] = dict.fromkeys(goal_set)
+    # the working window's box, and the mixed-radix code of it and its terms
+    pts = goal_set + list(chars.chars)
+    margin = [sum(abs(w[k]) for w in ws) for k in range(rank)]
+    lo = [min(p[k] for p in pts) - margin[k] for k in range(rank)]
+    hi = [max(p[k] for p in pts) + margin[k] for k in range(rank)]
+    reach = [max((abs(s[k]) for *_, shifts in usable for s in shifts), default=0)
+             for k in range(rank)]
+    offset = list(map(sub, lo, reach))
+    radix = [h - l + 2 * r + 1 for l, h, r in zip(lo, hi, reach)]
+    places = [1] * rank
+    for k in range(rank - 1, 0, -1):
+        places[k - 1] = places[k] * radix[k]
+    size = places[0] * radix[0]  # every code is below it
+    box = [(min(nu[k] for nu in chars.chars), max(nu[k] for nu in chars.chars))
+           for k in range(rank)]
 
-    def admission_order(chi: Vec) -> tuple:
-        distance = sum(max(0, l - c, c - h) for c, l, h in zip(chi, lo, hi))
-        return (distance, *chi)
+    def key_part(k: int, v: int) -> int:
+        """Coordinate k's share of the admission key distance * size + code,
+        distance being the distance from the set's bounding box."""
+        return max(0, box[k][0] - v, v - box[k][1]) * size + (v - offset[k]) * places[k]
 
-    # two phases: first a fixpoint over the goal characters alone (the usual
-    # strip induction never leaves them), then over the whole window for any
-    # stragglers that need auxiliary characters
-    for pool in (goal_set, window):
-        pending = sorted((chi for chi in pool if chi not in covered),
-                         key=admission_order)
-        changed = True
-        while changed:
-            changed = False
-            still = []
-            for chi in pending:
-                step = _try_admit(chi, compiled, covered, blocked_on)
-                if step is None:
-                    still.append(chi)
+    def admission_key(chi: Vec) -> int:
+        return sum(map(key_part, range(rank), chi))
+
+    def decode(c: int) -> Vec:
+        digits = []
+        for place in places:
+            digit, c = divmod(c, place)
+            digits.append(digit)
+        return tuple(map(add, digits, offset))
+
+    compiled = [(direction, threshold, [sum(map(mul, s, places)) for s in shifts], shifts)
+                for direction, threshold, shifts in usable]
+    covered = {admission_key(nu) % size for nu in base}
+    admitted: list[tuple[Vec, int, tuple]] = []  # (chi, code, compiled direction)
+    # the last blocked pairs (direction, term code) of each goal character, by key
+    blocked_on: dict[int, list[tuple[Vec, int]]] = {}
+    watchers: dict[int, list[int]] = {}  # term code -> keys of the characters watching it
+
+    def close(pool: dict[int, Vec], todo: list[int]) -> None:
+        """Passes in admission order over the pool (admission key -> chi)
+        until one admits nothing, trying only the sorted keys in ``todo``
+        and those that an admission wakes.  A character woken behind the
+        current one waits for the next pass, as in a full rescan."""
+        while todo:
+            later = set()
+            while todo:
+                key = heappop(todo)
+                while todo and todo[0] == key:
+                    heappop(todo)
+                c = key % size
+                if c in covered:
+                    continue
+                chi = pool[key]
+                blocked = []
+                for entry in compiled:
+                    direction, threshold, steps, _ = entry
+                    if sum(map(mul, direction, chi)) >= threshold:
+                        continue
+                    for s in steps:
+                        if c + s not in covered:
+                            watchers.setdefault(c + s, []).append(key)
+                            blocked.append((direction, c + s))
+                            break
+                    else:
+                        admitted.append((chi, c, entry))
+                        covered.add(c)
+                        for woken in watchers.pop(c, ()):
+                            if woken > key:
+                                heappush(todo, woken)
+                            else:
+                                later.add(woken)
+                        break
                 else:
-                    admitted.append(step)
-                    covered.add(chi)
-                    changed = True
-            pending = still
-        if all(chi in covered for chi in goal_set):
-            break
+                    if key in blocked_on:
+                        blocked_on[key] = blocked[:2]
+            todo = sorted(later)
 
-    uncovered = tuple(chi for chi in goal_set if chi not in covered)
+    goal_pool = {admission_key(chi): chi for chi in goal_set}
+    blocked_on.update(dict.fromkeys(goal_pool, []))
+    close(goal_pool, sorted(goal_pool))
+    if not all(key % size in covered for key in goal_pool):
+        keys = [0]
+        for k in range(rank):
+            part = [key_part(k, v) for v in range(lo[k], hi[k] + 1)]
+            keys = [a + b for a in keys for b in part]  # in the order of product()
+        window = dict(zip(keys, product(*(range(l, h + 1) for l, h in zip(lo, hi)))))
+        # every goal character was tried, and none is awake after the goal pass
+        close(window, sorted(key for key in keys
+                             if key % size not in covered and key not in blocked_on))
+
+    uncovered = [key for key in goal_pool if key % size not in covered]
     if uncovered:
-        return GldimResult(ok=False, certificate=None, uncovered=uncovered,
-                           reasons=tuple((chi, _failure_reason(blocked_on[chi]))
-                                         for chi in uncovered))
-    cert = GldimCertificate(steps=_prune_steps(admitted, goal_set, base),
+        return GldimResult(ok=False, certificate=None,
+                           uncovered=tuple(goal_pool[key] for key in uncovered),
+                           reasons=tuple((goal_pool[key], _failure_reason(
+                               [(d, decode(t)) for d, t in blocked_on[key]]))
+                               for key in uncovered))
+    cert = GldimCertificate(steps=_prune_steps(admitted, [key % size for key in goal_pool]),
                             goal=tuple(goal_set))
     return GldimResult(ok=True, certificate=cert)
 
@@ -302,69 +409,32 @@ def _compile_directions(chars: CharacterSet, ws: list[Vec], directions: Sequence
             shifts = koszul_terms(zero, direction, ws)
         except UnusableDirectionError:
             continue
-        threshold = min(dot(direction, nu) for nu in chars.chars)
+        threshold = min(sum(map(mul, direction, nu)) for nu in chars.chars)
         compiled.append((direction, threshold, shifts))
     return compiled
 
 
-def _prune_steps(admitted: list[tuple[Vec, Vec, tuple[Vec, ...]]], goal: Sequence[Vec],
-                 base: frozenset[Vec]) -> tuple[CertStep, ...]:
-    """Certificate steps for the (character, direction, Koszul shifts)
-    admissions the goal depends on; every dependency of a kept step is
+def _prune_steps(admitted: list[tuple[Vec, int, tuple]], goal: Sequence[int]
+                 ) -> tuple[CertStep, ...]:
+    """Certificate steps for the (character, code, compiled direction)
+    admissions the goal codes depend on; every dependency of a kept step is
     either in the base set or the target of an earlier kept step, so the
     pruned log still replays.  Only kept steps get their term tuples."""
     needed = set(goal)
     kept = []
-    for chi, direction, shifts in reversed(admitted):
-        if chi in needed:
-            deps = tuple(tuple(map(add, chi, shift)) for shift in shifts)
+    for chi, c, (direction, _, steps, shifts) in reversed(admitted):
+        if c in needed:
+            deps = tuple([tuple(map(add, chi, shift)) for shift in shifts])
             kept.append(CertStep(chi=chi, direction=direction, deps=deps))
-            needed.update(d for d in deps if d not in base)
+            needed.update(c + s for s in steps)
     kept.reverse()
     return tuple(kept)
 
 
-def _try_admit(chi: Vec, compiled: list[tuple[Vec, int, tuple[Vec, ...]]], covered: set[Vec],
-               blocked_on: dict[Vec, Optional[list[tuple[Vec, Vec]]]]
-               ) -> Optional[tuple[Vec, Vec, tuple[Vec, ...]]]:
-    """(chi, direction, shifts) for the first compiled direction that
-    separates chi and whose terms are all covered; otherwise None, with the
-    first two blocked (direction, first missing term) pairs recorded when
-    chi is a goal character."""
-    blocked = []
-    for direction, threshold, shifts in compiled:
-        if sum(map(mul, direction, chi)) >= threshold:
-            continue
-        for shift in shifts:
-            term = tuple(map(add, chi, shift))
-            if term not in covered:
-                if len(blocked) < 2:
-                    blocked.append((direction, term))
-                break
-        else:
-            return chi, direction, shifts
-    if chi in blocked_on:
-        blocked_on[chi] = blocked
-    return None
-
-
-def _failure_reason(blocked: Optional[list[tuple[Vec, Vec]]]) -> str:
-    if blocked is None:
-        return "not in window"
+def _failure_reason(blocked: list[tuple[Vec, Vec]]) -> str:
     if blocked:
         return f"separating directions blocked on dependencies: {blocked}"
     return "no separating direction with usable weights"
-
-
-def _working_window(goal: Sequence[Vec], chars: CharacterSet, ws: list[Vec],
-                    rank: int) -> list[Vec]:
-    pts = list(goal) + list(chars.chars)
-    margin = [sum(abs(w[k]) for w in ws) for k in range(rank)]
-    lo = [min(p[k] for p in pts) - margin[k] for k in range(rank)]
-    hi = [max(p[k] for p in pts) + margin[k] for k in range(rank)]
-    if rank == 1:
-        return [(v,) for v in range(lo[0], hi[0] + 1)]
-    return [(x, y) for x in range(lo[0], hi[0] + 1) for y in range(lo[1], hi[1] + 1)]
 
 
 def replay_certificate(cert: GldimCertificate, chars: CharacterSet,
@@ -373,10 +443,12 @@ def replay_certificate(cert: GldimCertificate, chars: CharacterSet,
     term sets, dependency availability, and goal coverage.
 
     A step's direction d separates chi iff <d, chi> is below the least
-    pairing of d with the character set; replay computes that least pairing
-    once per direction it meets, from the set itself, and shares nothing
-    with the search but :func:`koszul_terms`.  A step whose character,
-    direction or dependency does not have the rank of the weights fails.
+    pairing of d with the character set, and its Koszul terms are chi + s
+    for the shifts s = koszul_terms(0, d).  Replay computes both once per
+    direction it meets, from the set and the weights themselves, and
+    recomputes every step's term set from them; it shares nothing with the
+    search but :func:`koszul_terms`.  A step whose character, direction or
+    dependency does not have the rank of the weights fails.
     """
     if not chars.chars:
         raise ValueError("empty character set")
@@ -384,39 +456,43 @@ def replay_certificate(cert: GldimCertificate, chars: CharacterSet,
     if not ws:
         raise ValueError("empty weight system")
     rank = len(ws[0])
-    base = frozenset(chars.chars)
-    floors: dict[Vec, int] = {}
-    admitted: set[Vec] = set()
+    zero = (0,) * rank
+    available = set(chars.chars)  # the set and the characters admitted so far
+    # direction -> (least pairing with the set, Koszul shifts or None if unusable)
+    seen: dict[Vec, tuple[int, Optional[tuple[Vec, ...]]]] = {}
     for i, step in enumerate(cert.steps):
         try:
             _check_rank("character", step.chi, rank)
             _check_rank("direction", step.direction, rank)
-            for d in step.deps:
-                _check_rank("dependency", d, rank)
+            if not {rank}.issuperset(map(len, step.deps)):
+                for d in step.deps:
+                    _check_rank("dependency", d, rank)
         except ValueError as exc:
             return False, f"step {i}: {exc}"
-        if step.chi in base or step.chi in admitted:
+        if step.chi in available:
             return False, f"step {i}: {step.chi} already available"
-        floor = floors.get(step.direction)
-        if floor is None:
-            floor = floors[step.direction] = min(
-                sum(map(mul, step.direction, nu)) for nu in chars.chars)
+        known = seen.get(step.direction)
+        if known is None:
+            floor = min(sum(map(mul, step.direction, nu)) for nu in chars.chars)
+            try:
+                shifts = koszul_terms(zero, step.direction, ws)
+            except UnusableDirectionError:
+                shifts = None
+            known = seen[step.direction] = (floor, shifts)
+        floor, shifts = known
         if sum(map(mul, step.direction, step.chi)) >= floor:
             return False, f"step {i}: {step.direction} does not separate {step.chi}"
-        try:
-            terms = koszul_terms(step.chi, step.direction, ws)
-        except UnusableDirectionError:
+        if shifts is None:
             return False, f"step {i}: direction {step.direction} is unusable"
+        terms = [tuple(map(add, step.chi, s)) for s in shifts]
         if set(terms) != set(step.deps):
             return False, f"step {i}: dependency list does not match the Koszul terms"
-        if step.chi in terms:
-            return False, f"step {i}: self-dependency"
-        for t in terms:
-            if t not in base and t not in admitted:
-                return False, f"step {i}: dependency {t} not available"
-        admitted.add(step.chi)
+        if not available.issuperset(terms):
+            missing = next(t for t in terms if t not in available)
+            return False, f"step {i}: dependency {missing} not available"
+        available.add(step.chi)
     for g in cert.goal:
-        if g not in base and g not in admitted:
+        if g not in available:
             return False, f"goal {g} is not covered"
     return True, "certificate replays"
 

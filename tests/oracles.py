@@ -19,8 +19,13 @@ list directly and shares no logic with ``posets.chordless_circuits``.
 search the library used before it compiled each direction once: every
 worklist round rescans the character set for separation, recomputes the
 Koszul terms and formats the failure reason of every pending character.
-It shares only the public ``is_separated`` and ``koszul_terms`` and the
-working window with ``nccr.certify_gldim``.
+It builds its working window as a product of coordinate ranges and shares
+only the public ``is_separated`` and ``koszul_terms`` with
+``nccr.certify_gldim``.
+
+``stepwise_replay_certificate`` is the certificate replay the library ran
+before it took each direction's Koszul shifts once: every step calls
+``koszul_terms`` on its own character.
 
 ``permutation_unimodular_match`` is the unimodular multiset match the
 library used before it iterated over distinct target values: it tries every
@@ -81,7 +86,7 @@ from hibinccr.classgroup import HIBI, ClassGroupData, SigmaMatrix, _class_group_
 from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
 from hibinccr.intlattice import Matrix, Vec, cross, dot, lattice_contains, primitive
 from hibinccr.nccr import (CertStep, CharacterSet, EndMcmReport, GldimCertificate,
-                           GldimResult, UnusableDirectionError, _working_window, default_directions,
+                           GldimResult, UnusableDirectionError, _check_rank, default_directions,
                            is_separated, koszul_terms)
 from hibinccr.posets import BoundedPoset, Circuit, TreeSelection
 
@@ -380,6 +385,17 @@ def reference_certify_gldim(chars: CharacterSet, weights: WeightsLike,
     return GldimResult(ok=True, certificate=cert)
 
 
+def _working_window(goal: Sequence[Vec], chars: CharacterSet, ws: list[Vec],
+                    rank: int) -> list[Vec]:
+    """Every point of the box around the goal and the set, widened in each
+    coordinate by the weights' total absolute value, in lexicographic order."""
+    pts = list(goal) + list(chars.chars)
+    margin = [sum(abs(w[k]) for w in ws) for k in range(rank)]
+    return list(product(*[range(min(p[k] for p in pts) - margin[k],
+                                max(p[k] for p in pts) + margin[k] + 1)
+                          for k in range(rank)]))
+
+
 def _prune_steps(steps: list[CertStep], goal: Sequence[Vec],
                  base: frozenset[Vec]) -> tuple[CertStep, ...]:
     """Drop admissions the goal never depends on; every dependency of a kept
@@ -423,6 +439,53 @@ def _box_distance(chi: Vec, chars: CharacterSet) -> int:
         hi = max(nu[k] for nu in chars.chars)
         dist += max(0, lo - chi[k], chi[k] - hi)
     return dist
+
+
+def stepwise_replay_certificate(cert: GldimCertificate, chars: CharacterSet,
+                                weights: WeightsLike) -> tuple[bool, str]:
+    """Independent check of a certificate: ranks, separation, exact Koszul
+    term sets, dependency availability, and goal coverage; every step's
+    terms come from its own ``koszul_terms`` call."""
+    if not chars.chars:
+        raise ValueError("empty character set")
+    ws = weight_list(weights)
+    if not ws:
+        raise ValueError("empty weight system")
+    rank = len(ws[0])
+    base = frozenset(chars.chars)
+    floors: dict[Vec, int] = {}
+    admitted: set[Vec] = set()
+    for i, step in enumerate(cert.steps):
+        try:
+            _check_rank("character", step.chi, rank)
+            _check_rank("direction", step.direction, rank)
+            for d in step.deps:
+                _check_rank("dependency", d, rank)
+        except ValueError as exc:
+            return False, f"step {i}: {exc}"
+        if step.chi in base or step.chi in admitted:
+            return False, f"step {i}: {step.chi} already available"
+        floor = floors.get(step.direction)
+        if floor is None:
+            floor = floors[step.direction] = min(dot(step.direction, nu) for nu in chars.chars)
+        if dot(step.direction, step.chi) >= floor:
+            return False, f"step {i}: {step.direction} does not separate {step.chi}"
+        try:
+            terms = koszul_terms(step.chi, step.direction, ws)
+        except UnusableDirectionError:
+            return False, f"step {i}: direction {step.direction} is unusable"
+        if set(terms) != set(step.deps):
+            return False, f"step {i}: dependency list does not match the Koszul terms"
+        if step.chi in terms:
+            return False, f"step {i}: self-dependency"
+        for t in terms:
+            if t not in base and t not in admitted:
+                return False, f"step {i}: dependency {t} not available"
+        admitted.add(step.chi)
+    for g in cert.goal:
+        if g not in base and g not in admitted:
+            return False, f"goal {g} is not covered"
+    return True, "certificate replays"
 
 
 def permutation_unimodular_match(source: Sequence[Vec],

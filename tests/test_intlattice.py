@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from hibinccr.classgroup import class_group, sigma_matrix
+from hibinccr.families import classify, expected_weight_table, generate_family
 from hibinccr.intlattice import (angle_key, convex_hull, cross,
                                  find_unimodular_match, invariant_factors,
                                  lattice_contains, primitive,
                                  smith_normal_form, solve_rational)
+from hibinccr.posets import spanning_tree
 
 from oracles import (fraction_angle_key, fraction_solve_rational, lattice_rank,
                      permutation_unimodular_match, rational_rank, solve_integer)
@@ -203,6 +206,25 @@ def match_instances(draw):
 def test_unimodular_match_agrees_with_permutation_search(instance):
     src, tgt = instance
     assert find_unimodular_match(src, tgt) == permutation_unimodular_match(src, tgt)
+
+
+# the family members that the nccr-verify benchmark verifies
+FAMILY_MEMBERS = [("I", (0, 1)), ("I", (2, 3)), ("I", (5, 6)), ("II", (1, 1, 1)),
+                  ("II", (3, 3, 3)), ("III", (0, 2, 0)), ("III", (2, 3, 2)),
+                  ("IV", (1, 1)), ("IV", (4, 5)), ("V", (0,)), ("V", (2,)), ("V", (5,))]
+
+
+@pytest.mark.parametrize("tag,params", FAMILY_MEMBERS,
+                         ids=[f"{t}{p}" for t, p in FAMILY_MEMBERS])
+def test_unimodular_match_on_family_tables(tag, params):
+    """A member's computed divisor classes match its weight table, by the
+    same first U as the permutation search."""
+    p = generate_family(tag, params).poset
+    table = expected_weight_table(classify(p))
+    computed = class_group(sigma_matrix(p), spanning_tree(p)).weights
+    u = find_unimodular_match(computed, table)
+    assert u is not None
+    assert u == permutation_unimodular_match(computed, table)
 
 
 def test_angle_key_orders_counterclockwise():

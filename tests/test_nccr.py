@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import product
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hibinccr import (CertStep, CharacterSet, GldimCertificate, TypeParams,
                       certify_gldim, conic_classes, endomorphism_is_mcm,
@@ -16,7 +20,8 @@ from hibinccr.nccr import UnusableDirectionError, character_window, default_dire
 from hibinccr.posets import spanning_tree
 
 from conftest import load_corpus
-from oracles import pairwise_endomorphism_is_mcm, reference_certify_gldim
+from oracles import (pairwise_endomorphism_is_mcm, reference_certify_gldim,
+                     stepwise_replay_certificate)
 
 
 def table(tag, params):
@@ -463,3 +468,147 @@ def test_certify_and_replay_refuse_empty_inputs(chars, ws, message):
         certify_gldim(chars, ws)
     with pytest.raises(ValueError, match=message):
         replay_certificate(GldimCertificate(steps=(), goal=()), chars, ws)
+
+
+def test_rank3_search_uses_the_whole_window():
+    """Phase two walks the product of every coordinate's range: (1, 0, 0)
+    needs the auxiliary character (0, -1, -1), off the goal."""
+    ws = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    chars = CharacterSet(chars=((0, 0, 0),))
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    directions = axes + [tuple(-c for c in d) for d in axes]
+    result = certify_gldim(chars, ws, goal=[(1, 0, 0), (0, 0, -1)], directions=directions)
+    assert result.certificate.steps == (
+        CertStep((0, 0, -1), (0, 0, 1), ((0, 0, 0),)),
+        CertStep((0, -1, -1), (0, 1, 0), ((0, 0, -1),)),
+        CertStep((1, 0, 0), (-1, 0, 0), ((0, -1, -1),)))
+    assert result == reference_certify_gldim(chars, ws, goal=[(1, 0, 0), (0, 0, -1)],
+                                             directions=directions)
+    assert replay_certificate(result.certificate, chars, ws) == (True, "certificate replays")
+
+
+@pytest.mark.parametrize("chars,goal,message", [
+    (((0, 0),), [(0, 0, 1)], "character (0, 0, 1) has rank 3, expected rank 2"),
+    (((0, 0),), [(1, 0), (4,)], "character (4,) has rank 1, expected rank 2"),
+    (((0, 0), (1, 0, 0)), [(0, 1)], "character (1, 0, 0) has rank 3, expected rank 2"),
+    (((0,),), None, "character (0,) has rank 1, expected rank 2"),
+], ids=["long-goal", "short-goal", "long-member", "short-set"])
+def test_certify_refuses_wrong_rank_characters(chars, goal, message):
+    with pytest.raises(ValueError) as info:
+        certify_gldim(CharacterSet(chars=chars), table("V", (0,)), goal=goal)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# randomized agreement with the oracles
+
+_WEIGHT_VALUES = {1: [(1,), (2,), (-1,), (-2,), (3,)],
+                  2: [(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1), (1, 1), (2, 1), (-1, 2)]}
+_DIRECTIONS = {1: [(1,), (-1,)],
+               2: [(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1),
+                   (2, 1), (1, -2)]}
+_END_WEIGHTS = [table("I", (0, 1)), table("II", (1, 1, 1)), table("IV", (1, 1)),
+                table("V", (0,)), [(1,), (1,), (-2,)], [(1,), (2,), (-1,), (-2,)]]
+
+
+_SEARCH_FAMILIES = [("I", (0, 1)), ("II", (1, 1, 1)), ("III", (0, 2, 0)), ("IV", (1, 1)),
+                    ("V", (0,)), ("V", (1,))]
+
+
+@st.composite
+def search_instances(draw):
+    """A search of rank one or two moved to a random anchor, so that
+    coordinates of both signs up to 12 occur: a small family member's box
+    and conic classes, or a box or scattered set with a goal near it and a
+    few weight values with multiplicities.  The directions are the default
+    ones or a random subset of candidates, so that many goals fail and many
+    need the window phase."""
+    rank = draw(st.sampled_from([1, 2]))
+    anchor = draw(st.tuples(*[st.integers(-9, 9)] * rank))
+
+    def moved(v):
+        return tuple(map(add, anchor, v))
+
+    near = st.tuples(*[st.integers(-4, 4)] * rank).map(moved)
+    if rank == 2 and draw(st.booleans()):
+        tag, params = draw(st.sampled_from(_SEARCH_FAMILIES))
+        ws = table(tag, params)
+        chars = tuple(map(moved, nccr_characters(tag, params).chars))
+        goal = list(map(moved, conic_classes(ws)))
+    else:
+        values = draw(st.lists(st.sampled_from(_WEIGHT_VALUES[rank]), min_size=1,
+                               max_size=3, unique=True))
+        ws = [v for v in values for _ in range(draw(st.integers(1, 2)))]
+        if draw(st.booleans()):
+            sides = draw(st.tuples(*[st.integers(1, 3)] * rank))
+            chars = tuple(map(moved, product(*map(range, sides))))
+        else:
+            chars = tuple(draw(st.lists(near, min_size=1, max_size=4, unique=True)))
+        goal = draw(st.lists(near, min_size=1, max_size=6))
+    directions = draw(st.none() | st.lists(st.sampled_from(_DIRECTIONS[rank]), min_size=1,
+                                            unique=True))
+    return CharacterSet(chars=chars), ws, goal, directions
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(search_instances())
+def test_certify_agrees_with_reference_on_random_sets(instance):
+    chars, ws, goal, directions = instance
+    result = certify_gldim(chars, ws, goal=goal, directions=directions)
+    assert result == reference_certify_gldim(chars, ws, goal=goal, directions=directions)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_END_WEIGHTS).flatmap(lambda ws: st.tuples(
+    st.just(ws), st.lists(st.tuples(*[st.integers(-12, 12)] * len(ws[0])),
+                          min_size=1, max_size=6, unique=True))))
+def test_end_mcm_agrees_with_pairwise_oracle_on_random_sets(instance):
+    """Same report, and the compiled test is asked the pairwise loop's
+    ``is_mcm`` queries in the same order."""
+    ws, chars = instance
+    queries, oracle_queries = [], []
+    call, is_mcm = mcm.McmTest.__call__, mcm.is_mcm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcm.McmTest, "__call__",
+                   lambda test, chi: queries.append(chi) or call(test, chi))
+        mp.setattr(mcm, "is_mcm",
+                   lambda chi, weights: oracle_queries.append(chi) or is_mcm(chi, weights))
+        report = endomorphism_is_mcm(CharacterSet(chars=tuple(chars)), ws)
+        expected = pairwise_endomorphism_is_mcm(CharacterSet(chars=tuple(chars)), ws)
+    assert report == expected
+    assert queries == oracle_queries
+
+
+def _corruptions(cert, directions, data):
+    """The certificate itself and one corrupted copy: a dependency dropped
+    or added, a step's direction swapped, or two steps swapped."""
+    yield cert
+    steps = list(cert.steps)
+    if not steps:
+        return
+    i = data.draw(st.integers(0, len(steps) - 1))
+    step = steps[i]
+    kind = data.draw(st.sampled_from(["drop", "add", "direction", "reorder"]))
+    if kind == "drop":
+        steps[i] = CertStep(step.chi, step.direction, step.deps[1:])
+    elif kind == "add":
+        extra = tuple(c + data.draw(st.integers(-2, 2)) for c in step.chi)
+        steps[i] = CertStep(step.chi, step.direction, step.deps + (extra,))
+    elif kind == "direction":
+        steps[i] = CertStep(step.chi, data.draw(st.sampled_from(directions)), step.deps)
+    else:
+        j = data.draw(st.integers(0, len(steps) - 1))
+        steps[i], steps[j] = steps[j], steps[i]
+    yield GldimCertificate(steps=tuple(steps), goal=cert.goal)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(search_instances(), st.data())
+def test_replay_agrees_with_stepwise_replay(instance, data):
+    chars, ws, goal, directions = instance
+    result = certify_gldim(chars, ws, goal=goal, directions=directions)
+    # a failed search leaves its goal to check, with no steps
+    cert = result.certificate or GldimCertificate(steps=(), goal=tuple(goal))
+    for cert in _corruptions(cert, _DIRECTIONS[len(ws[0])], data):
+        assert replay_certificate(cert, chars, ws) == \
+            stepwise_replay_certificate(cert, chars, ws)
