@@ -516,7 +516,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
-    except (PosetError, ConeError, TorsionError, divisorial.ConicBoxError) as exc:
+    except (PosetError, ConeError, TorsionError, divisorial.ConicBoxError,
+            divisorial.ConicTooLargeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
     except (mcm.NotGorensteinError, mcm.CriterionHypothesisError,

@@ -13,7 +13,8 @@ independent routes decide it:
 The two inequality systems are built independently; both are listed by
 the one integer Fourier-Motzkin enumerator, ``enumerate_conic``, as
 ``conic_classes`` reads the facet rule as a ``ConicPolytope``.  It projects
-the system once, one level per variable, kept small by Chernikov's rule.
+the system once, one level per variable, kept small by Chernikov's rule;
+a level past ``PROJECTION_ROW_BUDGET`` rows raises ``ConicTooLargeError``.
 Their agreement on every input is one of the strongest end-to-end checks
 in the test suite.
 """
@@ -39,6 +40,20 @@ class UnboundedPolytopeError(ValueError):
 class ConicBoxError(ValueError):
     """The bounding box of the conic classes has more points than a Python
     sequence can hold."""
+
+
+class ConicTooLargeError(ValueError):
+    """A level of the conic projection holds more rows than
+    ``PROJECTION_ROW_BUDGET``."""
+
+
+# The most rows one level of the Fourier-Motzkin projection may hold before
+# the next variable is eliminated.  Eliminating costs about the product of a
+# level's upper and lower rows, so the budget bounds the work of each level.
+# The complete bipartite posets 3 x 4 (class group rank 11) and 2 x 7 (rank
+# 13) peak at 1327 and 5835 rows; 3 x 5 (rank 14) reaches 10997 rows after
+# about half a second and would need 45319 at its widest.
+PROJECTION_ROW_BUDGET = 8000
 
 
 # A string: typing caches subscripted unions, and a cached union of this
@@ -111,6 +126,11 @@ def enumerate_conic(cp: ConicPolytope) -> list[Vec]:
         cons.append((tuple(-c for c in coeffs), -lo, 1 << len(cons)))
     levels = [cons]  # levels[-1 - k]: the rows over z_0..z_k
     for j in range(cp.rank - 1, 0, -1):
+        if len(levels[-1]) > PROJECTION_ROW_BUDGET:
+            raise ConicTooLargeError(
+                f"the conic projection of class group rank {cp.rank} reached "
+                f"{len(levels[-1])} rows at one level, over the budget of "
+                f"{PROJECTION_ROW_BUDGET}")
         levels.append(_fm_eliminate(levels[-1], j, cp.rank - j))
     points: list[Vec] = [()]
     for rows in reversed(levels):

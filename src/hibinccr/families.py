@@ -83,7 +83,8 @@ def classify(p: BoundedPoset) -> ClassifyResult:
     n_edges, n_vertices = p.n_edges, len(p.elements)
     if n_edges - n_vertices != 1:
         return Rejection("rank", f"class group rank is {n_edges - n_vertices + 1}, not 2")
-    if p.degree(BOTTOM) == 1 or p.degree(TOP) == 1:
+    degrees = p.degrees
+    if degrees[0] == 1 or degrees[-1] == 1:
         return Rejection("degree", "an endpoint has degree 1: polynomial extension")
     poly = polynomial_extension_edge(p)
     if poly is not None:
@@ -95,8 +96,8 @@ def classify(p: BoundedPoset) -> ClassifyResult:
         return Rejection("not-gorenstein", "poset is not pure, the ring is not Gorenstein")
 
     length = rank[TOP]
-    deg3 = [el for el in p.elements if p.degree(el) == 3]
-    deg4 = [el for el in p.elements if p.degree(el) == 4]
+    deg3 = [el for el, d in zip(p.elements, degrees) if d == 3]
+    deg4 = [el for el, d in zip(p.elements, degrees) if d == 4]
     assert (len(deg3), len(deg4)) in ((2, 0), (0, 1)), "degree profile is forced"
 
     if deg4:

@@ -3,15 +3,17 @@
 A poset is read from a small text format declaring its elements and cover
 pairs.  A global minimum ``bot`` and maximum ``top`` are adjoined
 automatically, so every :class:`BoundedPoset` is bounded and its Hasse graph
-is connected.  Everything downstream (class groups, conic polytopes, MCM
-regions) consumes the edge list of this graph, so edge indices are kept
-stable and canonical: they depend only on the abstract poset, never on the
-order cover pairs were written in.
+is connected.  Elements are numbered once, when the elements line is read:
+``bot`` is position 0, the interior names in sorted order are 1..n and
+``top`` is n + 1; the order checks and the edge walk run on positions, and
+names return only in the finished edge list.  Everything downstream (class
+groups, conic polytopes, MCM regions) consumes the edge list of this graph,
+so edge indices are kept stable and canonical: they depend only on the
+abstract poset, never on the order cover pairs were written in.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from collections import deque, namedtuple
 from dataclasses import dataclass, replace
@@ -83,12 +85,13 @@ class BoundedPoset:
     """A finite poset with adjoined minimum ``bot`` and maximum ``top``.
 
     ``elements`` lists ``bot`` first, the interior elements sorted, ``top``
-    last; the position of an element is its coordinate index for the cone of
-    linear forms.  ``edges`` lists the Hasse edges as (lower, upper) pairs in
-    canonical order (upward depth-first search from ``bot`` with neighbours
-    in element order).  Positions, neighbours, degrees, edge indices, edge
-    ends and incident edges are answered from one index over the Hasse
-    graph, built on first use.
+    last; the position of an element in it, the numbering the parser and
+    builder work on, is its coordinate index for the cone of linear forms.
+    ``edges`` lists the Hasse edges as (lower, upper) pairs in canonical
+    order (upward depth-first search from ``bot`` with neighbours in position
+    order, which is name order).  Positions, neighbours, degrees, edge
+    indices, edge ends and incident edges are answered from one index over
+    the Hasse graph, built on first use.
     """
 
     elements: tuple[str, ...]
@@ -156,6 +159,11 @@ class BoundedPoset:
         i = self._hasse.position.get(el)
         return 0 if i is None else len(self._hasse.incident[i])
 
+    @property
+    def degrees(self) -> list[int]:
+        """The degree of each element, in position order."""
+        return [len(ks) for ks in self._hasse.incident]
+
     def edge_index(self, a: str, b: str) -> Optional[int]:
         """Index of the edge joining a and b, in either order."""
         edge = self._hasse.edge
@@ -177,19 +185,30 @@ class BoundedPoset:
 
 
 def parse_poset(text: str) -> BoundedPoset:
-    """Parse the poset file format and adjoin ``bot`` / ``top``.
-
-    Rejects cyclic cover relations and cover pairs implied by transitivity
-    (the input must already be a Hasse diagram).
-    """
-    elements: Optional[set[str]] = None
-    covers: dict[tuple[str, str], None] = {}  # insertion-ordered set
+    """Parse the poset file format and adjoin ``bot`` / ``top``.  The elements
+    line numbers the sorted interior names from 1, and each cover line becomes
+    a pair of those positions.  Rejects cyclic cover relations and cover pairs
+    implied by transitivity (the input must already be a Hasse diagram)."""
+    position: Optional[dict[str, int]] = None
+    names: list[str] = []
+    covers: dict[tuple[int, int], None] = {}  # insertion-ordered set
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("elements:"):
-            if elements is not None:
+        m = _COVER_RE.match(line)
+        if m is not None and position is not None:
+            a, b = m.groups()
+            i, j = position.get(a), position.get(b)
+            if i is None or j is None:
+                raise PosetError(f"line {lineno}: unknown element {a if i is None else b!r}")
+            if i == j:
+                raise PosetError(f"line {lineno}: self cover {a!r} < {a!r}")
+            if (i, j) in covers:
+                raise PosetError(f"line {lineno}: duplicate cover {a!r} < {b!r}")
+            covers[(i, j)] = None
+        elif line.startswith("elements:"):
+            if position is not None:
                 raise PosetError(f"line {lineno}: duplicate elements line")
             names = line[len("elements:"):].split()
             for name in names:
@@ -197,107 +216,88 @@ def parse_poset(text: str) -> BoundedPoset:
                     raise PosetError(f"line {lineno}: bad element name {name!r}")
                 if name in (BOTTOM, TOP):
                     raise PosetError(f"line {lineno}: {name!r} is reserved")
-            if len(set(names)) != len(names):
+            names.sort()
+            position = {name: i for i, name in enumerate(names, 1)}
+            if len(position) != len(names):
                 raise PosetError(f"line {lineno}: duplicate element")
-            elements = set(names)
         elif line.startswith("cover:"):
-            if elements is None:
-                raise PosetError(f"line {lineno}: cover before elements line")
-            m = _COVER_RE.match(line)
-            if not m:
-                raise PosetError(f"line {lineno}: cannot parse cover line {line!r}")
-            a, b = m.group(1), m.group(2)
-            for x in (a, b):
-                if x not in elements:
-                    raise PosetError(f"line {lineno}: unknown element {x!r}")
-            if a == b:
-                raise PosetError(f"line {lineno}: self cover {a!r} < {a!r}")
-            if (a, b) in covers:
-                raise PosetError(f"line {lineno}: duplicate cover {a!r} < {b!r}")
-            covers[(a, b)] = None
+            raise PosetError(f"line {lineno}: cover before elements line" if position is None
+                             else f"line {lineno}: cannot parse cover line {line!r}")
         else:
             raise PosetError(f"line {lineno}: unrecognized line {line!r}")
-    if elements is None:
+    if position is None:
         raise PosetError("missing elements line")
-    return build_poset(sorted(elements), list(covers))
+    return _build(names, list(covers))
 
 
 def build_poset(interior: Sequence[str], covers: Sequence[tuple[str, str]]) -> BoundedPoset:
-    up: dict[str, set[str]] = {el: set() for el in interior}
+    """The bounded poset on the interior names with these cover pairs, each
+    counted once."""
+    names = sorted(interior)
+    position = {name: i for i, name in enumerate(names, 1)}
+    return _build(names, list(dict.fromkeys((position[a], position[b]) for a, b in covers)))
+
+
+def _build(names: Sequence[str], covers: Sequence[tuple[int, int]]) -> BoundedPoset:
+    # names: the sorted interior, at positions 1..n; covers: distinct
+    # (lower, upper) position pairs, in input order
+    top = len(names) + 1
+    up: list[list[int]] = [[] for _ in range(top + 1)]
+    indeg = [0] * (top + 1)
     for a, b in covers:
-        up[a].add(b)
-    covered = {b for _, b in covers}
+        up[a].append(b)
+        indeg[b] += 1
+    minimal = [v for v in range(1, top) if not indeg[v]]
+    order = minimal[:]  # Kahn's order, extended while it is read
+    for v in order:
+        for u in up[v]:
+            indeg[u] -= 1
+            if not indeg[u]:
+                order.append(u)
+    if len(order) != top - 1:
+        raise PosetError("cover relation is cyclic")
 
-    order = _topological(interior, up)
-    _check_hasse(order, up, covers)
-
-    full_up: dict[str, list[str]] = {el: sorted(up[el]) for el in interior}
-    full_up[BOTTOM] = sorted(el for el in interior if el not in covered)
-    for el in interior:
-        if not up[el]:
-            full_up[el].append(TOP)
-    if not interior:
-        full_up[BOTTOM] = [TOP]
-    full_up[TOP] = []
+    # strictly-above sets as bitsets over positions, in reverse Kahn order;
+    # a cover a < b is implied when b is above another upper cover of a
+    above = [0] * (top + 1)
+    implied = False
+    for v in reversed(order):
+        reach = covered = 0
+        for u in up[v]:
+            reach |= above[u]
+            covered |= 1 << u
+        implied = implied or reach & covered
+        above[v] = reach | covered
+    if implied:
+        a, b = next((a, b) for a, b in covers if any(above[c] >> b & 1 for c in up[a]))
+        c = min(c for c in up[a] if above[c] >> b & 1)
+        raise PosetError(f"cover {names[a - 1]!r} < {names[b - 1]!r} is implied "
+                         f"by transitivity (via {names[c - 1]!r})")
 
     # Depth-first search from bot with an explicit stack of neighbour
     # iterators: each edge is appended when first scanned, and a newly seen
     # vertex is explored completely before its parent's next neighbour.
+    up[0] = minimal or [top]
+    for ups in up[1:top]:
+        ups.sort()
+        if not ups:
+            ups.append(top)
+    elements = (BOTTOM, *names, TOP)
     edges: list[tuple[str, str]] = []
-    seen = {BOTTOM}
-    stack = [(BOTTOM, iter(full_up[BOTTOM]))]
+    seen = bytearray(top + 1)  # bot is never reached again: no edge ends there
+    stack = [(0, iter(up[0]))]
     while stack:
         v, neighbours = stack[-1]
         for u in neighbours:
-            edges.append((v, u))
-            if u not in seen:
-                seen.add(u)
-                stack.append((u, iter(full_up[u])))
+            edges.append((elements[v], elements[u]))
+            if not seen[u]:
+                seen[u] = 1
+                stack.append((u, iter(up[u])))
                 break
         else:
             stack.pop()
-    elements = (BOTTOM, *sorted(interior), TOP)
-    assert seen == set(elements)
+    assert all(seen[1:])
     return BoundedPoset(elements=elements, edges=tuple(edges))
-
-
-def _topological(interior: Sequence[str], up: dict[str, set[str]]) -> list[str]:
-    indeg = {el: 0 for el in interior}
-    for el in interior:
-        for u in up[el]:
-            indeg[u] += 1
-    # always the smallest available element next
-    queue = [el for el in interior if indeg[el] == 0]
-    heapq.heapify(queue)
-    order = []
-    while queue:
-        v = heapq.heappop(queue)
-        order.append(v)
-        for u in up[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(queue, u)
-    if len(order) != len(interior):
-        raise PosetError("cover relation is cyclic")
-    return order
-
-
-def _check_hasse(order: Sequence[str], up: dict[str, set[str]],
-                 covers: Sequence[tuple[str, str]]) -> None:
-    # strictly-above sets as bitsets over topological positions, computed
-    # bottom-up in reverse topological order
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    above: dict[str, int] = {}
-    for v in reversed(order):
-        acc = 0
-        for u in up[v]:
-            acc |= bit[u] | above[u]
-        above[v] = acc
-    for a, b in covers:
-        for c in up[a]:
-            if c != b and above[c] & bit[b]:
-                raise PosetError(
-                    f"cover {a!r} < {b!r} is implied by transitivity (via {c!r})")
 
 
 def serialize_poset(p: BoundedPoset) -> str:

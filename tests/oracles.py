@@ -15,6 +15,14 @@ before the cycle-space route: every simple cycle is grown vertex by vertex
 from its least-index vertex, then tested for chords.  It reads the edge
 list directly and shares no logic with ``posets.chordless_circuits``.
 
+``string_parse_poset`` and ``string_build_poset`` are the poset parser and
+builder the library ran before it numbered the elements: element names in
+a set, upper covers in name-keyed sets, a heap topological order over
+names and bitsets over topological positions for the transitivity check,
+which names the least intermediate element.  They share only the line
+grammar (``posets._NAME_RE``, ``posets._COVER_RE``) with
+``posets.parse_poset``.
+
 ``reference_certify_gldim`` is the finite-global-dimension certificate
 search the library used before it compiled each direction once: every
 worklist round rescans the character set for separation, recomputes the
@@ -75,6 +83,7 @@ products: a ``Fraction`` slope per vector.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -88,7 +97,8 @@ from hibinccr.intlattice import Matrix, Vec, cross, dot, lattice_contains, primi
 from hibinccr.nccr import (CertStep, CharacterSet, EndMcmReport, GldimCertificate,
                            GldimResult, UnusableDirectionError, _check_rank, default_directions,
                            is_separated, koszul_terms)
-from hibinccr.posets import BoundedPoset, Circuit, TreeSelection
+from hibinccr.posets import (_COVER_RE, _NAME_RE, BOTTOM, TOP, BoundedPoset, Circuit, PosetError,
+                             TreeSelection)
 
 
 def vertex_is_conic(chi: Vec, weights) -> bool:
@@ -323,6 +333,125 @@ def backtracking_chordless_circuits(p: BoundedPoset) -> list[Circuit]:
                            x_minus=tuple(sorted(downs))))
     out.sort(key=lambda c: (len(c.vertex_cycle), tuple(idx[v] for v in c.vertex_cycle)))
     return out
+
+
+def string_parse_poset(text: str) -> BoundedPoset:
+    """The poset file format parsed on names: the element names kept as a
+    set, each cover line kept as a name pair, then ``string_build_poset``."""
+    elements: Optional[set[str]] = None
+    covers: dict[tuple[str, str], None] = {}  # insertion-ordered set
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("elements:"):
+            if elements is not None:
+                raise PosetError(f"line {lineno}: duplicate elements line")
+            names = line[len("elements:"):].split()
+            for name in names:
+                if not _NAME_RE.match(name):
+                    raise PosetError(f"line {lineno}: bad element name {name!r}")
+                if name in (BOTTOM, TOP):
+                    raise PosetError(f"line {lineno}: {name!r} is reserved")
+            if len(set(names)) != len(names):
+                raise PosetError(f"line {lineno}: duplicate element")
+            elements = set(names)
+        elif line.startswith("cover:"):
+            if elements is None:
+                raise PosetError(f"line {lineno}: cover before elements line")
+            m = _COVER_RE.match(line)
+            if not m:
+                raise PosetError(f"line {lineno}: cannot parse cover line {line!r}")
+            a, b = m.group(1), m.group(2)
+            for x in (a, b):
+                if x not in elements:
+                    raise PosetError(f"line {lineno}: unknown element {x!r}")
+            if a == b:
+                raise PosetError(f"line {lineno}: self cover {a!r} < {a!r}")
+            if (a, b) in covers:
+                raise PosetError(f"line {lineno}: duplicate cover {a!r} < {b!r}")
+            covers[(a, b)] = None
+        else:
+            raise PosetError(f"line {lineno}: unrecognized line {line!r}")
+    if elements is None:
+        raise PosetError("missing elements line")
+    return string_build_poset(sorted(elements), list(covers))
+
+
+def string_build_poset(interior: Sequence[str],
+                       covers: Sequence[tuple[str, str]]) -> BoundedPoset:
+    """The bounded poset from name-keyed upper-cover sets: a heap
+    topological order over names, the transitivity check on bitsets over
+    topological positions, and the canonical depth-first edge walk."""
+    up: dict[str, set[str]] = {el: set() for el in interior}
+    for a, b in covers:
+        up[a].add(b)
+    covered = {b for _, b in covers}
+
+    order = _string_topological(interior, up)
+    _string_check_hasse(order, up, covers)
+
+    full_up: dict[str, list[str]] = {el: sorted(up[el]) for el in interior}
+    full_up[BOTTOM] = sorted(el for el in interior if el not in covered)
+    for el in interior:
+        if not up[el]:
+            full_up[el].append(TOP)
+    if not interior:
+        full_up[BOTTOM] = [TOP]
+    full_up[TOP] = []
+
+    edges: list[tuple[str, str]] = []
+    seen = {BOTTOM}
+    stack = [(BOTTOM, iter(full_up[BOTTOM]))]
+    while stack:
+        v, neighbours = stack[-1]
+        for u in neighbours:
+            edges.append((v, u))
+            if u not in seen:
+                seen.add(u)
+                stack.append((u, iter(full_up[u])))
+                break
+        else:
+            stack.pop()
+    elements = (BOTTOM, *sorted(interior), TOP)
+    assert seen == set(elements)
+    return BoundedPoset(elements=elements, edges=tuple(edges))
+
+
+def _string_topological(interior: Sequence[str], up: dict[str, set[str]]) -> list[str]:
+    indeg = {el: 0 for el in interior}
+    for el in interior:
+        for u in up[el]:
+            indeg[u] += 1
+    queue = [el for el in interior if indeg[el] == 0]  # the least name next
+    heapq.heapify(queue)
+    order = []
+    while queue:
+        v = heapq.heappop(queue)
+        order.append(v)
+        for u in up[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                heapq.heappush(queue, u)
+    if len(order) != len(interior):
+        raise PosetError("cover relation is cyclic")
+    return order
+
+
+def _string_check_hasse(order: Sequence[str], up: dict[str, set[str]],
+                        covers: Sequence[tuple[str, str]]) -> None:
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    above: dict[str, int] = {}
+    for v in reversed(order):
+        acc = 0
+        for u in up[v]:
+            acc |= bit[u] | above[u]
+        above[v] = acc
+    for a, b in covers:
+        for c in sorted(up[a]):  # the least name, whatever the hash seed
+            if c != b and above[c] & bit[b]:
+                raise PosetError(
+                    f"cover {a!r} < {b!r} is implied by transitivity (via {c!r})")
 
 
 def reference_certify_gldim(chars: CharacterSet, weights: WeightsLike,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hibinccr
 from hibinccr import cli, corpus_path
 from hibinccr.cli import main
-from hibinccr.divisorial import conic_classes, conic_facets
+from hibinccr.divisorial import PROJECTION_ROW_BUDGET, conic_classes, conic_facets
 
 from conftest import load_corpus
 from oracles import tree_main
@@ -318,6 +318,23 @@ def test_complete_bipartite_poset_lists_conic_classes(tmp_path, m, n, rank, coun
     assert all(rule.contains(tuple(pt)) for pt in listing["points"])
     if (m, n) == (2, 4):  # the facet route: 0.3 s on 2 x 4, over 2 s on 3 x 3
         assert conic_classes(weights) == [tuple(pt) for pt in listing["points"]]
+
+
+def test_conic_listing_past_the_row_budget_is_a_usage_error(tmp_path):
+    """On the 3 x 5 poset (class group rank 14) the projection passes its row
+    budget: analyze and conic stop with one error line naming the rank and
+    the row count, well inside the timeout, where they used to run on for
+    minutes."""
+    path = tmp_path / "3x5.poset"
+    path.write_text(_complete_bipartite_poset(3, 5))
+    env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]))
+    for command in ("analyze", "conic"):
+        proc = subprocess.run([sys.executable, "-m", "hibinccr.cli", command, str(path)],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: the conic projection of class group rank 14 "
+                               "reached 10997 rows at one level, over the budget of "
+                               f"{PROJECTION_ROW_BUDGET}\n")
 
 
 def test_help_is_not_an_error(capsys):

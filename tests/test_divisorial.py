@@ -9,7 +9,8 @@ from hibinccr import (TypeParams, chordless_circuits, class_group, conic_classes
                       conic_facets, conic_polytope, enumerate_conic,
                       expected_weight_table, is_conic, parse_poset, sigma_matrix,
                       spanning_tree)
-from hibinccr.divisorial import ConicBoxError, UnboundedPolytopeError, ConicPolytope
+from hibinccr.divisorial import (ConicBoxError, ConicPolytope, ConicTooLargeError,
+                                 UnboundedPolytopeError)
 from hibinccr.families import generate_family
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
@@ -287,6 +288,20 @@ def test_conic_classes_refuse_a_box_too_large():
     with pytest.raises(ConicBoxError, match=rf"^the bounding box \[-{big}, {big}\] x "
                                             r"\[-2, 2\] of the conic classes is too large"):
         conic_classes([(big, 1), (0, -1)])
+
+
+def test_projection_refuses_a_level_past_the_row_budget(monkeypatch):
+    """A level of more rows than the budget is refused before it is
+    eliminated; a level of exactly the budget is eliminated."""
+    cp = ConicPolytope(ineqs=(((1, 0), -1, 1), ((1, 1), -2, 2)), rank=2)  # 4 rows
+    monkeypatch.setattr(divisorial, "PROJECTION_ROW_BUDGET", 4)
+    points = enumerate_conic(cp)
+    assert points == fraction_enumerate_conic(cp) and len(points) == 15
+    monkeypatch.setattr(divisorial, "PROJECTION_ROW_BUDGET", 3)
+    with pytest.raises(ConicTooLargeError, match=r"^the conic projection of class group "
+                                                 r"rank 2 reached 4 rows at one level, "
+                                                 r"over the budget of 3$"):
+        enumerate_conic(cp)
 
 
 def test_facet_rule_needs_matching_rank():

@@ -20,7 +20,8 @@ from hibinccr import (BOTTOM, TOP, PosetError, Rejection, TypeParams, build_pose
 from hibinccr.posets import relabel
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
-from oracles import backtracking_chordless_circuits
+from oracles import backtracking_chordless_circuits, string_build_poset, string_parse_poset
+from test_cli import poset_files
 
 CORPUS_POSETS = sorted(path.name for path in corpus_path("").iterdir()
                        if path.name.endswith(".poset"))
@@ -297,7 +298,8 @@ def test_parse_ignores_declaration_order():
 
 
 @st.composite
-def random_posets(draw):
+def random_covers(draw):
+    """Names v0..v5 at most and the cover pairs of a random order on them."""
     size = draw(st.integers(min_value=0, max_value=6))
     names = [f"v{i}" for i in range(size)]
     rels = set()
@@ -312,7 +314,11 @@ def random_posets(draw):
             closure.add((i, j))
     covers = [(names[i], names[j]) for (i, j) in closure
               if not any((i, k) in closure and (k, j) in closure for k in range(size))]
-    return build_poset(names, covers)
+    return names, covers
+
+
+def random_posets():
+    return random_covers().map(lambda nc: build_poset(*nc))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -378,6 +384,93 @@ def test_pure_random_posets_have_balanced_circuits(p):
 @given(random_posets())
 def test_circuits_match_oracles_random(p):
     _assert_circuits_match_oracles(p)
+
+
+# ---------------------------------------------------------------------------
+# the position-numbered parser and builder against the name-keyed oracle
+
+
+def _same_outcome(build, oracle):
+    """Both calls give the same poset, or both raise PosetError with the
+    same text."""
+    try:
+        expected = oracle()
+    except PosetError as exc:
+        with pytest.raises(PosetError) as info:
+            build()
+        assert str(info.value) == str(exc)
+        return
+    got = build()
+    assert (got.elements, got.edges) == (expected.elements, expected.edges)
+
+
+@st.composite
+def cover_lists(draw):
+    """The names and covers of a random order, shuffled, with up to three
+    arbitrary pairs mixed in: repeated, self, reversed or implied covers."""
+    names, covers = draw(random_covers())
+    if names:
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+        covers = covers + draw(st.lists(pair, max_size=3))
+    return draw(st.permutations(names)), draw(st.permutations(covers))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(poset_files())
+def test_parse_agrees_with_string_oracle_on_fuzzed_files(text):
+    _same_outcome(lambda: parse_poset(text), lambda: string_parse_poset(text))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cover_lists())
+def test_parse_and_build_agree_with_string_oracle(names_covers):
+    names, covers = names_covers
+    _same_outcome(lambda: build_poset(names, covers),
+                  lambda: string_build_poset(names, covers))
+    text = "elements: " + " ".join(names) + "\n" + "".join(
+        f"cover: {a} < {b}  # {k}\n" for k, (a, b) in enumerate(covers))
+    _same_outcome(lambda: parse_poset(text), lambda: string_parse_poset(text))
+
+
+def test_build_poset_counts_a_repeated_cover_once():
+    covers = [("a", "b"), ("b", "c"), ("a", "b")]
+    p = build_poset(["c", "b", "a"], covers)
+    assert p == string_build_poset(["c", "b", "a"], covers) == build_poset("abc", covers[:2])
+    assert p.edges == (("bot", "a"), ("a", "b"), ("b", "c"), ("c", "top"))
+
+
+def test_build_poset_self_cover_is_cyclic():
+    for build in (build_poset, string_build_poset):
+        with pytest.raises(PosetError, match="^cover relation is cyclic$"):
+            build(["a", "b"], [("a", "b"), ("b", "b")])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_posets())
+def test_flip_and_relabel_agree_with_string_oracle(p):
+    covers = [(l, u) for l, u in p.edges if l != BOTTOM and u != TOP]
+    flipped = flip(p)
+    assert flipped == string_build_poset(p.interior, [(u, l) for l, u in covers])
+    assert flip(flipped) == p
+    mapping = {el: f"w{i:02d}" for i, el in enumerate(reversed(p.interior))}
+    q = relabel(p, mapping)
+    assert q == string_build_poset([mapping[el] for el in p.interior],
+                                   [(mapping[l], mapping[u]) for l, u in covers])
+    assert relabel(q, {new: old for old, new in mapping.items()}) == p
+
+
+def test_redundant_cover_error_ignores_the_hash_seed():
+    """Of the four elements through which a < b is implied, the error names
+    the least, whatever order string sets iterate in."""
+    path = Path(__file__).with_name("redundant_cover.poset")
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=str(Path(hibinccr.__file__).parents[1]),
+                   PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "hibinccr.cli", "classify", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == \
+            "error: cover 'a' < 'b' is implied by transitivity (via 'c1')\n"
 
 
 # ---------------------------------------------------------------------------
