@@ -315,15 +315,11 @@ def _cmd_nccr_verify(args) -> int:
 
 def _cmd_generate(args) -> int:
     tag = args.type
-    if tag == "V":
-        params = [args.n]
-    elif tag in ("II", "III"):
-        params = [args.l, args.m, args.n]
-    else:
-        params = [args.m, args.n]
-    if any(v is None for v in params):
+    names = families.FAMILIES[tag].names
+    params = [getattr(args, name) for name in names]
+    if None in params:
         raise UsageError(f"error: type {tag} needs parameters "
-                         f"{'-l/-m/-n' if len(params) == 3 else '-m/-n' if len(params) == 2 else '-n'}")
+                         + "/".join(f"--{name}" for name in names))
     try:
         fam = families.generate_family(tag, params)
     except ValueError as exc:
@@ -432,7 +428,7 @@ def _build_nccr_verify(sp) -> None:
 
 
 def _build_generate(sp) -> None:
-    sp.add_argument("--type", required=True, choices=("I", "II", "III", "IV", "V"))
+    sp.add_argument("--type", required=True, choices=tuple(families.FAMILIES))
     sp.add_argument("--l", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--n", type=int)

@@ -12,14 +12,15 @@ one of five shapes, read off from its degree profile:
   IV   a single interior vertex of degree 4
   V    degree 3 at both endpoints (three parallel chains)
 
-Each family carries a weight table for its divisor classes and a box of
-characters whose covariants assemble into a splitting NCCR.
+Each family carries, in one table (:data:`FAMILIES`), its parameters, a
+weight table for its divisor classes and a box of characters whose
+covariants assemble into a splitting NCCR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeAlias, Union
+from typing import Callable, NamedTuple, Sequence, TypeAlias, Union
 
 from .intlattice import Vec
 from .posets import (BOTTOM, TOP, BoundedPoset, TreeSelection, build_poset,
@@ -46,19 +47,44 @@ class Rejection:
 # of every earlier import of this module alive.
 ClassifyResult: TypeAlias = "Union[TypeParams, Rejection]"
 
-_PARAM_RANGES = {
-    "I": ((0, 1), ("m", "n")),
-    "II": ((0, 1, 0), ("l", "m", "n")),
-    "III": ((0, 2, 0), ("l", "m", "n")),
-    "IV": ((1, 1), ("m", "n")),
-    "V": ((0,), ("n",)),
+class Family(NamedTuple):
+    """One family's facts: its parameter names and their least values, and
+    two functions of the parameters: its weight table, as (class,
+    multiplicity) pairs in the basis of its two designated cotree edges, and
+    the far corner of its character box (the near corner is the origin)."""
+    names: tuple[str, ...]
+    minima: tuple[int, ...]
+    weights: Callable[..., list[tuple[Vec, int]]]
+    corner: Callable[..., Vec]
+
+
+FAMILIES = {
+    "I": Family(("m", "n"), (0, 1),
+                lambda m, n: [((1, 0), m + n + 2), ((0, 1), n + 1), ((-1, 0), m + 1),
+                              ((-1, -1), n + 1)],
+                lambda m, n: (m + n + 1, n)),
+    "II": Family(("l", "m", "n"), (0, 1, 0),
+                 lambda l, m, n: [((1, 0), l + m + 1), ((0, 1), m + n + 1), ((-1, 0), l + 1),
+                                  ((0, -1), n + 1), ((-1, -1), m)],
+                 lambda l, m, n: (l + m, m + n)),
+    "III": Family(("l", "m", "n"), (0, 2, 0),
+                  lambda l, m, n: [((1, 0), l + m + n + 2), ((0, 1), m), ((-1, 0), l + n + 2),
+                                   ((-1, -1), m)],
+                  lambda l, m, n: (l + m + n + 1, m - 1)),
+    "IV": Family(("m", "n"), (1, 1),
+                 lambda m, n: [((1, 0), m + 1), ((0, 1), n + 1), ((-1, 0), m + 1),
+                               ((0, -1), n + 1)],
+                 lambda m, n: (m, n)),
+    "V": Family(("n",), (0,),
+                lambda n: [((1, 0), n + 2), ((0, 1), n + 2), ((-1, -1), n + 2)],
+                lambda n: (n + 1, n + 1)),
 }
 
 
 def validate_params(type_tag: str, params: Sequence[int]) -> tuple[int, ...]:
-    if type_tag not in _PARAM_RANGES:
+    if type_tag not in FAMILIES:
         raise ValueError(f"unknown type {type_tag!r}")
-    minima, names = _PARAM_RANGES[type_tag]
+    names, minima, *_ = FAMILIES[type_tag]
     params = tuple(int(v) for v in params)
     if len(params) != len(minima):
         raise ValueError(f"type {type_tag} takes parameters {names}")
@@ -156,29 +182,7 @@ def expected_weight_table(tp: TypeParams) -> list[Vec]:
     """The divisor class multiset of a family member, in the basis attached
     to its two designated cotree edges."""
     params = validate_params(tp.type_tag, tp.params)
-    if tp.type_tag == "I":
-        m, n = params
-        table = [((1, 0), m + n + 2), ((0, 1), n + 1), ((-1, 0), m + 1),
-                 ((-1, -1), n + 1)]
-    elif tp.type_tag == "II":
-        l, m, n = params
-        table = [((1, 0), l + m + 1), ((0, 1), m + n + 1), ((-1, 0), l + 1),
-                 ((0, -1), n + 1), ((-1, -1), m)]
-    elif tp.type_tag == "III":
-        l, m, n = params
-        table = [((1, 0), l + m + n + 2), ((0, 1), m), ((-1, 0), l + n + 2),
-                 ((-1, -1), m)]
-    elif tp.type_tag == "IV":
-        m, n = params
-        table = [((1, 0), m + 1), ((0, 1), n + 1), ((-1, 0), m + 1),
-                 ((0, -1), n + 1)]
-    else:
-        n, = params
-        table = [((1, 0), n + 2), ((0, 1), n + 2), ((-1, -1), n + 2)]
-    out: list[Vec] = []
-    for vec, mult in table:
-        out += [vec] * mult
-    return out
+    return [vec for vec, mult in FAMILIES[tp.type_tag].weights(*params) for _ in range(mult)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ term shifts land on already-discharged characters.  The search compiles
 each candidate direction once (a separation threshold and a sorted tuple of
 Koszul shifts) and codes every point of its working window, and every
 shift, as one integer in mixed radix, so testing a term is one addition and
-one set lookup.  A character that fails waits on the first missing term of
-each separating direction and is tried again only once one of them is
-admitted; the window beyond the goal is built only if the goal alone does
-not close.  The certificate replays independently of the search that
-produced it: the replay computes each direction's least pairing with the
-set and its Koszul shifts with :func:`koszul_terms`, once per direction,
-and rebuilds every step's term set from them.  The first half codes the
-characters as integers too, compiles the MCM test (:class:`mcm.McmTest`)
-once per check and asks it once per distinct difference.
+one set lookup.  The search rescans the characters still uncovered, in
+admission order, until a pass admits nothing; the window beyond the goal
+is built only if the goal alone does not close.  The certificate replays
+independently of the search that produced it: the replay computes each
+direction's least pairing with the set and its Koszul shifts with
+:func:`koszul_terms`, once per direction, and rebuilds every step's term
+set from them.  The first half codes the characters as integers too,
+compiles the MCM test (:class:`mcm.McmTest`) once per check and asks it
+once per distinct difference.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from itertools import chain, product
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
@@ -54,20 +53,7 @@ class CharacterSet:
 def nccr_characters(type_tag: str, params: Sequence[int]) -> CharacterSet:
     """The box of characters whose covariants sum to a splitting NCCR."""
     params = families.validate_params(type_tag, params)
-    if type_tag == "I":
-        m, n = params
-        hi = (m + n + 1, n)
-    elif type_tag == "II":
-        l, m, n = params
-        hi = (l + m, m + n)
-    elif type_tag == "III":
-        l, m, n = params
-        hi = (l + m + n + 1, m - 1)
-    elif type_tag == "IV":
-        hi = params
-    else:
-        n, = params
-        hi = (n + 1, n + 1)
+    hi = families.FAMILIES[type_tag].corner(*params)
     chars = tuple((c1, c2) for c1 in range(hi[0] + 1) for c2 in range(hi[1] + 1))
     label = ",".join(str(v) for v in params)
     return CharacterSet(chars=chars, provenance=f"type {type_tag} ({label})")
@@ -248,12 +234,13 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     The set members and the goal must have the rank of the weights.
 
     Characters are tried in admission order (distance from the set's
-    bounding box, then lexicographic), in passes until one admits nothing:
-    first the goal characters alone (the usual strip induction never leaves
-    them), then, only if a goal character is still uncovered, the working
-    window: the box around the goal and the set, widened in each coordinate
-    by the weights' total absolute value, so that auxiliary characters can
-    be admitted.  The window is built only in that case.
+    bounding box, then lexicographic), in passes until one admits nothing,
+    each pass keeping only the characters it left uncovered: first the goal
+    characters alone (the usual strip induction never leaves them), then,
+    only if a goal character is still uncovered, the working window: the
+    box around the goal and the set, widened in each coordinate by the
+    weights' total absolute value, so that auxiliary characters can be
+    admitted.  The window is built only in that case.
 
     Each direction d is compiled once per call: its separation threshold
     t_d = min over the set of <d, nu>, so chi is separated iff <d, chi> < t_d,
@@ -266,14 +253,12 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     is lexicographic order, so the covered characters are a set of codes and
     a term test is one addition and one lookup.
 
-    A character that fails watches the first missing term of each direction
-    that separates it, and is tried again only after one of those terms is
-    admitted (watched literals, as in Chaff: Moskewicz et al., DAC 2001).
-    This is exact: the covered set only grows, so an earlier retry would fail
-    on the same terms.  A goal character keeps the first two of its blocked
-    (direction, first missing term) pairs from its last attempt; reason
-    strings are made only for the characters left uncovered, and term tuples
-    only for the steps the pruned certificate keeps.
+    Failure reasons are made once, after the search, and only for the goal
+    characters left uncovered: the last pass admitted nothing, so the final
+    covered set is the one each of them was last tried against, and a
+    reason names the first missing term of each of the character's first
+    two separating directions.  Term tuples are made only for the steps the
+    pruned certificate keeps.
     """
     if not chars.chars:
         raise ValueError("empty character set")
@@ -330,71 +315,53 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
                 for direction, threshold, shifts in usable]
     covered = {admission_key(nu) % size for nu in base}
     admitted: list[tuple[Vec, int, tuple]] = []  # (chi, code, compiled direction)
-    # the last blocked pairs (direction, term code) of each goal character, by key
-    blocked_on: dict[int, list[tuple[Vec, int]]] = {}
-    watchers: dict[int, list[int]] = {}  # term code -> keys of the characters watching it
 
-    def close(pool: dict[int, Vec], todo: list[int]) -> None:
-        """Passes in admission order over the pool (admission key -> chi)
-        until one admits nothing, trying only the sorted keys in ``todo``
-        and those that an admission wakes.  A character woken behind the
-        current one waits for the next pass, as in a full rescan."""
-        while todo:
-            later = set()
-            while todo:
-                key = heappop(todo)
-                while todo and todo[0] == key:
-                    heappop(todo)
+    def close(pending: list[tuple[int, Vec]]) -> None:
+        """Passes in admission order over the (admission key, chi) pairs,
+        each keeping the characters it left uncovered, until one admits
+        nothing."""
+        while pending:
+            still = []
+            for key, chi in pending:
                 c = key % size
-                if c in covered:
-                    continue
-                chi = pool[key]
-                blocked = []
                 for entry in compiled:
                     direction, threshold, steps, _ = entry
-                    if sum(map(mul, direction, chi)) >= threshold:
-                        continue
-                    for s in steps:
-                        if c + s not in covered:
-                            watchers.setdefault(c + s, []).append(key)
-                            blocked.append((direction, c + s))
-                            break
-                    else:
+                    # c.__add__ maps a shift's code to the term's code
+                    if sum(map(mul, direction, chi)) < threshold \
+                            and covered.issuperset(map(c.__add__, steps)):
                         admitted.append((chi, c, entry))
                         covered.add(c)
-                        for woken in watchers.pop(c, ()):
-                            if woken > key:
-                                heappush(todo, woken)
-                            else:
-                                later.add(woken)
                         break
                 else:
-                    if key in blocked_on:
-                        blocked_on[key] = blocked[:2]
-            todo = sorted(later)
+                    still.append((key, chi))
+            if len(still) == len(pending):
+                return
+            pending = still
 
-    goal_pool = {admission_key(chi): chi for chi in goal_set}
-    blocked_on.update(dict.fromkeys(goal_pool, []))
-    close(goal_pool, sorted(goal_pool))
-    if not all(key % size in covered for key in goal_pool):
+    goal_keys = list(map(admission_key, goal_set))
+    goal_codes = [key % size for key in goal_keys]
+    close(sorted(zip(goal_keys, goal_set)))
+    if not covered.issuperset(goal_codes):
         keys = [0]
         for k in range(rank):
             part = [key_part(k, v) for v in range(lo[k], hi[k] + 1)]
             keys = [a + b for a in keys for b in part]  # in the order of product()
-        window = dict(zip(keys, product(*(range(l, h + 1) for l, h in zip(lo, hi)))))
-        # every goal character was tried, and none is awake after the goal pass
-        close(window, sorted(key for key in keys
-                             if key % size not in covered and key not in blocked_on))
+        window = zip(keys, product(*(range(l, h + 1) for l, h in zip(lo, hi))))
+        close(sorted(pair for pair in window if pair[0] % size not in covered))
 
-    uncovered = [key for key in goal_pool if key % size not in covered]
+    uncovered = [(chi, c) for chi, c in zip(goal_set, goal_codes) if c not in covered]
     if uncovered:
+        # the last pass admitted nothing, so each goal's last try saw this covered set
+        reasons = []
+        for chi, c in uncovered:
+            blocked = [(direction, decode(c + next(s for s in steps if c + s not in covered)))
+                       for direction, threshold, steps, _ in compiled
+                       if sum(map(mul, direction, chi)) < threshold]
+            reasons.append((chi, _failure_reason(blocked[:2])))
         return GldimResult(ok=False, certificate=None,
-                           uncovered=tuple(goal_pool[key] for key in uncovered),
-                           reasons=tuple((goal_pool[key], _failure_reason(
-                               [(d, decode(t)) for d, t in blocked_on[key]]))
-                               for key in uncovered))
-    cert = GldimCertificate(steps=_prune_steps(admitted, [key % size for key in goal_pool]),
-                            goal=tuple(goal_set))
+                           uncovered=tuple(chi for chi, _ in uncovered),
+                           reasons=tuple(reasons))
+    cert = GldimCertificate(steps=_prune_steps(admitted, goal_codes), goal=tuple(goal_set))
     return GldimResult(ok=True, certificate=cert)
 
 

@@ -18,6 +18,7 @@ import re
 from collections import deque, namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 BOTTOM = "bot"
@@ -190,7 +191,6 @@ def parse_poset(text: str) -> BoundedPoset:
     a pair of those positions.  Rejects cyclic cover relations and cover pairs
     implied by transitivity (the input must already be a Hasse diagram)."""
     position: Optional[dict[str, int]] = None
-    names: list[str] = []
     covers: dict[tuple[int, int], None] = {}  # insertion-ordered set
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
@@ -210,16 +210,10 @@ def parse_poset(text: str) -> BoundedPoset:
         elif line.startswith("elements:"):
             if position is not None:
                 raise PosetError(f"line {lineno}: duplicate elements line")
-            names = line[len("elements:"):].split()
-            for name in names:
-                if not _NAME_RE.match(name):
-                    raise PosetError(f"line {lineno}: bad element name {name!r}")
-                if name in (BOTTOM, TOP):
-                    raise PosetError(f"line {lineno}: {name!r} is reserved")
-            names.sort()
-            position = {name: i for i, name in enumerate(names, 1)}
-            if len(position) != len(names):
-                raise PosetError(f"line {lineno}: duplicate element")
+            try:
+                position = _positions(line[len("elements:"):].split())
+            except PosetError as exc:
+                raise PosetError(f"line {lineno}: {exc}") from None
         elif line.startswith("cover:"):
             raise PosetError(f"line {lineno}: cover before elements line" if position is None
                              else f"line {lineno}: cannot parse cover line {line!r}")
@@ -227,15 +221,34 @@ def parse_poset(text: str) -> BoundedPoset:
             raise PosetError(f"line {lineno}: unrecognized line {line!r}")
     if position is None:
         raise PosetError("missing elements line")
-    return _build(names, list(covers))
+    return _build(list(position), list(covers))
 
 
 def build_poset(interior: Sequence[str], covers: Sequence[tuple[str, str]]) -> BoundedPoset:
     """The bounded poset on the interior names with these cover pairs, each
-    counted once."""
-    names = sorted(interior)
-    position = {name: i for i, name in enumerate(names, 1)}
-    return _build(names, list(dict.fromkeys((position[a], position[b]) for a, b in covers)))
+    counted once.  Names are checked as in :func:`parse_poset`, and a cover
+    naming an unknown element is rejected."""
+    position = _positions(interior)
+    for name in chain.from_iterable(covers):
+        if name not in position:
+            raise PosetError(f"unknown element {name!r}")
+    return _build(list(position), list(dict.fromkeys((position[a], position[b])
+                                                     for a, b in covers)))
+
+
+def _positions(names: Iterable[str]) -> dict[str, int]:
+    """Each interior name's position, 1..n in sorted order (so the keys are
+    the sorted names).  Rejects a malformed, reserved or repeated name."""
+    names = list(names)
+    for name in names:
+        if not _NAME_RE.match(name):
+            raise PosetError(f"bad element name {name!r}")
+        if name in (BOTTOM, TOP):
+            raise PosetError(f"{name!r} is reserved")
+    position = {name: i for i, name in enumerate(sorted(names), 1)}
+    if len(position) != len(names):
+        raise PosetError("duplicate element")
+    return position
 
 
 def _build(names: Sequence[str], covers: Sequence[tuple[int, int]]) -> BoundedPoset:

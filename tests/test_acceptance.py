@@ -14,8 +14,7 @@ import time
 from hibinccr import (Rank1Weights, TypeParams, Window, base_window,
                       chamber_decomposition, chordless_circuits,
                       class_group, classify, conic_classes, conic_polytope,
-                      endomorphism_is_mcm, enumerate_conic,
-                      expected_weight_table, exchange_graph,
+                      endomorphism_is_mcm, enumerate_conic, exchange_graph,
                       generate_family, is_conic, mcm_bound, mcm_region,
                       mutate_window, parse_cone, parse_poset,
                       replay_certificate, segre_poset, semigroup_member,
@@ -23,16 +22,12 @@ from hibinccr import (Rank1Weights, TypeParams, Window, base_window,
 from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN
 from hibinccr.nccr import character_window
 
-from conftest import EXAMPLE_TREE_HINT, load_corpus
+from conftest import EXAMPLE_TREE_HINT, load_corpus, table
 from oracles import semigroup_members
 
 
 def report(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion:02d}: PASS - {message}")
-
-
-def table(tag, params):
-    return expected_weight_table(TypeParams(tag, params, "as-given"))
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,19 @@ def test_generate_round_trip(capsys, tmp_path):
     assert out_path.read_text() == load_corpus("type2_l1_m1_n1.poset")
 
 
-def test_generate_missing_params(capsys):
-    with pytest.raises(SystemExit):
-        main(["generate", "--type", "IV", "--m", "1"])
+@pytest.mark.parametrize("tag,given,flags", [
+    ("I", ["--m", "1"], "--m/--n"),
+    ("II", ["--m", "1"], "--l/--m/--n"),
+    ("III", ["--l", "1", "--m", "2"], "--l/--m/--n"),
+    ("IV", ["--m", "1"], "--m/--n"),
+    ("V", [], "--n"),
+], ids=["I", "II", "III", "IV", "V"])
+def test_generate_missing_params(capsys, tag, given, flags):
+    """The message names the flags the type takes, as the parser spells them."""
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--type", tag, *given])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == f"error: type {tag} needs parameters {flags}\n"
 
 
 def test_z1_analyze(capsys):

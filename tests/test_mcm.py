@@ -10,17 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hibinccr import (CharacterSet, CriterionHypothesisError, NotGorensteinError,
-                      McmTest, TypeParams, chamber_decomposition, class_group,
-                      corpus_path, endomorphism_is_mcm, expected_weight_table,
-                      is_conic, is_mcm, mcm, mcm_region, nccr_characters,
-                      non_mcm_cone, parse_cone, semigroup_member)
+                      McmTest, chamber_decomposition, class_group, corpus_path,
+                      endomorphism_is_mcm, is_conic, is_mcm, mcm, mcm_region,
+                      nccr_characters, non_mcm_cone, parse_cone, semigroup_member)
 from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN, NonMcmCone
 
+from conftest import table
 from oracles import LevelNonMcmCone, cones_is_mcm, level_cones, semigroup_members
-
-
-def table(tag, params):
-    return expected_weight_table(TypeParams(tag, params, "as-given"))
 
 
 # ---------------------------------------------------------------------------

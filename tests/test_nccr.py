@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibinccr import (CertStep, CharacterSet, GldimCertificate, TypeParams,
-                      certify_gldim, conic_classes, endomorphism_is_mcm,
-                      expected_weight_table, is_separated, koszul_terms,
+from hibinccr import (CertStep, CharacterSet, GldimCertificate, certify_gldim,
+                      conic_classes, endomorphism_is_mcm, is_separated, koszul_terms,
                       nccr_characters, parse_poset, replay_certificate,
                       segre_poset, verify_nccr)
 from hibinccr import mcm, rank1
@@ -19,13 +18,9 @@ from hibinccr.classgroup import class_group, sigma_matrix
 from hibinccr.nccr import UnusableDirectionError, character_window, default_directions
 from hibinccr.posets import spanning_tree
 
-from conftest import load_corpus
+from conftest import load_corpus, table
 from oracles import (pairwise_endomorphism_is_mcm, reference_certify_gldim,
                      stepwise_replay_certificate)
-
-
-def table(tag, params):
-    return expected_weight_table(TypeParams(tag, params, "as-given"))
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,32 @@ def test_build_poset_self_cover_is_cyclic():
             build(["a", "b"], [("a", "b"), ("b", "b")])
 
 
+@pytest.mark.parametrize("names,covers,message", [
+    (["a", "a"], [], "duplicate element"),
+    (["a", "top"], [], "'top' is reserved"),
+    (["bot", "a"], [], "'bot' is reserved"),
+    (["a", "b!"], [], "bad element name 'b!'"),
+    (["a", "b"], [("a", "c")], "unknown element 'c'"),
+    (["a", "b"], [("c", "a")], "unknown element 'c'"),
+])
+def test_build_poset_checks_names_as_the_parser_does(names, covers, message):
+    """The parser's messages without their line prefix."""
+    with pytest.raises(PosetError) as info:
+        build_poset(names, covers)
+    assert str(info.value) == message
+    text = "elements: " + " ".join(names) + "\n" + "".join(
+        f"cover: {a} < {b}\n" for a, b in covers)
+    with pytest.raises(PosetError) as info:
+        parse_poset(text)
+    assert str(info.value) == f"line {1 + bool(covers)}: {message}"
+
+
+def test_relabel_rejects_a_mapping_that_merges_names():
+    p = build_poset(["a", "b"], [("a", "b")])
+    with pytest.raises(PosetError, match="^duplicate element$"):
+        relabel(p, {"a": "c", "b": "c"})
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(random_posets())
 def test_flip_and_relabel_agree_with_string_oracle(p):
