@@ -27,7 +27,7 @@ for k in range(p.n_edges):
     print(f"  [D_e{k+1}] = {cgd.weights[k]}")
 
 circuits = chordless_circuits(p)
-cp = conic_polytope(circuits, tree, cgd)
+cp = conic_polytope(circuits, cgd)
 print(f"\n{len(circuits)} chordless circuits give the conic inequalities:")
 for coeffs, lo, hi in cp.ineqs:
     term = " + ".join(f"{c}*z{i+1}" for i, c in enumerate(coeffs) if c)

@@ -8,9 +8,8 @@ from importlib import resources
 from .classgroup import (ClassGroupData, ConeError, SigmaMatrix, TorsionError,
                          class_group, class_of, parse_cone, same_class,
                          serialize_cone, sigma_matrix, verify_divisor_relations)
-from .divisorial import (ConicFacets, ConicPolytope, conic_classes,
-                         conic_facets, conic_polytope, enumerate_conic,
-                         is_conic)
+from .divisorial import (ConicPolytope, conic_classes, conic_facets,
+                         conic_polytope, enumerate_conic, is_conic)
 from .families import (GeneratedFamily, Rejection, TypeParams, classify,
                        expected_weight_table, generate_family, segre_poset)
 from .mcm import (Chamber, ChamberDecomposition, CriterionHypothesisError,

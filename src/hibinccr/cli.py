@@ -64,11 +64,8 @@ def _radius(text: str) -> int:
     return value
 
 
-def _emit(obj, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    else:
-        raise AssertionError(fmt)
+def _emit(obj) -> None:
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _read(path: str) -> str:
@@ -77,6 +74,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"error: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise UsageError(f"error: cannot read {path}: not UTF-8 text")
 
 
 def _write(path: str, text: str) -> None:
@@ -178,7 +177,7 @@ def _cmd_analyze(args) -> int:
         purity = is_pure(p)
         poly = polynomial_extension_edge(p)
         circuits = chordless_circuits(p)
-        cp = divisorial.conic_polytope(circuits, tree, cgd)
+        cp = divisorial.conic_polytope(circuits, cgd)
         conic = divisorial.enumerate_conic(cp)
         classification = families.classify(p)
         report.update({
@@ -208,7 +207,7 @@ def _cmd_analyze(args) -> int:
             "divisor_classes": [list(w) for w in cgd.weights],
             "conic_count": len(divisorial.conic_classes(cgd)),
         })
-    _emit(report, args.format)
+    _emit(report)
     return 0
 
 
@@ -222,7 +221,7 @@ def _classification_dict(result: families.ClassifyResult) -> dict:
 def _cmd_classify(args) -> int:
     p = parse_poset(_read_kind(args.input, "poset"))
     result = families.classify(p)
-    _emit({"input": args.input, **_classification_dict(result)}, args.format)
+    _emit({"input": args.input, **_classification_dict(result)})
     return 0 if isinstance(result, families.TypeParams) else NEGATIVE
 
 
@@ -231,13 +230,13 @@ def _cmd_conic(args) -> int:
     kind, obj, tree, cgd = _weights_for_input(text, args.tree)
     if kind == "poset":
         circuits = chordless_circuits(obj)
-        cp = divisorial.conic_polytope(circuits, tree, cgd)
+        cp = divisorial.conic_polytope(circuits, cgd)
         points = divisorial.enumerate_conic(cp)
     else:
         points = divisorial.conic_classes(cgd)
     if args.format == "json":
         _emit({"input": args.input, "conic_count": len(points),
-               "points": [list(pt) for pt in points]}, "json")
+               "points": [list(pt) for pt in points]})
     else:
         for pt in points:
             sys.stdout.write("\t".join(str(c) for c in pt) + "\n")
@@ -263,7 +262,7 @@ def _cmd_mcm_region(args) -> int:
     if args.format == "json":
         _emit({"input": args.input, "box": [list(b) for b in box],
                "mcm": sorted(list(p) for p in region),
-               "mcm_and_conic": sorted(list(p) for p in conic)}, "json")
+               "mcm_and_conic": sorted(list(p) for p in conic)})
     elif cgd.rank == 1:
         (x_lo, x_hi), = box
         cells = [_cell((x,), region, conic) for x in range(x_lo, x_hi + 1)]
@@ -309,7 +308,7 @@ def _cmd_nccr_verify(args) -> int:
     if args.certificate and report.gldim is not None \
             and report.gldim.certificate is not None:
         _write(args.certificate, report.gldim.certificate.to_json_lines())
-    _emit(out, args.format)
+    _emit(out)
     return 0 if report.ok else NEGATIVE
 
 
@@ -352,7 +351,7 @@ def _cmd_z1_analyze(args) -> int:
         "base_window": window.label(),
         "splitting_nccr_windows":
             f"T[c..c+{bound.summands - 1}] for every integer c, and no others",
-    }, args.format)
+    })
     return 0
 
 
@@ -380,7 +379,7 @@ def _cmd_z1_mutate(args) -> int:
         "result_window": result.window.label(),
         "kernel_class": result.kernel_class,
         "middle_classes": list(result.middle_classes),
-    }, args.format)
+    })
     return 0
 
 

@@ -2,21 +2,21 @@
 
 A class is conic iff it is a combination of the divisor weights with every
 coefficient in the half-open interval (-1, 0] (Bruns-Gubeladze).  Two
-independent routes decide it:
+independent routes build the conic classes as one kind of integer system,
+a :class:`ConicPolytope` of bound pairs lo <= <c, chi> <= hi:
 
-* the circuit polytope of a bounded poset, whose lattice points are the conic
-  classes in cotree coordinates (``conic_polytope``, ``enumerate_conic``);
-* the facet rule on the weights alone: one integer inequality per facet
-  normal of the zonotope sum_i [-1, 0] w_i, open or closed as the weights
-  decide (``conic_facets``, ``is_conic``, ``conic_classes``).
+* the circuit polytope of a bounded poset, one bound pair per chordless
+  circuit in the cotree coordinates of the class group (``conic_polytope``);
+* the facet rule on the weights alone, one bound pair per facet normal of
+  the zonotope sum_i [-1, 0] w_i, its open or closed side read as an
+  integer bound (``conic_facets``, ``is_conic``, ``conic_classes``).
 
-The two inequality systems are built independently; both are listed by
-the one integer Fourier-Motzkin enumerator, ``enumerate_conic``, as
-``conic_classes`` reads the facet rule as a ``ConicPolytope``.  It projects
-the system once, one level per variable, kept small by Chernikov's rule;
-a level past ``PROJECTION_ROW_BUDGET`` rows raises ``ConicTooLargeError``.
-Their agreement on every input is one of the strongest end-to-end checks
-in the test suite.
+Either system is tested pointwise by :meth:`ConicPolytope.contains` and
+listed by the one integer Fourier-Motzkin enumerator, ``enumerate_conic``.
+It projects the system once, one level per variable, kept small by
+Chernikov's rule; a level past ``PROJECTION_ROW_BUDGET`` rows raises
+``ConicTooLargeError``.  The agreement of the two routes on every input is
+one of the strongest end-to-end checks in the test suite.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence, TypeAlias, Union
 from . import intlattice
 from .classgroup import ClassGroupData
 from .intlattice import Vec
-from .posets import Circuit, TreeSelection
+from .posets import Circuit
 
 
 class UnboundedPolytopeError(ValueError):
@@ -77,27 +77,32 @@ class ConicPolytope:
     ineqs: tuple[tuple[Vec, int, int], ...]
     rank: int
 
+    def contains(self, chi: Vec) -> bool:
+        return all(lo <= intlattice.dot(coeffs, chi) <= hi
+                   for coeffs, lo, hi in self.ineqs)
 
-def conic_polytope(circuits: Sequence[Circuit], tree: TreeSelection,
+
+def conic_polytope(circuits: Sequence[Circuit],
                    weights: ClassGroupData) -> ConicPolytope:
     """One inequality per chordless circuit; duplicates keep tightest bounds.
 
     A circuit with u upward and v downward edges bounds the signed sum of its
-    cotree coordinates between -v+1 and u-1.
+    coordinates on the cotree edges of ``weights.cotree`` between -v+1 and
+    u-1.
     """
     rank = weights.rank
     if weights.cotree is None:
         raise ValueError("conic polytope needs Hibi class data with a cotree")
     pos = {e: k for k, e in enumerate(weights.cotree)}
     merged: dict[Vec, tuple[int, int]] = {}
-    for circ in circuits:
-        c = circ.with_tree(tree)
+    for c in circuits:
         coeffs = [0] * rank
-        assert c.z_plus is not None and c.z_minus is not None
-        for e in c.z_plus:
-            coeffs[pos[e]] += 1
-        for e in c.z_minus:
-            coeffs[pos[e]] -= 1
+        for e in c.x_plus:
+            if e in pos:
+                coeffs[pos[e]] += 1
+        for e in c.x_minus:
+            if e in pos:
+                coeffs[pos[e]] -= 1
         lo = -len(c.x_minus) + 1
         hi = len(c.x_plus) - 1
         key = tuple(coeffs)
@@ -194,36 +199,18 @@ def _var_range(rows: list[Row], prefix: Vec) -> range:
 # the facet rule
 
 
-@dataclass(frozen=True)
-class ConicFacets:
-    """The half-open zonotope sum_i (-1, 0] w_i as integer constraints.
-
-    A class chi is conic iff <e, chi> = 0 for every ``equations`` entry and,
-    for every ``(u, h)`` in ``facets``, <u, chi> < h or <u, chi> = h = 0.
-    """
-
-    equations: tuple[Vec, ...]
-    facets: tuple[tuple[Vec, int], ...]
-
-    def contains(self, chi: Vec) -> bool:
-        for e in self.equations:
-            if intlattice.dot(e, chi):
-                return False
-        for u, h in self.facets:
-            d = intlattice.dot(u, chi)
-            if not (d < h or d == h == 0):
-                return False
-        return True
-
-
-def conic_facets(weights: WeightsLike, rank: int) -> ConicFacets:
-    """The facet rule for classes of the given rank, built once per weight
-    system.
+def conic_facets(weights: WeightsLike, rank: int) -> ConicPolytope:
+    """The facet rule for classes of the given rank as a ``ConicPolytope``,
+    built once per weight system.
 
     Let Z = sum_i [-1, 0] w_i.  For each primitive normal u of a hyperplane
     spanned by rank-1 linearly independent weights, take u and -u with
     h_u = sum_i max(0, -<u, w_i>), the maximum of <u, .> on Z.  Then chi is
     conic iff every (u, h_u) has <u, chi> < h_u, or <u, chi> = h_u = 0.
+    As h_u >= 0 and chi is integral, that reads <u, chi> <= top(u) with
+    top(u) = h_u - [h_u != 0].  The system holds first (e, 0, 0) for each
+    equation e below, then (u, -top(-u), top(u)) for each sorted normal u
+    whose first nonzero entry is positive.
 
     Proof.  If <u, chi> = h_u > 0, chi lies on the face of Z where <u, .> is
     largest, and every representation of chi has s_i = -1 for each weight
@@ -242,7 +229,7 @@ def conic_facets(weights: WeightsLike, rank: int) -> ConicFacets:
     Weights that do not span Q^rank are first moved by the column transform
     V of the Smith normal form of their matrix, which clears every
     coordinate beyond its rank r: chi is conic iff chi V vanishes beyond r
-    (``equations``) and its first r coordinates satisfy the rule for the
+    (the equations) and its first r coordinates satisfy the rule for the
     moved weights, whose normals are read back through V.  Each normal is
     the primitive generator of the integer kernel of r-1 weights, the last
     column of their own Smith transform.  Zero weights change nothing.
@@ -266,9 +253,14 @@ def conic_facets(weights: WeightsLike, rank: int) -> ConicFacets:
         if u is not None:
             normal = tuple(intlattice.dot(row[:r], u) for row in V)
             normals |= {normal, tuple(-c for c in normal)}
-    facets = tuple((u, sum(max(0, -intlattice.dot(u, w)) for w in nonzero))
-                   for u in sorted(normals))
-    return ConicFacets(equations=tuple(columns[r:]), facets=facets)
+    tops = {}
+    for u in normals:
+        h = sum(max(0, -intlattice.dot(u, w)) for w in nonzero)
+        tops[u] = h - (h != 0)
+    ineqs = [(e, 0, 0) for e in columns[r:]]
+    ineqs += [(u, -tops[tuple(-c for c in u)], tops[u])
+              for u in sorted(normals) if next(c for c in u if c) > 0]
+    return ConicPolytope(ineqs=tuple(ineqs), rank=rank)
 
 
 def _kernel_generator(rows: Sequence[Vec]) -> Optional[Vec]:
@@ -293,15 +285,13 @@ def is_conic(chi: Vec, weights: WeightsLike) -> bool:
 
 def conic_classes(weights: WeightsLike) -> list[Vec]:
     """All conic classes, lexicographically sorted: the lattice points of
-    the facet rule read as a :class:`ConicPolytope` and listed by
+    the facet rule of :func:`conic_facets`, listed by
     :func:`enumerate_conic`, the enumerator of the circuit route.  Agrees
     with the circuit-polytope enumeration on Hibi inputs.
 
-    As h_u >= 0, the rule for (u, h_u) is <u, chi> <= h_u - [h_u != 0], so
-    each pair of opposite normals u, -u bounds <u, chi> on both sides and
-    each equation e pins <e, chi> to 0.  The points lie in the box
-    |chi_k| <= sum_i |w_ik|; a box whose side has more points than a Python
-    sequence can hold is refused with :class:`ConicBoxError`.
+    The points lie in the box |chi_k| <= sum_i |w_ik|; a box whose side has
+    more points than a Python sequence can hold is refused with
+    :class:`ConicBoxError`.
     """
     ws = weight_list(weights)
     if not ws:
@@ -314,15 +304,4 @@ def conic_classes(weights: WeightsLike) -> list[Vec]:
         box = " x ".join(f"[{-b}, {b}]" for b in bounds)
         raise ConicBoxError(f"the bounding box {box} of the conic classes "
                             f"is too large to enumerate")
-    return enumerate_conic(_facet_polytope(conic_facets(ws, rank), rank))
-
-
-def _facet_polytope(rule: ConicFacets, rank: int) -> ConicPolytope:
-    """The facet rule as one bound pair per pair of opposite normals and a
-    zero bound pair per equation."""
-    tops = {u: h - (h != 0) for u, h in rule.facets}
-    ineqs = [(e, 0, 0) for e in rule.equations]
-    for u, top in tops.items():
-        if next(c for c in u if c) > 0:
-            ineqs.append((u, -tops[tuple(-c for c in u)], top))
-    return ConicPolytope(ineqs=tuple(ineqs), rank=rank)
+    return enumerate_conic(conic_facets(ws, rank))

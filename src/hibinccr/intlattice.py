@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
+from math import gcd
 from typing import Optional, Sequence
 
 Vec = tuple[int, ...]
@@ -234,7 +235,6 @@ def dot(a: Vec, b: Vec) -> int:
 
 
 def primitive(v: Vec) -> Vec:
-    from math import gcd
     g = 0
     for c in v:
         g = gcd(g, abs(c))

@@ -44,7 +44,6 @@ class UnusableDirectionError(ValueError):
 @dataclass(frozen=True)
 class CharacterSet:
     chars: tuple[Vec, ...]
-    provenance: str = "user"
 
     def __contains__(self, chi: Vec) -> bool:
         return chi in self.chars
@@ -55,13 +54,12 @@ def nccr_characters(type_tag: str, params: Sequence[int]) -> CharacterSet:
     params = families.validate_params(type_tag, params)
     hi = families.FAMILIES[type_tag].corner(*params)
     chars = tuple((c1, c2) for c1 in range(hi[0] + 1) for c2 in range(hi[1] + 1))
-    label = ",".join(str(v) for v in params)
-    return CharacterSet(chars=chars, provenance=f"type {type_tag} ({label})")
+    return CharacterSet(chars=chars)
 
 
 def character_window(chars: Sequence[int]) -> CharacterSet:
     """Rank-one character sets (consecutive integers as 1-vectors)."""
-    return CharacterSet(chars=tuple((c,) for c in chars), provenance="window")
+    return CharacterSet(chars=tuple((c,) for c in chars))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import deque, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -37,24 +37,13 @@ class Circuit:
     """A chordless cycle of the Hasse graph with its up/down edge partition.
 
     ``x_plus`` / ``x_minus`` hold the edge indices traversed upward resp.
-    downward along ``vertex_cycle``.  ``z_plus`` / ``z_minus`` are their
-    intersections with the cotree of a chosen spanning tree; they stay
-    ``None`` until :meth:`with_tree` is called.
+    downward along ``vertex_cycle``.  The conic polytope reads them against
+    the cotree of a class group (``divisorial.conic_polytope``).
     """
 
     vertex_cycle: tuple[str, ...]
     x_plus: tuple[int, ...]
     x_minus: tuple[int, ...]
-    z_plus: Optional[tuple[int, ...]] = None
-    z_minus: Optional[tuple[int, ...]] = None
-
-    def with_tree(self, tree: "TreeSelection") -> "Circuit":
-        cotree = set(tree.cotree_edges)
-        return replace(
-            self,
-            z_plus=tuple(e for e in self.x_plus if e in cotree),
-            z_minus=tuple(e for e in self.x_minus if e in cotree),
-        )
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,9 @@ ceilings and floors of rational bounds instead of integer floor division.
 
 ``box_conic_classes`` is the conic enumeration the library ran before it
 read the facet rule as a polytope: every point of the bounding box
-|chi_k| <= sum_i |w_ik| is tested with ``ConicFacets.contains``.  It shares
-the rule with ``divisorial.conic_classes`` but not the enumerator.
+|chi_k| <= sum_i |w_ik| is tested with ``ConicPolytope.contains`` on the
+system of ``divisorial.conic_facets``.  It shares that system with
+``divisorial.conic_classes`` but not the enumerator.
 
 ``pairwise_endomorphism_is_mcm`` is the End-is-MCM check the library ran
 before it collected distinct differences: one loop over every ordered pair

@@ -41,7 +41,7 @@ def test_criterion_01_running_example_end_to_end():
     assert cgd.rank == 2
     assert cgd.weights == ((1, 0), (1, 0), (1, 0), (-1, 0),
                            (-1, -1), (-1, -1), (0, 1), (0, 1))
-    cp = conic_polytope(chordless_circuits(p), tree, cgd)
+    cp = conic_polytope(chordless_circuits(p), cgd)
     assert set(cp.ineqs) == {((1, 0), -2, 2), ((0, 1), -1, 1), ((1, -1), -2, 2)}
     points = enumerate_conic(cp)
     assert len(points) == 13
@@ -74,7 +74,7 @@ def test_criterion_02_conic_polytopes_closed_forms():
     for (tag, params), predicate in sorted(CONIC_FORMS.items()):
         fam = generate_family(tag, params)
         cgd = class_group(sigma_matrix(fam.poset), fam.figure_tree)
-        cp = conic_polytope(chordless_circuits(fam.poset), fam.figure_tree, cgd)
+        cp = conic_polytope(chordless_circuits(fam.poset), cgd)
         points = enumerate_conic(cp)
         expected = sorted((x, y) for x in range(-25, 26) for y in range(-25, 26)
                           if predicate((x, y)))
@@ -278,7 +278,7 @@ def test_criterion_09_oracle_equivalence():
         p = parse_poset(load_corpus(name))
         tree = spanning_tree(p)
         cgd = class_group(sigma_matrix(p), tree)
-        cp = conic_polytope(chordless_circuits(p), tree, cgd)
+        cp = conic_polytope(chordless_circuits(p), cgd)
         points = set(enumerate_conic(cp))
         if cgd.rank == 0:
             continue

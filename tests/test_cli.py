@@ -215,9 +215,11 @@ def test_rank2_demo_regions(capsys):
 
 # inputs written for the test; every other file name is a corpus file
 SCRATCH_INPUTS = {
-    "bad_dim.cone": "dim: x\nray: 1 0\n",
-    "smooth.cone": "dim: 2\nray: 1 0\nray: 0 1\n",  # class group rank 0
-    "huge_box.cone": "dim: 2\nray: 99999999999999999999 1\nray: -1 0\nray: 0 -1\n",
+    "bad_dim.cone": b"dim: x\nray: 1 0\n",
+    "smooth.cone": b"dim: 2\nray: 1 0\nray: 0 1\n",  # class group rank 0
+    "huge_box.cone": b"dim: 2\nray: 99999999999999999999 1\nray: -1 0\nray: 0 -1\n",
+    "latin1.poset": b"elements: a\xff b\n",  # not UTF-8
+    "latin1.cone": b"dim: 1\nray: 1\n# \xe9\n",
 }
 
 
@@ -245,13 +247,21 @@ SCRATCH_INPUTS = {
     ["z1", "analyze", "running_example.poset"],
     ["z1", "exchange-graph", "running_example.poset"],
     ["z1", "mutate", "running_example.poset", "--window-lo", "0", "--end", "low"],
+    ["analyze", "latin1.poset"],
+    ["classify", "latin1.poset"],
+    ["conic", "latin1.poset"],
+    ["mcm-region", "latin1.poset"],
+    ["nccr", "verify", "latin1.poset"],
+    ["z1", "analyze", "latin1.cone"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
         "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
         "unknown-option", "bad-format-choice", "negative-radius", "conic-huge-box",
         "analyze-huge-box", "unwritable-output", "unwritable-certificate",
         "conic-cone-tree", "mcm-region-cone-tree", "analyze-cone-tree",
         "classify-cone", "nccr-verify-cone", "z1-analyze-poset",
-        "z1-exchange-graph-poset", "z1-mutate-poset"])
+        "z1-exchange-graph-poset", "z1-mutate-poset", "analyze-not-utf8",
+        "classify-not-utf8", "conic-not-utf8", "mcm-region-not-utf8",
+        "nccr-verify-not-utf8", "z1-analyze-not-utf8"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
     """The command run as a program: exit 2, one ``error:`` line and no
     report (an output path in a missing directory is refused too)."""
@@ -261,7 +271,7 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv):
             token = str(tmp_path / token)
         elif token in SCRATCH_INPUTS:
             path = tmp_path / token
-            path.write_text(SCRATCH_INPUTS[token])
+            path.write_bytes(SCRATCH_INPUTS[token])
             token = str(path)
         elif token.endswith((".poset", ".cone")):
             token = str(corpus_path(token))
