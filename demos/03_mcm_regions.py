@@ -7,19 +7,20 @@ antennas at all (MCM equals conic there); type V keeps a full square plus
 four wings.
 """
 
-from hibinccr import TypeParams, expected_weight_table, is_conic, mcm_region
+from hibinccr import TypeParams, conic_facets, expected_weight_table, mcm_region
 
 
 def draw(tag, params, half_width, half_height):
     ws = expected_weight_table(TypeParams(tag, params, "as-given"))
     box = [(-half_width, half_width), (-half_height, half_height)]
     region = mcm_region(ws, box)
+    rule = conic_facets(ws, 2)
     print(f"type {tag} {params}   ({len(region)} MCM classes in the box)")
     for y in range(half_height, -half_height - 1, -1):
         row = []
         for x in range(-half_width, half_width + 1):
             if (x, y) in region:
-                row.append("#" if is_conic((x, y), ws) else "+")
+                row.append("#" if rule.contains((x, y)) else "+")
             else:
                 row.append(".")
         print("   " + "".join(row))

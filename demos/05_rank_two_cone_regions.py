@@ -8,7 +8,7 @@ Note how much smaller the conic set is than the MCM set.
 """
 
 from hibinccr import (class_group, chamber_decomposition, corpus_path,
-                      conic_classes, is_conic, mcm_region, parse_cone)
+                      conic_classes, mcm_region, parse_cone)
 
 cone = parse_cone(corpus_path("rank2_demo.cone").read_text())
 cgd = class_group(cone)
@@ -23,7 +23,7 @@ for c in dec.chambers:
 print(f"\n{len(dec.chambers)} chambers ({kinds}); "
       f"criterion hypothesis holds: {dec.hypothesis_ok}")
 
-conic = conic_classes(cgd)
+conic = set(conic_classes(cgd))
 region = mcm_region(cgd, [(-6, 6), (-6, 6)])
 print(f"\nconic classes: {len(conic)}")
 print(f"MCM classes in [-6,6]^2: {len(region)}")
@@ -32,7 +32,7 @@ for y in range(6, -7, -1):
     row = []
     for x in range(-6, 7):
         if (x, y) in region:
-            row.append("#" if is_conic((x, y), cgd) else "+")
+            row.append("#" if (x, y) in conic else "+")
         else:
             row.append(".")
     print("   " + "".join(row))

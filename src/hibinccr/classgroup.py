@@ -86,21 +86,20 @@ class ClassGroupData:
 
     ``weights[i]`` is the class of the i-th divisor (edge or ray).  For Hibi
     input, ``cotree`` holds the edge indices whose classes are the standard
-    basis, in coordinate order.
+    basis, in coordinate order; it is ``None`` for cone input.  Torsion is
+    refused with :class:`TorsionError`, so there is no torsion part.
     """
 
     rank: int
-    torsion: tuple[int, ...]
     weights: tuple[Vec, ...]
     cotree: Optional[tuple[int, ...]] = None
-    source: str = HIBI
 
     @cached_property
     def mcm_test(self) -> "McmTest":
         """The compiled MCM test of these weights (:class:`mcm.McmTest`),
         built on first use and held by this instance, so it is freed with
         it.  Stored in the instance ``__dict__``, as ``BoundedPoset`` keeps
-        its Hasse index; fields, equality and hashing are untouched."""
+        its derived lookups; fields, equality and hashing are untouched."""
         from .mcm import McmTest  # mcm imports this module
         return McmTest(self.weights)
 
@@ -221,8 +220,7 @@ def _class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
         up = parent_edge[v]
         sign = 1 if ends[up][0] == v else -1
         weights[up] = tuple(-sign * b for b in _balance(v, incident[v], ends, weights))
-    return ClassGroupData(rank=rank, torsion=(), weights=tuple(weights),
-                          cotree=cotree, source=HIBI)
+    return ClassGroupData(rank=rank, weights=tuple(weights), cotree=cotree)
 
 
 def _balance(v: int, edge_ids: Sequence[int], ends: Sequence[tuple[int, int]],
@@ -255,8 +253,7 @@ def _class_group_cone(s: SigmaMatrix) -> ClassGroupData:
         if first is not None and first < 0:
             weights = [tuple(-w[k] if j == k else w[j] for j in range(rank))
                        for w in weights]
-    return ClassGroupData(rank=rank, torsion=(), weights=tuple(weights),
-                          cotree=None, source=CONE)
+    return ClassGroupData(rank=rank, weights=tuple(weights))
 
 
 def class_of(a: Sequence[int], cgd: ClassGroupData) -> Vec:

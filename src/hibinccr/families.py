@@ -121,9 +121,10 @@ def classify(p: BoundedPoset) -> ClassifyResult:
     if rank is None:
         return Rejection("not-gorenstein", "poset is not pure, the ring is not Gorenstein")
 
-    length = rank[TOP]
-    deg3 = [el for el, d in zip(p.elements, degrees) if d == 3]
-    deg4 = [el for el, d in zip(p.elements, degrees) if d == 4]
+    top = n_vertices - 1
+    length = rank[top]
+    deg3 = [i for i, d in enumerate(degrees) if d == 3]
+    deg4 = [i for i, d in enumerate(degrees) if d == 4]
     assert (len(deg3), len(deg4)) in ((2, 0), (0, 1)), "degree profile is forced"
 
     if deg4:
@@ -132,40 +133,39 @@ def classify(p: BoundedPoset) -> ClassifyResult:
         return _canonical("IV", (m, n), (n, m))
 
     a, b = deg3
-    special = [el for el in (a, b) if el in (BOTTOM, TOP)]
+    special = [i for i in (a, b) if i in (0, top)]
     if len(special) == 2:
         return TypeParams("V", (length - 2,), AS_GIVEN)
     if len(special) == 1:
-        w = a if b in (BOTTOM, TOP) else b
-        if special[0] == TOP:
+        w = a if b in (0, top) else b
+        if special[0] == top:
             return TypeParams("I", (rank[w] - 1, length - rank[w] - 1), AS_GIVEN)
         return TypeParams("I", (length - rank[w] - 1, rank[w] - 1), FLIPPED)
 
     # both interior: II or III, split at the up/down valencies
-    splitter = next(el for el in (a, b) if len(p.up_neighbors(el)) == 2)
-    merger = next(el for el in (a, b) if len(p.down_neighbors(el)) == 2)
+    splitter = next(i for i in (a, b) if len(p.covers(i, 0)) == 2)
+    merger = next(i for i in (a, b) if len(p.covers(i, 1)) == 2)
     assert splitter != merger
-    arms = [_walk_up(p, u, {splitter, merger}) for u in p.up_neighbors(splitter)]
-    into_merger = [end for end, steps in arms if end == merger]
+    into_merger = [_walk_up(p, u, (splitter, merger, top))
+                   for u in p.covers(splitter, 0)].count(merger)
     l = rank[splitter] - 1
+    m = rank[merger] - rank[splitter]
     n = length - rank[merger] - 1
-    if len(into_merger) == 2:
-        m = rank[merger] - rank[splitter]
+    if into_merger == 2:
         return _canonical("III", (l, m, n), (n, m, l))
-    if len(into_merger) == 1:
-        m = rank[merger] - rank[splitter]
+    if into_merger == 1:
         return _canonical("II", (l, m, n), (n, m, l))
     raise AssertionError("splitter arms reach neither pattern")  # poly-ext caught above
 
 
-def _walk_up(p: BoundedPoset, start: str, stops: set[str]) -> tuple[str, int]:
-    cur, steps = start, 1
-    while cur not in stops and cur != TOP:
-        ups = p.up_neighbors(cur)
+def _walk_up(p: BoundedPoset, start: int, stops: tuple[int, ...]) -> int:
+    """The first of the stops on the plain chain going up from start."""
+    cur = start
+    while cur not in stops:
+        ups = p.covers(cur, 0)
         assert len(ups) == 1, "walk must follow a plain chain"
         cur = ups[0]
-        steps += 1
-    return cur, steps
+    return cur
 
 
 def _canonical(tag: str, as_given: tuple[int, ...], flipped: tuple[int, ...]) -> TypeParams:
@@ -251,8 +251,7 @@ def generate_family(type_tag: str, params: Sequence[int]) -> GeneratedFamily:
     covers = [pair for chain in chains for pair in _chain_covers(chain)]
     interior = sorted({el for chain in chains for el in chain})
     poset = build_poset(interior, covers)
-    cot = [poset.edge_index(*pair) for pair in cotree_ends]
-    assert all(k is not None for k in cot)
+    cot = [poset.edges.index(pair) for pair in cotree_ends]
     tree = spanning_tree(poset, hint=[k for k in range(poset.n_edges)
                                       if k not in cot])
     return GeneratedFamily(poset=poset, params=TypeParams(type_tag, params, AS_GIVEN),

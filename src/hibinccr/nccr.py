@@ -504,10 +504,8 @@ def verify_nccr(p: BoundedPoset) -> NccrReport:
         return NccrReport(verdict="rejected",
                           reason=f"class group rank {rank} is out of scope (1 or 2)")
 
+    # pure, no polynomial-extension edge and rank 2: classify cannot reject
     result = families.classify(p)
-    if isinstance(result, families.Rejection):
-        return NccrReport(verdict="rejected", reason=result.message,
-                          classification=result)
     table = tuple(families.expected_weight_table(result))
     computed = class_group(sigma_matrix(p), spanning_tree(p))
     if find_unimodular_match(computed.weights, table) is None:

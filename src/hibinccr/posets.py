@@ -5,17 +5,18 @@ pairs.  A global minimum ``bot`` and maximum ``top`` are adjoined
 automatically, so every :class:`BoundedPoset` is bounded and its Hasse graph
 is connected.  Elements are numbered once, when the elements line is read:
 ``bot`` is position 0, the interior names in sorted order are 1..n and
-``top`` is n + 1; the order checks and the edge walk run on positions, and
-names return only in the finished edge list.  Everything downstream (class
-groups, conic polytopes, MCM regions) consumes the edge list of this graph,
-so edge indices are kept stable and canonical: they depend only on the
-abstract poset, never on the order cover pairs were written in.
+``top`` is n + 1.  The order checks, the edge walk and the stored edges are
+on positions, and so are the chain, circuit and tree walks; names are built
+only for output.  Everything downstream (class groups, conic polytopes, MCM
+regions) consumes the edge list of this graph, so edge indices are kept
+stable and canonical: they depend only on the abstract poset, never on the
+order cover pairs were written in.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque, namedtuple
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -61,31 +62,22 @@ class PurityReport:
     chain_length: Optional[int]  # common edge count of maximal chains, if pure
 
 
-# Everything the accessors and graph walks of one poset look up, built in
-# one pass: element positions, (lower, upper) -> first edge index, and each
-# edge's end positions and each position's edge ids, in edge order; the
-# covers of an element are read from its edge ids.  A plain named tuple,
-# because a dataclass or a typed NamedTuple takes 0.1-0.5 ms more to create
-# at import.
-_HasseIndex = namedtuple("_HasseIndex", "position edge ends incident")
-
-
 @dataclass(frozen=True)
 class BoundedPoset:
     """A finite poset with adjoined minimum ``bot`` and maximum ``top``.
 
     ``elements`` lists ``bot`` first, the interior elements sorted, ``top``
-    last; the position of an element in it, the numbering the parser and
-    builder work on, is its coordinate index for the cone of linear forms.
-    ``edges`` lists the Hasse edges as (lower, upper) pairs in canonical
-    order (upward depth-first search from ``bot`` with neighbours in position
-    order, which is name order).  Positions, neighbours, degrees, edge
-    indices, edge ends and incident edges are answered from one index over
-    the Hasse graph, built on first use.
+    last; the position of an element in it, the numbering the parser,
+    builder and graph walks work on, is its coordinate index for the cone
+    of linear forms.  ``edge_ends`` lists the Hasse edges as (lower, upper)
+    position pairs in canonical order (upward depth-first search from
+    ``bot`` with neighbours in position order, which is name order).  The
+    name pairs (``edges``), each position's incident edges and the name to
+    position lookup are derived on first use.
     """
 
     elements: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    edge_ends: tuple[tuple[int, int], ...]
 
     # -- basic accessors ----------------------------------------------------
 
@@ -100,74 +92,67 @@ class BoundedPoset:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ends)
+
+    # A frozen dataclass still has an instance __dict__, which is where
+    # cached_property stores what it derives; fields, equality and hashing
+    # are untouched.
 
     @cached_property
-    def _hasse(self) -> _HasseIndex:
-        # A frozen dataclass still has an instance __dict__, which is where
-        # cached_property stores the index; fields, equality and hashing
-        # are untouched.
-        position: dict[str, int] = {}
-        for i, el in enumerate(self.elements):
-            position.setdefault(el, i)
-        edge: dict[tuple[str, str], int] = {}
-        ends: list[tuple[int, int]] = []
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """The Hasse edges as (lower, upper) name pairs, in edge order."""
+        elements = self.elements
+        return tuple((elements[l], elements[u]) for l, u in self.edge_ends)
+
+    @cached_property
+    def _incident(self) -> list[list[int]]:
         incident: list[list[int]] = [[] for _ in self.elements]
-        for k, e in enumerate(self.edges):
-            edge.setdefault(e, k)
-            i, j = position[e[0]], position[e[1]]
-            ends.append((i, j))
-            incident[i].append(k)
-            incident[j].append(k)
-        return _HasseIndex(position=position, edge=edge, ends=tuple(ends),
-                           incident=incident)
+        for k, (l, u) in enumerate(self.edge_ends):
+            incident[l].append(k)
+            incident[u].append(k)
+        return incident
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {el: i for i, el in enumerate(self.elements)}
 
     def index(self, el: str) -> int:
         try:
-            return self._hasse.position[el]
+            return self._position[el]
         except KeyError:
             raise ValueError(f"{el!r} is not an element") from None
 
     def up_neighbors(self, el: str) -> tuple[str, ...]:
         """The upper covers of el, in edge order."""
-        return self._covers(el, 0)
+        return self._named_covers(el, 0)
 
     def down_neighbors(self, el: str) -> tuple[str, ...]:
         """The lower covers of el, in edge order."""
-        return self._covers(el, 1)
+        return self._named_covers(el, 1)
 
-    def _covers(self, el: str, side: int) -> tuple[str, ...]:
-        # the far ends of the edges whose `side` end (0 lower, 1 upper) is el
-        h = self._hasse
-        i = h.position.get(el)
-        if i is None:
-            return ()
-        ends, elements = h.ends, self.elements
-        return tuple(elements[ends[k][1 - side]] for k in h.incident[i] if ends[k][side] == i)
+    def _named_covers(self, el: str, end: int) -> tuple[str, ...]:
+        i = self._position.get(el)
+        return () if i is None else tuple(self.elements[j] for j in self.covers(i, end))
+
+    def covers(self, i: int, end: int) -> list[int]:
+        """The far ends of the edges whose ``end`` end (0 lower, 1 upper) is
+        position i: its upper covers for 0, its lower covers for 1, as
+        positions in edge order."""
+        ends = self.edge_ends
+        return [ends[k][1 - end] for k in self._incident[i] if ends[k][end] == i]
 
     def degree(self, el: str) -> int:
-        i = self._hasse.position.get(el)
-        return 0 if i is None else len(self._hasse.incident[i])
+        i = self._position.get(el)
+        return 0 if i is None else len(self._incident[i])
 
     @property
     def degrees(self) -> list[int]:
         """The degree of each element, in position order."""
-        return [len(ks) for ks in self._hasse.incident]
-
-    def edge_index(self, a: str, b: str) -> Optional[int]:
-        """Index of the edge joining a and b, in either order."""
-        edge = self._hasse.edge
-        k = edge.get((a, b))
-        return edge.get((b, a)) if k is None else k
-
-    @property
-    def edge_ends(self) -> tuple[tuple[int, int], ...]:
-        """The (lower, upper) positions of each edge, in edge order."""
-        return self._hasse.ends
+        return [len(ks) for ks in self._incident]
 
     def incident_edges(self, i: int) -> Sequence[int]:
         """The ids of the edges at the element in position i, ascending."""
-        return self._hasse.incident[i]
+        return self._incident[i]
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +269,13 @@ def _build(names: Sequence[str], covers: Sequence[tuple[int, int]]) -> BoundedPo
         ups.sort()
         if not ups:
             ups.append(top)
-    elements = (BOTTOM, *names, TOP)
-    edges: list[tuple[str, str]] = []
+    edges: list[tuple[int, int]] = []
     seen = bytearray(top + 1)  # bot is never reached again: no edge ends there
     stack = [(0, iter(up[0]))]
     while stack:
         v, neighbours = stack[-1]
         for u in neighbours:
-            edges.append((elements[v], elements[u]))
+            edges.append((v, u))
             if not seen[u]:
                 seen[u] = 1
                 stack.append((u, iter(up[u])))
@@ -299,7 +283,7 @@ def _build(names: Sequence[str], covers: Sequence[tuple[int, int]]) -> BoundedPo
         else:
             stack.pop()
     assert all(seen[1:])
-    return BoundedPoset(elements=elements, edges=tuple(edges))
+    return BoundedPoset(elements=(BOTTOM, *names, TOP), edge_ends=tuple(edges))
 
 
 def serialize_poset(p: BoundedPoset) -> str:
@@ -327,16 +311,16 @@ def relabel(p: BoundedPoset, mapping: dict[str, str]) -> BoundedPoset:
 # chains and purity
 
 
-def rank_function(p: BoundedPoset) -> Optional[dict[str, int]]:
-    """Edge-distance from ``bot`` when the poset is graded, else ``None``."""
-    rank: dict[str, int] = {BOTTOM: 0}
-    for l, u in p.edges:  # canonical order is upward-reachable, so l is ranked
+def rank_function(p: BoundedPoset) -> Optional[list[int]]:
+    """Each element's edge-distance from ``bot``, indexed by position, when
+    the poset is graded, else ``None``."""
+    rank = [0] + [-1] * (len(p.elements) - 1)
+    for l, u in p.edge_ends:  # canonical order is upward-reachable, so l is ranked
         r = rank[l] + 1
-        if u in rank:
-            if rank[u] != r:
-                return None
-        else:
+        if rank[u] < 0:
             rank[u] = r
+        elif rank[u] != r:
+            return None
     return rank
 
 
@@ -348,7 +332,7 @@ def is_pure(p: BoundedPoset) -> PurityReport:
     rank = rank_function(p)
     if rank is None:
         return PurityReport(pure=False, chain_length=None)
-    return PurityReport(pure=True, chain_length=rank[TOP])
+    return PurityReport(pure=True, chain_length=rank[-1])
 
 
 def polynomial_extension_edge(p: BoundedPoset) -> Optional[int]:
@@ -357,8 +341,8 @@ def polynomial_extension_edge(p: BoundedPoset) -> Optional[int]:
     Such an edge makes the associated ring a polynomial extension; the NCCR
     pipeline refuses those inputs.
     """
-    ends, incident = p._hasse.ends, p._hasse.incident
-    bottom, top = p.index(BOTTOM), p.index(TOP)
+    ends, incident = p.edge_ends, p._incident
+    bottom, top = 0, len(p.elements) - 1
     indeg = [0] * len(p.elements)
     for _, u in ends:
         indeg[u] += 1
@@ -407,11 +391,10 @@ def chordless_circuits(p: BoundedPoset) -> list[Circuit]:
     smaller-indexed of that vertex's two cycle neighbours; circuits are
     returned sorted by (length, vertex indices).
     """
-    ends, incident = p._hasse.ends, p._hasse.incident
+    ends, incident = p.edge_ends, p._incident
     tree = spanning_tree(p)
-    root = p.index(BOTTOM)
-    root_path = {root: 0}  # edge bitset of the tree path from bot
-    queue = deque([root])
+    root_path = {0: 0}  # edge bitset of the tree path from bot
+    queue = deque([0])
     while queue:
         v = queue.popleft()
         for k in incident[v]:
@@ -432,7 +415,7 @@ def chordless_circuits(p: BoundedPoset) -> list[Circuit]:
         if walk is not None:
             walks.append(walk)
     walks.sort(key=lambda w: (len(w), w))
-    return [_orient(p, tuple(p.elements[i] for i in w)) for w in walks]
+    return [_orient(p, w) for w in walks]
 
 
 def _chordless_walk(edge_bits: int, ends: Sequence[tuple[int, int]],
@@ -464,17 +447,15 @@ def _chordless_walk(edge_bits: int, ends: Sequence[tuple[int, int]],
     return tuple(walk)
 
 
-def _orient(p: BoundedPoset, cyc: tuple[str, ...]) -> Circuit:
+def _orient(p: BoundedPoset, walk: tuple[int, ...]) -> Circuit:
+    ends, incident = p.edge_ends, p._incident
     ups, downs = [], []
-    for i, v in enumerate(cyc):
-        w = cyc[(i + 1) % len(cyc)]
-        k = p.edge_index(v, w)
-        assert k is not None
-        if p.edges[k][0] == v:
-            ups.append(k)
-        else:
-            downs.append(k)
-    return Circuit(vertex_cycle=cyc, x_plus=tuple(sorted(ups)), x_minus=tuple(sorted(downs)))
+    for i, v in enumerate(walk):
+        w = walk[(i + 1) % len(walk)]
+        k = next(k for k in incident[v] if ends[k][0] + ends[k][1] - v == w)
+        (ups if ends[k][0] == v else downs).append(k)
+    return Circuit(vertex_cycle=tuple(p.elements[v] for v in walk),
+                   x_plus=tuple(sorted(ups)), x_minus=tuple(sorted(downs)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +479,9 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
         cotree = tuple(k for k in range(p.n_edges) if k not in tree)
         return TreeSelection(tree_edges=tree, cotree_edges=cotree)
 
-    ends, incident = p._hasse.ends, p._hasse.incident
-    root = p.index(BOTTOM)
-    visited = {root}
-    queue = deque([root])
+    ends, incident = p.edge_ends, p._incident
+    visited = {0}
+    queue = deque([0])
     tree_list: list[int] = []
     while queue:
         v = queue.popleft()

@@ -92,7 +92,7 @@ from math import ceil, floor, gcd
 from typing import Iterable, Optional, Sequence
 
 from hibinccr import cli, divisorial, mcm
-from hibinccr.classgroup import HIBI, ClassGroupData, SigmaMatrix, _class_group_cone
+from hibinccr.classgroup import ClassGroupData, SigmaMatrix, _class_group_cone
 from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
 from hibinccr.intlattice import Matrix, Vec, cross, dot, lattice_contains, primitive
 from hibinccr.nccr import (CertStep, CharacterSet, EndMcmReport, GldimCertificate,
@@ -416,7 +416,9 @@ def string_build_poset(interior: Sequence[str],
             stack.pop()
     elements = (BOTTOM, *sorted(interior), TOP)
     assert seen == set(elements)
-    return BoundedPoset(elements=elements, edges=tuple(edges))
+    position = {el: i for i, el in enumerate(elements)}
+    return BoundedPoset(elements=elements,
+                        edge_ends=tuple((position[l], position[u]) for l, u in edges))
 
 
 def _string_topological(interior: Sequence[str], up: dict[str, set[str]]) -> list[str]:
@@ -684,8 +686,7 @@ def snf_class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
         if coords is None or None in coords:
             raise ValueError("the cotree classes are not a basis of the class group")
         weights = tuple(tuple(c) for c in coords)
-    return ClassGroupData(rank=rank, torsion=(), weights=weights,
-                          cotree=cotree, source=HIBI)
+    return ClassGroupData(rank=rank, weights=weights, cotree=cotree)
 
 
 def fraction_enumerate_conic(cp: ConicPolytope) -> list[Vec]:
