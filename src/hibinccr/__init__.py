@@ -3,8 +3,6 @@ groups, conic and maximal Cohen-Macaulay divisorial-ideal classes, and
 splitting non-commutative crepant resolutions with replayable certificates.
 """
 
-from importlib import resources
-
 from .classgroup import (ClassGroupData, ConeError, SigmaMatrix, TorsionError,
                          class_group, class_of, parse_cone, same_class,
                          serialize_cone, sigma_matrix, verify_divisor_relations)
@@ -34,4 +32,6 @@ __version__ = "0.1.0"
 
 def corpus_path(name: str):
     """Path to a bundled corpus file (poset and cone inputs)."""
+    from importlib import resources  # brings zipfile, tempfile and pathlib
+
     return resources.files(__package__) / "corpus" / name

@@ -14,13 +14,13 @@ documented sign convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import intlattice
 from .intlattice import Matrix, Vec
 from .posets import BoundedPoset, TreeSelection
+from .record import Record
 
 if TYPE_CHECKING:
     from .mcm import McmTest
@@ -37,8 +37,7 @@ class TorsionError(ValueError):
     """The class group has torsion; only free class groups are supported."""
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
+class SigmaMatrix(Record):
     """Rows are the ray generators of the cone read as linear forms, one per
     prime divisor, in ``d`` coordinates.
 
@@ -49,10 +48,12 @@ class SigmaMatrix:
     anew on each request and never stored.
     """
 
-    source: str  # HIBI or CONE
-    d: int
-    rays: tuple[Vec, ...] = ()                   # CONE
-    edge_ends: tuple[tuple[int, int], ...] = ()  # HIBI
+    _fields = ("source", "d", "rays", "edge_ends")
+
+    def __init__(self, source: str, d: int, rays: tuple[Vec, ...] = (),
+                 edge_ends: tuple[tuple[int, int], ...] = ()) -> None:
+        # source is HIBI or CONE; CONE input sets rays, HIBI input edge_ends
+        self.__dict__.update(source=source, d=d, rays=rays, edge_ends=edge_ends)
 
     @property
     def n(self) -> int:
@@ -80,8 +81,7 @@ class SigmaMatrix:
         return intlattice.smith_normal_form(self.rows)
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
+class ClassGroupData(Record):
     """Free class group of rank n - d with every prime divisor as a weight.
 
     ``weights[i]`` is the class of the i-th divisor (edge or ray).  For Hibi
@@ -90,16 +90,19 @@ class ClassGroupData:
     refused with :class:`TorsionError`, so there is no torsion part.
     """
 
-    rank: int
-    weights: tuple[Vec, ...]
-    cotree: Optional[tuple[int, ...]] = None
+    _fields = ("rank", "weights", "cotree")
+
+    def __init__(self, rank: int, weights: tuple[Vec, ...],
+                 cotree: Optional[tuple[int, ...]] = None) -> None:
+        self.__dict__.update(rank=rank, weights=weights, cotree=cotree)
 
     @cached_property
     def mcm_test(self) -> "McmTest":
         """The compiled MCM test of these weights (:class:`mcm.McmTest`),
         built on first use and held by this instance, so it is freed with
         it.  Stored in the instance ``__dict__``, as ``BoundedPoset`` keeps
-        its derived lookups; fields, equality and hashing are untouched."""
+        its derived lookups; it is not a field, so equality, hashing and
+        ``repr`` do not see it."""
         from .mcm import McmTest  # mcm imports this module
         return McmTest(self.weights)
 

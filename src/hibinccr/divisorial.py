@@ -22,10 +22,9 @@ one of the strongest end-to-end checks in the test suite.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
-from typing import Optional, Sequence, TypeAlias, Union
+from typing import NamedTuple, Optional, Sequence, TypeAlias, Union
 
 from . import intlattice
 from .classgroup import ClassGroupData
@@ -70,8 +69,7 @@ def weight_list(weights: WeightsLike) -> list[Vec]:
     return [tuple(w) for w in weights]
 
 
-@dataclass(frozen=True)
-class ConicPolytope:
+class ConicPolytope(NamedTuple):
     """Integer inequality system lo <= <coeffs, z> <= hi in class coordinates."""
 
     ineqs: tuple[tuple[Vec, int, int], ...]

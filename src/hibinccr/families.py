@@ -19,7 +19,6 @@ covariants assemble into a splitting NCCR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, TypeAlias, Union
 
 from .intlattice import Vec
@@ -30,15 +29,13 @@ AS_GIVEN = "as-given"
 FLIPPED = "flipped"
 
 
-@dataclass(frozen=True)
-class TypeParams:
+class TypeParams(NamedTuple):
     type_tag: str            # "I" .. "V"
     params: tuple[int, ...]  # (m, n) / (l, m, n) / (n,)
     orientation: str         # AS_GIVEN or FLIPPED
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     code: str     # "rank" | "degree" | "polynomial-extension" | "not-gorenstein"
     message: str
 
@@ -189,8 +186,7 @@ def expected_weight_table(tp: TypeParams) -> list[Vec]:
 # family generators
 
 
-@dataclass(frozen=True)
-class GeneratedFamily:
+class GeneratedFamily(NamedTuple):
     poset: BoundedPoset
     params: TypeParams
     figure_tree: TreeSelection  # the spanning tree whose cotree matches the table

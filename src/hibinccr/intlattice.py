@@ -14,11 +14,13 @@ Everything works on plain Python ints (lists of lists); inputs here are tiny
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import permutations
 from math import gcd
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vec = tuple[int, ...]
 Matrix = list[list[int]]
@@ -119,6 +121,8 @@ def solve_rational(a: Sequence[Sequence[int]],
     Raises ValueError when A does not have full column rank.  Solved on the
     Smith form: with U A V = D, D z = U b is diagonal and y = V z.
     """
+    from fractions import Fraction  # the only rational arithmetic; loaded when used
+
     d = len(a[0])
     D, U, V = smith_normal_form(a)
     if len(D) < d or any(D[i][i] == 0 for i in range(d)):

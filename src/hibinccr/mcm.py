@@ -23,14 +23,14 @@ does).  Nothing is cached at module level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .classgroup import ClassGroupData
 from .divisorial import WeightsLike, weight_list
 from .intlattice import Vec, angle_key, cross, dot, primitive
+from .record import Record
 
 CLOSED = "closed"        # contains both boundary rays (lone ray or closed cone)
 HALF_OPEN = "half_open"  # contains exactly one boundary ray
@@ -46,15 +46,13 @@ class CriterionHypothesisError(ValueError):
     criterion; results would be meaningless, so we refuse instead."""
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     t_set: tuple[int, ...]          # divisor indices pairing strictly negatively
     kind: str                       # CLOSED / HALF_OPEN / OPEN
     witness: Vec                    # an integer direction inside the chamber
 
 
-@dataclass(frozen=True)
-class ChamberDecomposition:
+class ChamberDecomposition(NamedTuple):
     chambers: tuple[Chamber, ...]
     hypothesis_failures: tuple[tuple[int, int, int], ...]  # (index, size, needed)
 
@@ -63,8 +61,7 @@ class ChamberDecomposition:
         return not self.hypothesis_failures
 
 
-@dataclass(frozen=True)
-class NonMcmCone:
+class NonMcmCone(Record):
     """Characters offset + (non-negative combination of generators) are the
     non-MCM classes detected by one chamber.
 
@@ -81,17 +78,15 @@ class NonMcmCone:
     freed at once.
     """
 
-    offset: Vec
-    generators: tuple[Vec, ...]
-    _member: Callable[[int, int], bool] = field(init=False, repr=False, compare=False)
+    _fields = ("offset", "generators")
 
-    def __post_init__(self) -> None:
-        rank = len(self.offset)
+    def __init__(self, offset: Vec, generators: tuple[Vec, ...]) -> None:
+        rank = len(offset)
         if rank not in (1, 2):
             raise ValueError("non-MCM cones are implemented for rank 1 and 2")
-        for g in self.generators:
+        for g in generators:
             _check_rank(g, rank)
-        gens = sorted({_plane(g) for g in self.generators} - {(0, 0)})
+        gens = sorted({_plane(g) for g in generators} - {(0, 0)})
         units = [g for g in gens if _in_cone_2d((-g[0], -g[1]), gens)]
         rest = [g for g in gens if g not in units]
         lattice = _unit_lattice(units)
@@ -101,8 +96,8 @@ class NonMcmCone:
             assert not (a and c), "unit directions must be collinear"
             phi = _positive_functional(rest, (a, b) if a else (0, c) if c else None)
         steps = tuple((dot(phi, g), g[0], g[1]) for g in rest)
-        object.__setattr__(self, "_member",
-                           _member_test(_plane(self.offset), lattice, phi, steps))
+        self.__dict__.update(offset=offset, generators=generators,
+                             _member=_member_test(_plane(offset), lattice, phi, steps))
 
     def contains(self, chi: Vec) -> bool:
         """Is chi one of the cone's non-MCM characters?"""
@@ -385,6 +380,14 @@ class McmTest:
     and live as long as the test.  Calling the test checks the rank of chi.
     Build one with :meth:`of` to reuse the test a
     :class:`~hibinccr.classgroup.ClassGroupData` already holds.
+
+    A query far from the origin is slow: it closes every cone's levels up
+    to its own phi level, and each level set grows linearly with the level,
+    so time and memory grow quadratically with the query's distance.  On
+    ``corpus/rank2_demo.cone`` a fresh test asked about (100, 0) takes about
+    50 ms and 0.7 MiB (tracemalloc peak), (1000, 0) 5.7 s and 77 MiB, and
+    (3000, 0) 52 s and 754 MiB.  Bounding it needs a proven bound on the
+    non-MCM holes.
     """
 
     def __init__(self, weights: WeightsLike):
@@ -432,7 +435,9 @@ def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
     A :class:`~hibinccr.classgroup.ClassGroupData` holds its compiled
     :class:`McmTest`, so repeated queries against it share one compilation.
     A plain weight sequence is compiled on every call; to ask many questions
-    of one, build ``McmTest(weights)`` once and call it.
+    of one, build ``McmTest(weights)`` once and call it.  The cost of a
+    rank-2 query grows quadratically with its distance from the origin (see
+    :class:`McmTest`): (1000, 0) on ``corpus/rank2_demo.cone`` takes seconds.
     """
     test = McmTest.of(weights)
     _check_rank(chi, test.rank)

@@ -25,25 +25,30 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, product
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import divisorial, families, mcm, rank1 as rank1_mod
 from .classgroup import class_group, sigma_matrix
 from .divisorial import WeightsLike, weight_list
 from .intlattice import Vec, convex_hull, dot, find_unimodular_match, primitive
 from .posets import BoundedPoset, is_pure, polynomial_extension_edge, spanning_tree
+from .record import Record
 
 
 class UnusableDirectionError(ValueError):
     """No weight pairs strictly positively with the direction."""
 
 
-@dataclass(frozen=True)
-class CharacterSet:
-    chars: tuple[Vec, ...]
+class CharacterSet(Record):
+    """The characters whose covariants are the summands of a module, in a
+    fixed order; ``chi in s`` asks whether chi is one of them."""
+
+    _fields = ("chars",)
+
+    def __init__(self, chars: tuple[Vec, ...]) -> None:
+        self.__dict__["chars"] = chars
 
     def __contains__(self, chi: Vec) -> bool:
         return chi in self.chars
@@ -62,8 +67,7 @@ def character_window(chars: Sequence[int]) -> CharacterSet:
     return CharacterSet(chars=tuple((c,) for c in chars))
 
 
-@dataclass(frozen=True)
-class EndMcmReport:
+class EndMcmReport(NamedTuple):
     ok: bool
     checked: int
     first_failure: Optional[tuple[Vec, Vec, Vec]] = None  # (chi, chi', diff)
@@ -156,15 +160,13 @@ def koszul_terms(chi: Vec, direction: Vec, weights: WeightsLike) -> tuple[Vec, .
     return tuple(sorted(terms))
 
 
-@dataclass(frozen=True)
-class CertStep:
+class CertStep(NamedTuple):
     chi: Vec
     direction: Vec
     deps: tuple[Vec, ...]
 
 
-@dataclass(frozen=True)
-class GldimCertificate:
+class GldimCertificate(NamedTuple):
     steps: tuple[CertStep, ...]
     goal: tuple[Vec, ...]
 
@@ -189,8 +191,7 @@ class GldimCertificate:
         return GldimCertificate(steps=tuple(steps), goal=tuple(tuple(g) for g in goal))
 
 
-@dataclass(frozen=True)
-class GldimResult:
+class GldimResult(NamedTuple):
     ok: bool
     certificate: Optional[GldimCertificate]
     uncovered: tuple[Vec, ...] = ()
@@ -466,8 +467,7 @@ def replay_certificate(cert: GldimCertificate, chars: CharacterSet,
 # end-to-end verification
 
 
-@dataclass(frozen=True)
-class NccrReport:
+class NccrReport(NamedTuple):
     verdict: str  # "verified" | "rejected" | "failed"
     reason: str
     classification: Optional[families.ClassifyResult] = None

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .record import Record
 
 BOTTOM = "bot"
 TOP = "top"
@@ -33,8 +34,7 @@ class PosetError(ValueError):
     """Malformed poset input (syntax, cycles, non-Hasse cover pairs)."""
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """A chordless cycle of the Hasse graph with its up/down edge partition.
 
     ``x_plus`` / ``x_minus`` hold the edge indices traversed upward resp.
@@ -47,8 +47,7 @@ class Circuit:
     x_minus: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TreeSelection:
+class TreeSelection(NamedTuple):
     """A spanning tree of the Hasse graph; the cotree indexes class-group
     coordinates, in ascending edge order."""
 
@@ -56,14 +55,12 @@ class TreeSelection:
     cotree_edges: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PurityReport:
+class PurityReport(NamedTuple):
     pure: bool
     chain_length: Optional[int]  # common edge count of maximal chains, if pure
 
 
-@dataclass(frozen=True)
-class BoundedPoset:
+class BoundedPoset(Record):
     """A finite poset with adjoined minimum ``bot`` and maximum ``top``.
 
     ``elements`` lists ``bot`` first, the interior elements sorted, ``top``
@@ -76,8 +73,11 @@ class BoundedPoset:
     position lookup are derived on first use.
     """
 
-    elements: tuple[str, ...]
-    edge_ends: tuple[tuple[int, int], ...]
+    _fields = ("elements", "edge_ends")
+
+    def __init__(self, elements: tuple[str, ...],
+                 edge_ends: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__.update(elements=elements, edge_ends=edge_ends)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -94,9 +94,8 @@ class BoundedPoset:
     def n_edges(self) -> int:
         return len(self.edge_ends)
 
-    # A frozen dataclass still has an instance __dict__, which is where
-    # cached_property stores what it derives; fields, equality and hashing
-    # are untouched.
+    # cached_property stores what it derives in the instance __dict__, next
+    # to the fields; only the fields count for equality, hashing and repr.
 
     @cached_property
     def edges(self) -> tuple[tuple[str, str], ...]:

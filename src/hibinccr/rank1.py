@@ -10,12 +10,12 @@ the exchange graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classgroup import ClassGroupData
 from .intlattice import Vec
+from .record import Record
 
 
 class Rank1InputError(ValueError):
@@ -23,27 +23,24 @@ class Rank1InputError(ValueError):
     sign, total zero, coprime)."""
 
 
-@dataclass(frozen=True)
-class Rank1Weights:
+class Rank1Weights(Record):
     """Divisor weights of a rank-one class group, sorted ascending."""
 
-    weights: tuple[int, ...]
+    _fields = ("weights",)
 
-    def __post_init__(self) -> None:
-        ws = self.weights
-        if any(w == 0 for w in ws):
+    def __init__(self, weights: tuple[int, ...]) -> None:
+        if any(w == 0 for w in weights):
             raise Rank1InputError("zero weights are not allowed")
-        if sum(ws) != 0:
+        if sum(weights) != 0:
             raise Rank1InputError("weights must sum to zero (Gorenstein)")
-        if sum(1 for w in ws if w > 0) < 2 or sum(1 for w in ws if w < 0) < 2:
+        if sum(1 for w in weights if w > 0) < 2 or sum(1 for w in weights if w < 0) < 2:
             raise Rank1InputError("need at least two weights of each sign")
         g = 0
-        for w in ws:
+        for w in weights:
             g = gcd(g, abs(w))
         if g != 1:
             raise Rank1InputError("weights must be coprime")
-        if tuple(sorted(ws)) != ws:
-            object.__setattr__(self, "weights", tuple(sorted(ws)))
+        self.__dict__["weights"] = tuple(sorted(weights))
 
     @staticmethod
     def from_class_group(cgd: ClassGroupData) -> "Rank1Weights":
@@ -68,8 +65,7 @@ class Rank1Weights:
         return [(w,) for w in self.weights]
 
 
-@dataclass(frozen=True)
-class McmBound:
+class McmBound(NamedTuple):
     """Number of NCCR summands and the interval of MCM classes."""
 
     summands: int
@@ -83,8 +79,7 @@ def mcm_bound(w: Rank1Weights) -> McmBound:
     return McmBound(summands=beta, interval=(-beta + 1, beta - 1))
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Consecutive divisorial-ideal classes T(lo), ..., T(lo+size-1)."""
 
     lo: int
@@ -108,8 +103,7 @@ def base_window(w: Rank1Weights) -> Window:
     return Window(lo=0, size=mcm_bound(w).summands)
 
 
-@dataclass(frozen=True)
-class MutationResult:
+class MutationResult(NamedTuple):
     window: Window
     mutated_class: int
     kernel_class: int
@@ -151,8 +145,7 @@ def mutate_window(win: Window, end: str, w: Rank1Weights) -> MutationResult:
                           middle_classes=middles)
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
+class ExchangeGraph(NamedTuple):
     vertices: tuple[Window, ...]
     edges: tuple[tuple[int, int, int], ...]  # (index, index, mutated T-class)
     edge_error: Optional[str] = None
