@@ -8,13 +8,18 @@ Exit codes: 0 success or verified, 1 verified-negative, 2 usage error; an
 input that cannot be read or an output path that cannot be written is a
 usage error.
 
-Parsing is routed by one table from command words to leaf parser builders.
-When the first one or two words of the argv name a leaf, ``main`` builds
-that leaf's parser alone, with the prog it has in the tree, and parses the
-rest of the argv with it; the leaf prints its own help and errors.  Only an
-argv that names no leaf, or leaves arguments over, is parsed by the whole
-tree from ``build_parser``, so help, usage and error messages read the same
-as if every parser were built.  Nothing is kept between calls: argparse
+Each leaf command declares its arguments once, as the ``add_argument``
+calls of a table (``_LEAVES``), and an argv takes one of two routes.  When
+the first one or two words name a leaf, ``_match`` reads the rest against
+that leaf's declaration and builds no parser at all, provided the argv is
+one it reads without doubt: exact option strings, ``--opt value`` and
+``--opt=value``, flags, and separate values that start with ``-`` only as
+plain negative integers, with types, choices, required options and defaults
+applied as argparse applies them.  Every other argv (help, prefixes of
+options, ``--``, a lone ``-``, unknown options, missing or extra
+positionals, a failed conversion or choice) is parsed by the whole tree
+from ``build_parser``, built from the same table, so help, usage and error
+messages are argparse's own.  Nothing is kept between calls: argparse
 parsers are reference cycles that only a full garbage collection frees, and
 a parser cached per process (an earlier attempt) raised the benchmark's
 ``peak_rss_mib`` by 7.8-10.9% on nccr-verify and cone-mcm.
@@ -116,13 +121,18 @@ def _edge_labels(p: BoundedPoset) -> list[str]:
 
 
 def _parse_tree_arg(arg: Optional[str], p: BoundedPoset):
+    """The tree from ``--tree``: labels e<k> (or bare k), k >= 1, one per
+    comma, spaces around them allowed."""
     if arg is None:
         return spanning_tree(p)
-    try:
-        ids = [int(tok.strip().lstrip("e")) - 1 for tok in arg.split(",")]
-    except ValueError:
-        raise UsageError(f"error: --tree takes edge labels such as e2,e3; "
-                         f"got {arg!r}")
+    ids = []
+    for tok in arg.split(","):
+        tok = tok.strip()
+        digits = tok[1:] if tok.startswith("e") else tok
+        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
+            raise UsageError(f"error: --tree takes edge labels such as e2,e3; "
+                             f"got {arg!r}")
+        ids.append(int(digits) - 1)
     return spanning_tree(p, hint=ids)
 
 
@@ -386,126 +396,157 @@ def _cmd_z1_mutate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_format(sp, default="json", choices=("json",)) -> None:
-    sp.add_argument("--format", default=default, choices=choices)
+def _arg(*flags: str, **keywords):
+    """One ``add_argument`` call, kept as data."""
+    return flags, keywords
 
 
-def _build_analyze(sp) -> None:
-    sp.add_argument("input")
-    sp.add_argument("--tree", help="spanning tree hint, e.g. e2,e3,e4,e5,e6,e7")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_analyze)
+_INPUT = _arg("input")
+_JSON = _arg("--format", default="json", choices=("json",))
+_TSV_OR_JSON = _arg("--format", default="tsv", choices=("tsv", "json"))
 
-
-def _build_classify(sp) -> None:
-    sp.add_argument("input")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_classify)
-
-
-def _build_conic(sp) -> None:
-    sp.add_argument("input")
-    sp.add_argument("--tree")
-    _add_format(sp, default="tsv", choices=("tsv", "json"))
-    sp.set_defaults(func=_cmd_conic)
-
-
-def _build_mcm_region(sp) -> None:
-    sp.add_argument("input")
-    sp.add_argument("--tree")
-    sp.add_argument("--box", help="x_lo,x_hi,y_lo,y_hi (or lo,hi in rank 1)")
-    _add_format(sp, default="tsv", choices=("tsv", "json"))
-    sp.set_defaults(func=_cmd_mcm_region)
-
-
-def _build_nccr_verify(sp) -> None:
-    sp.add_argument("input")
-    sp.add_argument("--certificate", help="write the replayable certificate "
-                                          "(JSON lines) to this path")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_nccr_verify)
-
-
-def _build_generate(sp) -> None:
-    sp.add_argument("--type", required=True, choices=tuple(families.FAMILIES))
-    sp.add_argument("--l", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=_cmd_generate)
-
-
-def _build_z1_analyze(sp) -> None:
-    sp.add_argument("input")
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_z1_analyze)
-
-
-def _build_z1_exchange_graph(sp) -> None:
-    sp.add_argument("input")
-    sp.add_argument("--generators-only", action="store_true")
-    sp.add_argument("--radius", type=_radius)
-    sp.set_defaults(func=_cmd_z1_exchange_graph)
-
-
-def _build_z1_mutate(sp) -> None:
-    sp.add_argument("input")
-    sp.add_argument("--window-lo", type=int, required=True)
-    sp.add_argument("--end", required=True, choices=("low", "high"))
-    _add_format(sp)
-    sp.set_defaults(func=_cmd_z1_mutate)
-
-
-# Each leaf command's words, parser builder and help line (None: not
-# listed), in the order the help lists them; then each group's help line.
+# Each leaf command's words, then its function, help line (None: not
+# listed) and arguments, in the order the help lists them; then each
+# group's help line.  ``build_parser`` and ``_match`` both read this table.
 _LEAVES = {
-    ("analyze",): (_build_analyze, "full report for a poset or cone file"),
-    ("classify",): (_build_classify, "match a poset against the five families"),
-    ("conic",): (_build_conic, "enumerate conic classes"),
-    ("mcm-region",): (_build_mcm_region, "MCM classes over a box"),
-    ("nccr", "verify"): (_build_nccr_verify, "verify the splitting NCCR"),
-    ("generate",): (_build_generate, "emit a family poset file"),
-    ("z1", "analyze"): (_build_z1_analyze, None),
-    ("z1", "exchange-graph"): (_build_z1_exchange_graph, None),
-    ("z1", "mutate"): (_build_z1_mutate, None),
+    ("analyze",): (_cmd_analyze, "full report for a poset or cone file", (
+        _INPUT, _arg("--tree", help="spanning tree hint, e.g. e2,e3,e4,e5,e6,e7"),
+        _JSON)),
+    ("classify",): (_cmd_classify, "match a poset against the five families",
+                    (_INPUT, _JSON)),
+    ("conic",): (_cmd_conic, "enumerate conic classes",
+                 (_INPUT, _arg("--tree"), _TSV_OR_JSON)),
+    ("mcm-region",): (_cmd_mcm_region, "MCM classes over a box", (
+        _INPUT, _arg("--tree"),
+        _arg("--box", help="x_lo,x_hi,y_lo,y_hi (or lo,hi in rank 1)"),
+        _TSV_OR_JSON)),
+    ("nccr", "verify"): (_cmd_nccr_verify, "verify the splitting NCCR", (
+        _INPUT, _arg("--certificate", help="write the replayable certificate "
+                                           "(JSON lines) to this path"),
+        _JSON)),
+    ("generate",): (_cmd_generate, "emit a family poset file", (
+        _arg("--type", required=True, choices=tuple(families.FAMILIES)),
+        _arg("--l", type=int), _arg("--m", type=int), _arg("--n", type=int),
+        _arg("-o", "--output"))),
+    ("z1", "analyze"): (_cmd_z1_analyze, None, (_INPUT, _JSON)),
+    ("z1", "exchange-graph"): (_cmd_z1_exchange_graph, None, (
+        _INPUT, _arg("--generators-only", action="store_true"),
+        _arg("--radius", type=_radius))),
+    ("z1", "mutate"): (_cmd_z1_mutate, None, (
+        _INPUT, _arg("--window-lo", type=int, required=True),
+        _arg("--end", required=True, choices=("low", "high")), _JSON)),
 }
 _GROUP_HELP = {"nccr": "NCCR pipeline", "z1": "rank-one pipeline on cone files"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole parser tree, every command and group built, new on each
-    call and kept by nothing.  ``main`` routes by ``_LEAVES`` and uses the
-    tree only for an argv that names no leaf or leaves arguments over,
-    where its help, usage and error messages are the ones to print."""
+    call and kept by nothing.  ``main`` uses it only for an argv that
+    ``_match`` does not read, where its help, usage and error messages are
+    the ones to print."""
     parser = _Parser(
         prog="hibinccr",
         description="Exact class groups, conic/MCM classes and splitting "
                     "NCCRs for Hibi rings with small class group.")
     commands = {(): parser.add_subparsers(dest="command", required=True)}
-    for words, (build, line) in _LEAVES.items():
+    for words, (func, line, arguments) in _LEAVES.items():
         group = words[:-1]
         if group not in commands:
             sub = commands[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
             commands[group] = sub.add_subparsers(dest=f"{group[0]}_command",
                                                  required=True)
         listed = {} if line is None else {"help": line}
-        build(commands[group].add_parser(words[-1], **listed))
+        leaf = commands[group].add_parser(words[-1], **listed)
+        for flags, keywords in arguments:
+            leaf.add_argument(*flags, **keywords)
+        leaf.set_defaults(func=func)
     return parser
 
 
+def _dest(flags: tuple[str, ...]) -> str:
+    """The attribute argparse stores an argument under."""
+    if not flags[0].startswith("-"):
+        return flags[0]
+    longs = [flag for flag in flags if flag.startswith("--")]
+    return (longs or flags)[0].lstrip("-").replace("-", "_")
+
+
+def _plain(token: str) -> bool:
+    """Whether every argparse reads the token as a value: it does not start
+    with ``-``, or it is ``-`` and ASCII digits (a negative integer; no leaf
+    has an option that looks like one)."""
+    return not token.startswith("-") or (token[1:].isascii()
+                                         and token[1:].isdigit())
+
+
+def _match(leaf, argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace the tree gives a leaf's argv (less the command names),
+    read from the leaf's declaration; None for an argv this does not read
+    without doubt, which the tree then parses."""
+    func, _, arguments = leaf
+    options, positionals = {}, []
+    for flags, keywords in arguments:
+        if flags[0].startswith("-"):
+            options.update(dict.fromkeys(flags, (_dest(flags), keywords)))
+        else:
+            positionals.append(flags[0])
+    values: dict = {}
+    unfilled = iter(positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if _plain(token):
+            dest = next(unfilled, None)
+            if dest is None:
+                return None
+            values[dest] = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            return None
+        dest, keywords = options[flag]
+        if keywords.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _plain(value):
+                return None
+        try:
+            value = keywords.get("type", str)(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if next(unfilled, None) is not None:
+        return None
+    for flags, keywords in arguments:
+        dest = _dest(flags)
+        if dest not in values:
+            if keywords.get("required"):
+                return None
+            flag_off = False if keywords.get("action") == "store_true" else None
+            values[dest] = keywords.get("default", flag_off)
+    return argparse.Namespace(**values, func=func)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the one leaf parser the first words of argv name; with the
-    whole tree when they name none or the leaf leaves arguments over."""
+    """The leaf's namespace for argv, its arguments and ``func``: read by
+    ``_match`` when the first words of argv name a leaf and it reads the
+    rest, parsed by the whole tree otherwise (its command names dropped)."""
     for n in (1, 2):
-        words = tuple(argv[:n])
-        if words in _LEAVES:
-            leaf = _Parser(prog=" ".join(("hibinccr",) + words))
-            _LEAVES[words][0](leaf)
-            args, rest = leaf.parse_known_args(argv[n:])
-            if not rest:
+        leaf = _LEAVES.get(tuple(argv[:n]))
+        if leaf is not None:
+            args = _match(leaf, argv[n:])
+            if args is not None:
                 return args
             break
-    return build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for name in ("command", *(f"{group}_command" for group in _GROUP_HELP)):
+        vars(args).pop(name, None)
+    return args
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -466,15 +466,24 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
 
     Without a hint this is the breadth-first tree rooted at ``bot`` scanning
     edges in index order, so class-group coordinates are reproducible.  A
-    hint is validated and used verbatim.
+    hint is validated and used verbatim; a refusal names the edge at fault
+    by its label (edge k is e<k+1>).
     """
     n_vertices = len(p.elements)
     if hint is not None:
-        tree = frozenset(int(e) for e in hint)
-        if not tree <= set(range(p.n_edges)):
-            raise PosetError("tree hint references unknown edges")
-        if len(tree) != n_vertices - 1 or not _spans(p, tree):
-            raise PosetError("tree hint is not a spanning tree")
+        order = list(dict.fromkeys(int(e) for e in hint))
+        for k in order:
+            if not 0 <= k < p.n_edges:
+                raise PosetError(f"tree hint references unknown edge e{k + 1}")
+        closing = _closing_edge(p, order)
+        if closing is not None:
+            raise PosetError(f"tree hint is not a spanning tree: "
+                             f"e{closing + 1} closes a cycle")
+        if len(order) != n_vertices - 1:
+            raise PosetError(f"tree hint is not a spanning tree: it has "
+                             f"{len(order)} edges, a spanning tree has "
+                             f"{n_vertices - 1}")
+        tree = frozenset(order)
         cotree = tuple(k for k in range(p.n_edges) if k not in tree)
         return TreeSelection(tree_edges=tree, cotree_edges=cotree)
 
@@ -496,7 +505,9 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
     return TreeSelection(tree_edges=tree, cotree_edges=cotree)
 
 
-def _spans(p: BoundedPoset, tree: frozenset[int]) -> bool:
+def _closing_edge(p: BoundedPoset, edges: Sequence[int]) -> Optional[int]:
+    """The first of ``edges``, in their order, that closes a cycle with the
+    ones before it; None when they form a forest."""
     parent = list(range(len(p.elements)))
 
     def find(x: int) -> int:
@@ -505,11 +516,10 @@ def _spans(p: BoundedPoset, tree: frozenset[int]) -> bool:
             x = parent[x]
         return x
 
-    for k in tree:
+    for k in edges:
         l, u = p.edge_ends[k]
         rl, ru = find(l), find(u)
         if rl == ru:
-            return False  # cycle
+            return k
         parent[rl] = ru
-    roots = {find(i) for i in range(len(parent))}
-    return len(roots) == 1
+    return None

@@ -18,6 +18,8 @@ from hibinccr import cli, corpus_path
 from hibinccr.cli import main
 from hibinccr.divisorial import PROJECTION_ROW_BUDGET, conic_classes, conic_facets
 
+from cli_agreement import (disagreements, leaf_pieces, matched, outcome,
+                           sample)
 from conftest import load_corpus
 from oracles import tree_main
 
@@ -286,6 +288,25 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("tree", ["ee2,e3,e4,e5,e6,e7", "e+2,e3,e4,e5,e6,e7",
+                                  "e0,e3,e4,e5,e6,e7", "0,3,4,5,6,7", "+2,3,4,5,6,7",
+                                  "e2,,e3,e4,e5,e6,e7", "e 2,e3,e4,e5,e6,e7", "e2e3", "e"])
+def test_tree_labels_other_than_e_k_are_refused(capsys, tree):
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", corpus("running_example.poset"), "--tree", tree])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == ("error: --tree takes edge labels such as "
+                                       f"e2,e3; got {tree!r}\n")
+
+
+@pytest.mark.parametrize("tree", ["2,3,4,5,6,7", " e2, e3 ,e4,e5,e6,e7 ", "e7,e6,e5,e4,e3,e2"])
+def test_tree_labels_e_k_and_bare_k_name_the_same_edges(capsys, tree):
+    expected = run_cli(capsys, "analyze", corpus("running_example.poset"),
+                       "--tree", "e2,e3,e4,e5,e6,e7")
+    assert run_cli(capsys, "analyze", corpus("running_example.poset"),
+                   "--tree", tree) == expected
+
+
 @pytest.mark.parametrize("argv, expected, got", [
     (["classify", "rank2_demo.cone"], "poset", "cone"),
     (["nccr", "verify", "rank1_example.cone"], "poset", "cone"),
@@ -480,7 +501,7 @@ def test_cone_grammar_fuzz(text):
 
 
 # ---------------------------------------------------------------------------
-# parsers: built per call, the named leaf alone, none kept
+# parsers: none for a well-formed leaf argv, the whole tree otherwise, none kept
 
 
 TREE_PROGS = ["hibinccr", "hibinccr analyze", "hibinccr classify", "hibinccr conic",
@@ -490,12 +511,19 @@ TREE_PROGS = ["hibinccr", "hibinccr analyze", "hibinccr classify", "hibinccr con
 
 
 @pytest.mark.parametrize("argv, progs", [
-    (["z1", "analyze", "rank1_example.cone"], ["hibinccr z1 analyze"]),
-    (["classify", "type1_m0_n1.poset"], ["hibinccr classify"]),
-    (["nccr", "verify", "type1_m0_n1.poset"], ["hibinccr nccr verify"]),
+    (["z1", "analyze", "rank1_example.cone"], []),
+    (["classify", "type1_m0_n1.poset"], []),
+    (["nccr", "verify", "type1_m0_n1.poset"], []),
+    (["z1", "mutate", "rank1_example.cone", "--window-lo", "-3", "--end", "low"], []),
+    (["mcm-region", "rank2_demo.cone", "--box=-10,10,-10,10", "--format", "json"], []),
     (["bogus"], TREE_PROGS),
-], ids=["z1-analyze", "classify", "nccr-verify", "invalid-choice"])
+    (["conic", "-h"], TREE_PROGS),
+    (["analyze", "type1_m0_n1.poset", "--bogus"], TREE_PROGS),
+], ids=["z1-analyze", "classify", "nccr-verify", "z1-mutate-negative",
+        "mcm-region-equals", "invalid-choice", "help", "unknown-option"])
 def test_main_builds_only_the_chosen_parsers(monkeypatch, argv, progs):
+    """A well-formed leaf argv is read from the leaf's declaration and
+    builds no parser; help and errors build the whole tree once."""
     built = []
     init = cli._Parser.__init__
 
@@ -507,10 +535,12 @@ def test_main_builds_only_the_chosen_parsers(monkeypatch, argv, progs):
     argv = [corpus(t) if t.endswith((".poset", ".cone")) else t for t in argv]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
-            main(argv)
-        except SystemExit:
-            pass
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert built == progs
+    if not progs:
+        assert code == 0  # the matched namespace ran the command
 
 
 NO_PARSER_KEPT = """
@@ -723,3 +753,45 @@ def test_routed_argv_matches_the_tree(monkeypatch, head):
                 for key in ("command", "nccr_command", "z1_command"):
                     tree.pop(key, None)
             assert routed == tree, argv
+
+
+def test_declarations_use_only_what_the_matcher_reads():
+    """``_match`` reads these ``add_argument`` keywords and no other action
+    than store_true; a declaration with anything else (nargs, dest, const,
+    another action) needs the matcher taught first."""
+    for _, _, arguments in cli._LEAVES.values():
+        for flags, keywords in arguments:
+            assert set(keywords) <= {"action", "type", "choices", "required",
+                                     "default", "help"}, flags
+            assert keywords.get("action", "store_true") == "store_true", flags
+
+
+@st.composite
+def leaf_argvs(draw):
+    """A leaf's words, its required pieces and up to five more pieces of
+    ``leaf_pieces``, well-formed or not, in any order, now and then with
+    one piece dropped."""
+    words = draw(st.sampled_from(sorted(cli._LEAVES)))
+    required, good, bad = leaf_pieces(words)
+    extra = st.one_of(st.sampled_from(good), st.sampled_from(bad))
+    pieces = draw(st.permutations(required + draw(st.lists(extra, max_size=5))))
+    if pieces and draw(st.integers(0, 4)) == 0:
+        pieces = pieces[1:]
+    return [*words, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(leaf_argvs())
+def test_matcher_agrees_with_the_tree(argv):
+    """``cli._parse`` gives the namespace of the whole tree (command names
+    aside), or the same exit code, stdout and stderr."""
+    assert outcome(cli._parse, argv) == outcome(cli.build_parser().parse_args, argv)
+
+
+def test_sampled_argvs_agree_and_many_are_matched():
+    """The standard-library sample that ``cli_agreement.py --check`` runs
+    on each Python in CI: no disagreement, and a fair share of the argvs
+    read by the matcher, so the check is not empty."""
+    argvs = sample(count=25)
+    assert disagreements(argvs) == []
+    assert sum(map(matched, argvs)) >= len(argvs) // 5

@@ -1,9 +1,10 @@
 """The CLI's help, usage and argparse-error bytes, pinned.
 
 ``cli_golden.json`` records, for each argv below, the exit code, stdout and
-stderr of ``hibinccr.cli.main`` at an 80-column terminal.  None of these
-argvs reads a file, so the bytes depend only on the parser.  Regenerate the
-file (after a deliberate change to the parser) with
+stderr of ``hibinccr.cli.main`` at an 80-column terminal, run in the corpus
+directory.  Only the last two argvs read a file, a corpus poset whose
+``--tree`` hint the CLI refuses, so every other case depends only on the
+parser.  Regenerate the file (after a deliberate change to the parser) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -19,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
+import hibinccr
 from hibinccr.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+CORPUS = Path(hibinccr.__file__).with_name("corpus")
 
 ARGVS = [
     [], ["-h"], ["--help"], ["bogus"], ["bogus", "-h"], ["--version"],
@@ -40,16 +43,23 @@ ARGVS = [
     ["z1", "analyze", "x", "--bogus"], ["nccr", "verify", "x", "extra"],
     ["conic", "x", "--form", "xml"], ["z1", "mutate", "x", "-h"],
     ["-h", "z1", "analyze", "x"],
+    ["analyze", "running_example.poset", "--tree", "e2,e3,e4,e5,e6,e99"],
+    ["analyze", "running_example.poset", "--tree", "e5,e6,e7,e8,e1,e2"],
 ]
 
 
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    cwd = os.getcwd()
+    os.chdir(CORPUS)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
     return {"argv": argv, "code": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 

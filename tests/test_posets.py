@@ -238,12 +238,28 @@ def test_default_tree_spans(running_example):
 
 def test_bad_hints_rejected(running_example):
     with pytest.raises(PosetError):
-        spanning_tree(running_example, hint=[0, 1, 2, 3, 4, 5])  # contains a cycle? no: wrong count ok
+        spanning_tree(running_example, hint=[0, 1, 2, 3, 4, 5])  # e6 closes bot-p1-p2-top-p4-p3
     with pytest.raises(PosetError):
         spanning_tree(running_example, hint=[0, 1, 2, 3, 4, 5, 6, 7])
     with pytest.raises(PosetError):
         # right count but contains the square 4,5,6,7
         spanning_tree(running_example, hint=[4, 5, 6, 7, 0, 1])
+
+
+@pytest.mark.parametrize("hint, message", [
+    ([1, 2, 3, 98, 5, 6], "tree hint references unknown edge e99"),
+    ([-1, 1, 2, 3, 4, 5], "tree hint references unknown edge e0"),
+    ([4, 5, 6, 7, 0, 1], "tree hint is not a spanning tree: e8 closes a cycle"),
+    ([0, 1, 2, 3, 4, 5, 6, 7], "tree hint is not a spanning tree: e6 closes a cycle"),
+    ([1, 2, 3, 4, 5], "tree hint is not a spanning tree: it has 5 edges, "
+                      "a spanning tree has 6"),
+], ids=["unknown", "negative", "cycle", "too-many", "too-few"])
+def test_bad_hints_name_the_edge(running_example, hint, message):
+    """A refused hint names the unknown edge, or the first edge in the
+    hint's order that closes a cycle, or else the edge counts."""
+    with pytest.raises(PosetError) as info:
+        spanning_tree(running_example, hint=hint)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
