@@ -8,7 +8,13 @@ Unimodular matching and the planar helpers, the angle order included, use
 integers alone.
 
 Everything works on plain Python ints (lists of lists); inputs here are tiny
-(tens of rows), so clarity beats asymptotics throughout.
+(tens of rows), so no routine trades its plain pivot rules for asymptotics.
+The Smith form is still the hot kernel of every cone class group, so it is
+one loop without helper closures: its pivot search stops at the first entry
+of absolute value 1, a column operation touches the one row of A that is not
+yet clear, and V is kept transposed, so its column operations are row
+operations.  ``tests/oracles.py`` keeps the closure-based eliminator it
+replaced, and the two must return the same (D, U, V).
 """
 
 from __future__ import annotations
@@ -30,82 +36,102 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matri
     """Return (D, U, V) with U*A*V = D diagonal, U and V unimodular.
 
     Diagonal entries are non-negative and each divides the next.
+
+    Step t takes as pivot the first entry of least absolute value in the
+    block from (t, t), in row-major order, and swaps it to (t, t).  It then
+    clears column t by row subtractions and row t by column subtractions,
+    each time swapping in the first entry of least absolute value that a
+    remainder leaves, until both are clear.  When a diagonal entry does not
+    divide the next one, column i + 1 is added to column i and the steps
+    start again from (0, 0).
+
+    Rows and columns before step t are clear apart from their diagonal
+    entry, so a column subtraction there changes only row t of A.  V is
+    kept transposed, so that its column operations are operations on rows.
     """
     A = [list(row) for row in a]
     n = len(A)
     d = len(A[0]) if n else 0
     U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(d)] for i in range(d)]
-
-    def row_sub(i: int, j: int, f: int) -> None:
-        A[i] = [x - f * y for x, y in zip(A[i], A[j])]
-        U[i] = [x - f * y for x, y in zip(U[i], U[j])]
-
-    def col_sub(i: int, j: int, f: int) -> None:
-        for r in range(n):
-            A[r][i] -= f * A[r][j]
-        for r in range(d):
-            V[r][i] -= f * V[r][j]
-
-    def row_swap(i: int, j: int) -> None:
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(d):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def diagonalize() -> int:
+    Vt = [[int(i == j) for j in range(d)] for i in range(d)]
+    size = min(n, d)
+    while True:
         t = 0
-        while t < min(n, d):
-            pivot = None
+        while t < size:
+            # the first entry of least absolute value; none is below 1
+            best = pi = pj = 0
             for i in range(t, n):
+                row = A[i]
                 for j in range(t, d):
-                    if A[i][j] != 0 and (pivot is None
-                                         or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
+                    x = row[j]
+                    if x:
+                        if x < 0:
+                            x = -x
+                        if not best or x < best:
+                            best, pi, pj = x, i, j
+                            if x == 1:
+                                break
+                if best == 1:
+                    break
+            if not best:
                 break
-            row_swap(t, pivot[0])
-            col_swap(t, pivot[1])
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+            if pj != t:
+                for row in A:
+                    row[t], row[pj] = row[pj], row[t]
+                Vt[t], Vt[pj] = Vt[pj], Vt[t]
             while True:
+                top, utop = A[t], U[t]
+                p = top[t]
+                best = 0
                 for i in range(t + 1, n):
-                    q = A[i][t] // A[t][t]
+                    row = A[i]
+                    q = row[t] // p
                     if q:
-                        row_sub(i, t, q)
-                if any(A[i][t] for i in range(t + 1, n)):
-                    # a remainder smaller than the pivot appeared; re-pivot
-                    i = min((i for i in range(t + 1, n) if A[i][t]),
-                            key=lambda i: abs(A[i][t]))
-                    row_swap(t, i)
+                        A[i] = row = [x - q * y for x, y in zip(row, top)]
+                        U[i] = [x - q * y for x, y in zip(U[i], utop)]
+                    x = row[t]
+                    if x:
+                        # a remainder smaller than the pivot; re-pivot on it
+                        if x < 0:
+                            x = -x
+                        if not best or x < best:
+                            best, pi = x, i
+                if best:
+                    A[t], A[pi] = A[pi], A[t]
+                    U[t], U[pi] = U[pi], U[t]
                     continue
+                vtop = Vt[t]
                 for j in range(t + 1, d):
-                    q = A[t][j] // A[t][t]
+                    q = top[j] // p
                     if q:
-                        col_sub(j, t, q)
-                if any(A[t][j] for j in range(t + 1, d)):
-                    j = min((j for j in range(t + 1, d) if A[t][j]),
-                            key=lambda j: abs(A[t][j]))
-                    col_swap(t, j)
+                        top[j] -= q * p
+                        Vt[j] = [x - q * y for x, y in zip(Vt[j], vtop)]
+                    x = top[j]
+                    if x:
+                        if x < 0:
+                            x = -x
+                        if not best or x < best:
+                            best, pj = x, j
+                if best:
+                    for row in A:
+                        row[t], row[pj] = row[pj], row[t]
+                    Vt[t], Vt[pj] = Vt[pj], Vt[t]
                     continue
                 break
             if A[t][t] < 0:
                 A[t] = [-x for x in A[t]]
                 U[t] = [-x for x in U[t]]
             t += 1
-        return t
-
-    rank = diagonalize()
-    while True:
-        bad = next((i for i in range(rank - 1)
-                    if A[i + 1][i + 1] % A[i][i] != 0), None)
+        # t is the rank; every later row and column is zero
+        bad = next((i for i in range(t - 1) if A[i + 1][i + 1] % A[i][i] != 0), None)
         if bad is None:
             break
-        col_sub(bad, bad + 1, -1)  # col_bad += col_{bad+1}; breaks diagonality
-        rank = diagonalize()
-    return A, U, V
+        # column bad += column bad + 1, which breaks diagonality at one entry
+        A[bad + 1][bad] += A[bad + 1][bad + 1]
+        Vt[bad] = [x + y for x, y in zip(Vt[bad], Vt[bad + 1])]
+    return A, U, [list(col) for col in zip(*Vt)]
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> list[int]:

@@ -7,10 +7,14 @@ contains both of its boundary rays, and every open sector, contributes an
 affine semigroup of non-MCM characters; a class is MCM iff it avoids all of
 them (half-open chambers never matter).
 All decisions are exact integer arithmetic.  Each of those chambers is
-compiled once into a :class:`NonMcmCone`, the one membership engine: its
-membership function, closed over plain integers, serves
-:meth:`NonMcmCone.contains`, :func:`semigroup_member` and the compiled test
-of a whole weight system, :class:`McmTest`.
+compiled once into a :class:`NonMcmCone`, whose row of plain integers (its
+offset, unit lattice, phi and a handle on its closed levels) is read by
+the one membership engine, :func:`_outside`: a flat loop over rows that
+serves :meth:`NonMcmCone.contains`, :func:`semigroup_member` and the
+compiled test of a whole weight system, :class:`McmTest`.  Compiling takes
+one pass over the weights for the chambers (integer pairings of each piece
+with the distinct weights) and one over each cone's generators for its
+units and phi.
 
 Whoever owns the weights holds their compiled test.  A
 :class:`~hibinccr.classgroup.ClassGroupData` keeps it as an instance
@@ -23,13 +27,15 @@ does).  Nothing is cached at module level.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import partial
+from itertools import product
 from math import gcd
+from operator import neg
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .classgroup import ClassGroupData
 from .divisorial import WeightsLike, weight_list
-from .intlattice import Vec, angle_key, cross, dot, primitive
+from .intlattice import Vec, angle_key, primitive
 from .record import Record
 
 CLOSED = "closed"        # contains both boundary rays (lone ray or closed cone)
@@ -65,17 +71,23 @@ class NonMcmCone(Record):
     """Characters offset + (non-negative combination of generators) are the
     non-MCM classes detected by one chamber.
 
-    The cone is compiled once into plain integers and then answers
+    The cone is compiled once into a row of plain integers and then answers
     :meth:`contains` for any number of characters; rank one is the rank-two
     case on the first axis.  Generators whose negative lies in the rational
     cone of the whole set act invertibly, so they collapse into a unit
-    lattice.  The remaining generators admit an integer functional phi, zero
-    on the unit lattice (a line, then) and strictly positive on them, which
-    sorts the classes they reach modulo the line into finite levels; the
-    levels are closed up to the largest phi asked so far.  The compiled test
-    is one function of the two plane coordinates of a character
-    (``_member``); it holds no reference to the cone, so a dropped cone is
-    freed at once.
+    lattice: they are the generators in the cone's lineality space, read
+    off in one pass over the generators.  The remaining generators admit an
+    integer functional phi, zero on the unit lattice (a line, then) and
+    strictly positive on them, which sorts the classes they reach modulo
+    the line into finite levels; the levels are closed up to the largest
+    phi asked so far.
+
+    The row (``_row``) is the offset's plane coordinates, phi, the unit
+    lattice in echelon form ``(a, b, c)`` (see :func:`_unit_lattice`), the
+    phi steps and a one-element list holding the closed levels; it is what
+    :func:`_outside` reads, for this cone alone or for every cone of a
+    :class:`McmTest`.  It holds no reference to the cone, so a dropped cone
+    is freed at once.
     """
 
     _fields = ("offset", "generators")
@@ -87,76 +99,74 @@ class NonMcmCone(Record):
         for g in generators:
             _check_rank(g, rank)
         gens = sorted({_plane(g) for g in generators} - {(0, 0)})
-        units = [g for g in gens if _in_cone_2d((-g[0], -g[1]), gens)]
-        rest = [g for g in gens if g not in units]
-        lattice = _unit_lattice(units)
-        phi = (0, 0)
-        if rest:
-            a, b, c = lattice
+        units, rest, phi = _split_units(gens)
+        a, b, c = _unit_lattice(units)
+        if phi is None:
             assert not (a and c), "unit directions must be collinear"
-            phi = _positive_functional(rest, (a, b) if a else (0, c) if c else None)
-        steps = tuple((dot(phi, g), g[0], g[1]) for g in rest)
+            phi = _off_line(rest, (a, b) if a else (0, c))
+        px, py = phi
+        steps = tuple((px * gx + py * gy, gx, gy) for gx, gy in rest)
+        ox, oy = _plane(offset)
         self.__dict__.update(offset=offset, generators=generators,
-                             _member=_member_test(_plane(offset), lattice, phi, steps))
+                             _row=(ox, oy, px, py, a, b, c, steps, [[{(0, 0)}]]))
 
     def contains(self, chi: Vec) -> bool:
         """Is chi one of the cone's non-MCM characters?"""
         _check_rank(chi, len(self.offset))
-        return self._member(*_plane(chi))
+        return not _outside((self._row,), _plane(chi))
 
 
-def _member_test(offset: Vec, lattice: tuple[int, int, int], phi: Vec,
-                 steps: tuple[tuple[int, int, int], ...]) -> Callable[[int, int], bool]:
-    """Membership in one compiled cone, as a function of chi's plane
-    coordinates: shift by the offset, test the phi level, reduce modulo the
-    unit lattice (echelon form, see :func:`_unit_lattice`) and look the class
-    up in the reached level.  A cone without steps has phi = 0 and only
-    level 0, the zero class, so it tests lattice membership.  New levels
-    are built on a copy that replaces the stored list only when complete,
-    so no query ever reads a half-closed level."""
-    ox, oy = offset
-    a, b, c = lattice
-    px, py = phi
-    levels = [{(0, 0)}]
-
-    def member(x: int, y: int) -> bool:
-        x -= ox
-        y -= oy
+def _outside(rows: tuple[tuple, ...], chi: Vec) -> bool:
+    """Is the plane point chi in none of the compiled cones?  For each row:
+    shift by the offset, test the phi level, reduce modulo the unit lattice
+    and look the class up in the reached level.  A cone without steps has
+    phi = 0 and only level 0, the zero class, so it tests lattice
+    membership."""
+    x0, y0 = chi
+    for ox, oy, px, py, a, b, c, steps, held in rows:
+        x = x0 - ox
+        y = y0 - oy
         level = px * x + py * y
         if level < 0:
-            return False
+            continue
         if a:
             k = x // a
             x -= k * a
             y -= k * b
         if c:
             y %= c
-        reached = levels if level < len(levels) else grow(level)
-        return (x, y) in reached[level]
+        levels = held[0]
+        if level >= len(levels):
+            levels = _grow(held, level, a, b, c, steps)
+        if (x, y) in levels[level]:
+            return False
+    return True
 
-    def grow(level: int) -> list[set[Vec]]:
-        nonlocal levels
-        new = list(levels)
-        while len(new) <= level:
-            n = len(new)
-            reached = set()
-            for cost, gx, gy in steps:
-                if cost <= n:
-                    for x, y in new[n - cost]:
-                        x += gx
-                        y += gy
-                        if a:
-                            k = x // a
-                            x -= k * a
-                            y -= k * b
-                        if c:
-                            y %= c
-                        reached.add((x, y))
-            new.append(reached)
-        levels = new
-        return new
 
-    return member
+def _grow(held: list, level: int, a: int, b: int, c: int,
+          steps: tuple[tuple[int, int, int], ...]) -> list[set[Vec]]:
+    """Close a cone's levels up to ``level``.  New levels are built on a
+    copy that replaces the held list only when complete, so no query ever
+    reads a half-closed level."""
+    new = list(held[0])
+    while len(new) <= level:
+        n = len(new)
+        reached = set()
+        for cost, gx, gy in steps:
+            if cost <= n:
+                for x, y in new[n - cost]:
+                    x += gx
+                    y += gy
+                    if a:
+                        k = x // a
+                        x -= k * a
+                        y -= k * b
+                    if c:
+                        y %= c
+                    reached.add((x, y))
+        new.append(reached)
+    held[0] = new
+    return new
 
 
 def _plane(v: Vec) -> Vec:
@@ -168,72 +178,77 @@ def _check_rank(v: Sequence[int], rank: int) -> None:
         raise ValueError(f"expected a vector of rank {rank}, got {tuple(v)}")
 
 
-def _pairing_t_set(direction: Vec, ws: Sequence[Vec]) -> tuple[int, ...]:
-    return tuple(i for i, w in enumerate(ws) if dot(direction, w) < 0)
-
-
 def chamber_decomposition(weights: WeightsLike) -> ChamberDecomposition:
     """Split the nonzero directions into maximal classes with constant
     negative-pairing set; classes are ordered counterclockwise starting with
-    the sector just past the first critical ray."""
+    the sector just past the first critical ray.
+
+    The critical rays are the normals of the weights.  Pieces (a sector,
+    then the ray that closes it) are told apart by which distinct weights
+    pair negatively with them; only a chamber's own T-set is spelled out
+    over every weight index."""
     ws = weight_list(weights)
     rank = _weight_rank(ws)
     if rank == 1:
         chambers = tuple(
-            Chamber(t_set=_pairing_t_set(lam, ws), kind=CLOSED, witness=lam)
+            Chamber(t_set=tuple(i for i, w in enumerate(ws) if lam[0] * w[0] < 0),
+                    kind=CLOSED, witness=lam)
             for lam in ((1,), (-1,)))
         return _with_hypothesis(chambers)
     if rank != 2:
         raise ValueError("chamber decomposition implemented for rank 1 and 2")
 
-    rays: set[Vec] = set()
-    for w in ws:
-        if w == (0, 0):
-            continue
-        n = primitive((-w[1], w[0]))
-        rays.add(n)
-        rays.add((-n[0], -n[1]))
-    if not rays:
+    distinct = list(dict.fromkeys((w[0], w[1]) for w in ws))
+    upper: set[Vec] = set()  # one normal of each weight line, at an angle in [0, pi)
+    for wx, wy in distinct:
+        if wx or wy:
+            g = gcd(wx, wy)
+            nx, ny = -wy // g, wx // g
+            upper.add((nx, ny) if ny > 0 or (ny == 0 and nx > 0) else (-nx, -ny))
+    if not upper:
         raise ValueError("all weights are zero")
-    ordered = sorted(rays, key=angle_key)
+    half = sorted(upper, key=angle_key)
+    ordered = half + [(-x, -y) for x, y in half]
 
     # atomic pieces, counterclockwise: sector after ray i, then ray i+1; the
     # list ends with the first ray itself
-    pieces: list[tuple[str, Vec]] = []
+    witnesses: list[Vec] = []
     m = len(ordered)
     for i in range(m):
-        a = ordered[i]
-        b = ordered[(i + 1) % m]
-        if cross(a, b) > 0:
-            mid: Vec = (a[0] + b[0], a[1] + b[1])
+        ax, ay = ordered[i]
+        bx, by = ordered[(i + 1) % m]
+        if ax * by - ay * bx > 0:
+            mx, my = ax + bx, ay + by
+            g = gcd(mx, my)
+            witnesses.append((mx // g, my // g))
         else:  # opposite rays: the gap is half a turn
-            mid = (-a[1], a[0])
-        pieces.append(("sector", primitive(mid)))
-        pieces.append(("ray", b))
-
-    t_sets = [_pairing_t_set(wit, ws) for _, wit in pieces]
+            witnesses.append((-ay, ax))
+        witnesses.append((bx, by))
+    keys = [tuple([px * wx + py * wy < 0 for wx, wy in distinct]) for px, py in witnesses]
 
     runs: list[list[int]] = []
-    for idx in range(len(pieces)):
-        if runs and t_sets[runs[-1][-1]] == t_sets[idx]:
+    for idx, key in enumerate(keys):
+        if runs and keys[runs[-1][-1]] == key:
             runs[-1].append(idx)
         else:
             runs.append([idx])
-    if len(runs) > 1 and t_sets[runs[0][0]] == t_sets[runs[-1][-1]]:
+    if len(runs) > 1 and keys[runs[0][0]] == keys[runs[-1][-1]]:
         runs[0] = runs[-1] + runs[0]
         runs.pop()
     assert len(runs) >= 2, "degenerate decomposition: constant pairing sets"
 
     chambers = []
     for run in runs:
-        starts_with_ray = pieces[run[0]][0] == "ray"
-        ends_with_ray = pieces[run[-1]][0] == "ray"
+        starts_with_ray = run[0] % 2 == 1
+        ends_with_ray = run[-1] % 2 == 1
         included = int(starts_with_ray) + int(ends_with_ray)
         if len(run) == 1 and starts_with_ray:
             included = 2  # a lone ray is its own closed boundary
         kind = {2: CLOSED, 1: HALF_OPEN, 0: OPEN}[included]
-        chambers.append(Chamber(t_set=t_sets[run[0]], kind=kind,
-                                witness=pieces[run[0]][1]))
+        px, py = witness = witnesses[run[0]]
+        chambers.append(Chamber(
+            t_set=tuple(i for i, w in enumerate(ws) if px * w[0] + py * w[1] < 0),
+            kind=kind, witness=witness))
     return _with_hypothesis(tuple(chambers))
 
 
@@ -256,17 +271,12 @@ def non_mcm_cone(chamber: Chamber, weights: WeightsLike) -> NonMcmCone:
     ws = weight_list(weights)
     rank = len(ws[0])
     t = set(chamber.t_set)
-    offset = [0] * rank
-    gens: set[Vec] = set()
-    for i, w in enumerate(ws):
-        if i in t:
-            gens.add(w)
-        else:
-            for k in range(rank):
-                offset[k] -= w[k]
-            gens.add(tuple(-c for c in w))
+    inside = {w for i, w in enumerate(ws) if i in t}
+    outside = [w for i, w in enumerate(ws) if i not in t]
+    offset = tuple(-sum(c) for c in zip(*outside)) if outside else (0,) * rank
+    gens = inside | {tuple(map(neg, w)) for w in set(outside)}
     gens.discard((0,) * rank)
-    return NonMcmCone(offset=tuple(offset), generators=tuple(sorted(gens)))
+    return NonMcmCone(offset=offset, generators=tuple(sorted(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,46 +290,62 @@ def semigroup_member(target: Vec, generators: Sequence[Vec]) -> bool:
     return NonMcmCone(zero, tuple(tuple(g) for g in generators)).contains(target)
 
 
-def _in_cone_2d(p: Vec, gens: Sequence[Vec]) -> bool:
-    """Rational cone membership in the plane; two generators suffice for any
-    conic combination, so pairs are enough to test."""
-    if p == (0, 0):
-        return True
-    for g in gens:
-        if cross(g, p) == 0 and dot(g, p) > 0:
-            return True
-    for g, h in combinations(gens, 2):
-        det = cross(g, h)
-        if det == 0:
+def _split_units(gens: Sequence[Vec]) -> tuple[list[Vec], list[Vec], Optional[Vec]]:
+    """(units, rest, phi) for sorted distinct nonzero plane generators.
+
+    The units are the generators whose negative lies in the rational cone
+    of all of them, that is, the generators in the cone's lineality space.
+    One pass keeps the cone's two boundary generators while the cone stays
+    pointed; then there are no units, and phi is positive on the cone (the
+    boundary direction itself when there is one).  A cone that holds a line
+    is a half-plane, the line, or the plane.  A half-plane is bounded by
+    the line of two opposite generator directions with every generator on
+    one side: its units are the generators on that line, and phi (None
+    here) is left to :func:`_off_line`.  Otherwise, and on the line, every
+    generator is a unit and there is no phi (``(0, 0)``)."""
+    if not gens:
+        return [], [], (0, 0)
+    lo = hi = gens[0]
+    for g in gens[1:]:
+        # positive when g lies counterclockwise of lo, and hi of g
+        after_lo = lo[0] * g[1] - lo[1] * g[0]
+        before_hi = g[0] * hi[1] - g[1] * hi[0]
+        if lo is hi:  # a ray so far
+            if after_lo > 0:
+                hi = g
+            elif after_lo < 0:
+                lo = g
+            elif lo[0] * g[0] + lo[1] * g[1] < 0:
+                break
+        elif after_lo >= 0 and before_hi >= 0:
             continue
-        a_num = cross(p, h)
-        b_num = cross(g, p)
-        if det < 0:
-            a_num, b_num = -a_num, -b_num
-        if a_num >= 0 and b_num >= 0:
-            return True
-    return False
+        elif after_lo > 0 and hi[0] * g[1] - hi[1] * g[0] > 0:
+            hi = g
+        elif before_hi > 0 and g[0] * lo[1] - g[1] * lo[0] > 0:
+            lo = g
+        else:
+            break
+    else:
+        u, v = primitive(lo), primitive(hi)
+        return [], list(gens), u if u == v else (v[1] - u[1], u[0] - v[0])
+    dirs = {(x // g, y // g) for x, y in gens for g in (gcd(x, y),)}
+    for ux, uy in dirs:
+        if (-ux, -uy) in dirs:  # both are tried, so one side suffices
+            sides = [ux * gy - uy * gx for gx, gy in gens]
+            if min(sides) >= 0:
+                rest = [g for g, side in zip(gens, sides) if side]
+                return ([g for g, side in zip(gens, sides) if not side], rest,
+                        None if rest else (0, 0))
+    return list(gens), [], (0, 0)
 
 
-def _positive_functional(rest: Sequence[Vec], lat: Optional[Vec]) -> Vec:
-    """Integer functional vanishing on the unit line (if any) and strictly
-    positive on the remaining generators."""
-    if lat is not None:
-        for phi in ((-lat[1], lat[0]), (lat[1], -lat[0])):
-            if all(dot(phi, g) > 0 for g in rest):
-                return phi
-        raise AssertionError("generators not separated from the unit line")
-    dirs = sorted({primitive(g) for g in rest})
-    if len(dirs) == 1:
-        return dirs[0]
-    for u, v in ((u, v) for u in dirs for v in dirs if u != v):
-        if cross(u, v) <= 0:
-            continue
-        if all(cross(u, g) >= 0 and cross(g, v) >= 0 for g in dirs):
-            phi = (v[1] - u[1], u[0] - v[0])
-            assert all(dot(phi, g) > 0 for g in rest)
+def _off_line(rest: Sequence[Vec], line: Vec) -> Vec:
+    """The normal of the unit line, in the sign that is strictly positive
+    on the remaining generators."""
+    for phi in ((-line[1], line[0]), (line[1], -line[0])):
+        if all(phi[0] * g[0] + phi[1] * g[1] > 0 for g in rest):
             return phi
-    raise AssertionError("generator cone is not pointed")
+    raise AssertionError("generators not separated from the unit line")
 
 
 def _unit_lattice(units: Sequence[Vec]) -> tuple[int, int, int]:
@@ -375,10 +401,11 @@ class McmTest:
     """The MCM test of one weight system, compiled once.
 
     Rank 1 is an interval test.  Rank 2 holds the :class:`NonMcmCone` of
-    every closed chamber and open sector (``cones``) and asks each cone's
-    membership function in turn; their reached levels grow with the queries
-    and live as long as the test.  Calling the test checks the rank of chi.
-    Build one with :meth:`of` to reuse the test a
+    every closed chamber and open sector (``cones``) and decides a class in
+    one flat loop over their rows (:func:`_outside`), in the order of the
+    cones; their reached levels grow with the queries and live as long as
+    the test.  Calling the test checks the rank of chi.  Build one with
+    :meth:`of` to reuse the test a
     :class:`~hibinccr.classgroup.ClassGroupData` already holds.
 
     A query far from the origin is slow: it closes every cone's levels up
@@ -405,15 +432,7 @@ class McmTest:
                 f"criterion hypothesis fails on chambers {decomposition.hypothesis_failures}")
         self.cones = tuple(non_mcm_cone(chamber, ws) for chamber in decomposition.chambers
                            if chamber.kind != HALF_OPEN)
-        members = tuple(cone._member for cone in self.cones)
-
-        def decide(chi: Vec) -> bool:
-            x, y = chi
-            for member in members:
-                if member(x, y):
-                    return False
-            return True
-        self._decide = decide
+        self._decide = partial(_outside, tuple(cone._row for cone in self.cones))
 
     @classmethod
     def of(cls, weights: WeightsLike) -> "McmTest":

@@ -467,14 +467,18 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
     Without a hint this is the breadth-first tree rooted at ``bot`` scanning
     edges in index order, so class-group coordinates are reproducible.  A
     hint is validated and used verbatim; a refusal names the edge at fault
-    by its label (edge k is e<k+1>).
+    by its label (edge k is e<k+1>), or the entry that is not an ``int``
+    (``bool`` included).
     """
     n_vertices = len(p.elements)
     if hint is not None:
-        order = list(dict.fromkeys(int(e) for e in hint))
+        order = list(hint)
         for k in order:
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise PosetError(f"tree hint entry {k!r} is not an edge index")
             if not 0 <= k < p.n_edges:
                 raise PosetError(f"tree hint references unknown edge e{k + 1}")
+        order = list(dict.fromkeys(order))
         closing = _closing_edge(p, order)
         if closing is not None:
             raise PosetError(f"tree hint is not a spanning tree: "

@@ -1,0 +1,136 @@
+"""The compiled kernels against the references they replaced.
+
+``intlattice.smith_normal_form`` must return exactly the (D, U, V) of
+``oracles.reference_smith_normal_form``: the same pivots and operations,
+written as nested closures over whole rows and columns.  ``mcm.McmTest``
+must give every answer of ``oracles.level_cones``, whose cones come from
+the reference chamber decomposition and cone builder and decide each query
+with per-query tuple arithmetic.  The check needs nothing beyond the
+standard library, so it runs on each supported version without pytest
+(exit 1, printing each disagreement) with
+
+    PYTHONPATH=src python tests/kernel_agreement.py --check
+
+It draws ``MATRICES`` matrices and ``WEIGHT_SYSTEMS`` rank-2 weight systems
+from a fixed seed.  The matrices are the empty one, rows without entries,
+and then, in turn, 1x1, tall, wide, rank-deficient (a product through a
+narrower inner size), torsion (entries sharing factors 2 and 3) and zero
+rows mixed into a random matrix.  The weight systems are the family tables
+of ``FAMILIES`` and Gorenstein systems of pairs v, -v plus a triangle, as
+``tests/test_mcm.py`` draws them; each is asked about ``POINTS`` points of
+``[-BOX, BOX]^2`` in a fresh order.  ``tests/test_intlattice.py`` and
+``tests/test_mcm.py`` run the same comparison on smaller samples.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+
+from hibinccr import CriterionHypothesisError, McmTest, TypeParams, expected_weight_table
+from hibinccr.intlattice import smith_normal_form
+
+from oracles import cones_is_mcm, level_cones, reference_smith_normal_form
+
+MATRICES = 6000
+WEIGHT_SYSTEMS = 300
+POINTS = 80
+BOX = 14
+FAMILIES = [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (3, 3, 3)),
+            ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)), ("IV", (4, 5)),
+            ("V", (0,)), ("V", (3,))]
+SHAPES = ("1x1", "tall", "wide", "rank-deficient", "torsion", "zero-rows")
+
+
+def _matrix(rng: random.Random, shape: str) -> list[list[int]]:
+    n, d = rng.randint(1, 7), rng.randint(1, 7)
+    if shape == "1x1":
+        return [[rng.randint(-9, 9)]]
+    if shape == "tall":
+        n, d = max(n, d) + 1, min(n, d)
+    elif shape == "wide":
+        n, d = min(n, d), max(n, d) + 1
+    elif shape == "rank-deficient":
+        k = rng.randint(1, max(1, min(n, d) - 1))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)]
+        return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(d)]
+                for i in range(n)]
+    elif shape == "torsion":
+        return [[rng.choice((0, 0, 2, -2, 3, 4, -6, 9, 12)) for _ in range(d)]
+                for _ in range(n)]
+    a = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(n)]
+    if shape == "zero-rows":
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            a[i] = [0] * d
+    return a
+
+
+def matrices(seed: int = 0, count: int = MATRICES) -> list[list[list[int]]]:
+    """The empty matrix, rows without entries, then ``count`` drawn ones."""
+    rng = random.Random(seed)
+    return [[], [[]], [[], [], []]] + [_matrix(rng, SHAPES[i % len(SHAPES)])
+                                      for i in range(count)]
+
+
+def smith_disagreements(sample: list[list[list[int]]]) -> list[list[list[int]]]:
+    """The matrices on which the Smith form differs from the reference."""
+    return [a for a in sample if smith_normal_form(a) != reference_smith_normal_form(a)]
+
+
+def _gorenstein(rng: random.Random) -> list[tuple[int, int]]:
+    def weight() -> tuple[int, int]:
+        while True:
+            w = (rng.randint(-2, 2), rng.randint(-2, 2))
+            if w != (0, 0):
+                return w
+    pairs = [weight() for _ in range(rng.randint(1, 3))]
+    a, b = weight(), weight()
+    triangle = [a, b, (-a[0] - b[0], -a[1] - b[1])] if a != (-b[0], -b[1]) else []
+    return pairs + [(-x, -y) for x, y in pairs] + triangle * rng.randint(1, 2)
+
+
+def weight_systems(seed: int = 0, count: int = WEIGHT_SYSTEMS) -> list[list[tuple[int, int]]]:
+    """The family tables, then ``count`` drawn Gorenstein systems."""
+    rng = random.Random(seed)
+    tables = [list(expected_weight_table(TypeParams(tag, params, "as-given")))
+              for tag, params in FAMILIES]
+    return tables + [_gorenstein(rng) for _ in range(count)]
+
+
+def mcm_disagreements(systems: list[list[tuple[int, int]]], seed: int = 0,
+                      points: int = POINTS) -> tuple[list[tuple], int]:
+    """The (weights, point) pairs on which ``McmTest`` and the level cones
+    differ, and how many systems the criterion applies to."""
+    rng = random.Random(seed)
+    bad, tested = [], 0
+    for ws in systems:
+        try:
+            test = McmTest(ws)
+        except CriterionHypothesisError:
+            continue
+        tested += 1
+        cones = level_cones(ws)
+        for _ in range(points):
+            pt = (rng.randint(-BOX, BOX), rng.randint(-BOX, BOX))
+            if test(pt) != cones_is_mcm(pt, cones):
+                bad.append((ws, pt))
+    return bad, tested
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--check"]:
+        sys.exit("usage: kernel_agreement.py --check")
+    sample = matrices()
+    smith_bad = smith_disagreements(sample)
+    for a in smith_bad:
+        print(f"smith_normal_form differs: {a!r}")
+    systems = weight_systems()
+    mcm_bad, tested = mcm_disagreements(systems)
+    for ws, pt in mcm_bad:
+        print(f"McmTest differs: {ws!r} at {pt!r}")
+    print(f"{len(sample) - len(smith_bad)}/{len(sample)} Smith forms agree; "
+          f"{tested * POINTS - len(mcm_bad)}/{tested * POINTS} MCM answers agree "
+          f"on {tested} of {len(systems)} weight systems, "
+          f"on Python {sys.version.split()[0]}")
+    sys.exit(1 if smith_bad or mcm_bad else 0)

@@ -65,9 +65,22 @@ offset with tuple arithmetic, pairs with phi through ``dot``, reduces modulo
 the unit line by its own rule and, for a cone without phi steps, asks the
 Smith form for lattice membership.  ``cones_is_mcm`` is the whole-system
 test it served: ``not any(cone.contains(chi) for cone in cones)`` over the
-closed chambers and open sectors.  It shares the chamber decomposition, the
-cone definition (``mcm.non_mcm_cone``) and the choice of units and phi with
-``mcm.McmTest``, not the compiled membership.
+closed chambers and open sectors.  Its units are the generators whose
+negative ``_in_cone_2d`` finds in the cone by a scan over pairs, and its phi
+comes from ``reference_positive_functional``, a search over pairs of
+directions.  ``level_cones`` builds its cones from
+``reference_chamber_decomposition`` (one ``dot`` per piece and weight, every
+ray sorted by ``angle_key``) and ``reference_non_mcm_cone`` (the offset
+summed coordinate by coordinate), the routines ``mcm.McmTest`` compiled
+through before it paired pieces with distinct weights inline and split each
+cone's units in one pass.  So it shares with ``mcm.McmTest`` only the
+criterion, the record types and the Smith form.
+
+``reference_smith_normal_form`` is the Smith form the library ran before it
+inlined its five nested closures: the same pivots and operations, each row
+and column operation a call that walks whole rows and columns, and a pivot
+search over the whole block.  ``intlattice.smith_normal_form`` must return
+the very same (D, U, V).
 
 ``tree_main`` is the CLI as it ran before it routed each argv to its leaf
 parser: every argv is parsed by the whole tree from ``cli.build_parser``,
@@ -94,7 +107,8 @@ from typing import Iterable, Optional, Sequence
 from hibinccr import cli, divisorial, mcm
 from hibinccr.classgroup import ClassGroupData, SigmaMatrix, _class_group_cone
 from hibinccr.divisorial import ConicPolytope, UnboundedPolytopeError, WeightsLike, weight_list
-from hibinccr.intlattice import Matrix, Vec, cross, dot, lattice_contains, primitive
+from hibinccr.intlattice import Matrix, Vec, angle_key, cross, dot, lattice_contains, primitive
+from hibinccr.mcm import Chamber, ChamberDecomposition
 from hibinccr.nccr import (CertStep, CharacterSet, EndMcmReport, GldimCertificate,
                            GldimResult, UnusableDirectionError, _check_rank, default_directions,
                            is_separated, koszul_terms)
@@ -796,10 +810,10 @@ class LevelNonMcmCone:
         rank = len(offset)
         self.offset = tuple(offset)
         gens = sorted({_plane(g) for g in generators} - {(0, 0)})
-        self.units = [g for g in gens if mcm._in_cone_2d((-g[0], -g[1]), gens)]
+        self.units = [g for g in gens if _in_cone_2d((-g[0], -g[1]), gens)]
         rest = [g for g in gens if g not in self.units]
         self.line = _lattice_line(self.units) if rest else None
-        self.phi = mcm._positive_functional(rest, self.line) if rest else (0, 0)
+        self.phi = reference_positive_functional(rest, self.line) if rest else (0, 0)
         self.steps = [(dot(self.phi, g), g) for g in rest]
         self.levels: list[set[Vec]] = [{(0, 0)}]
         self.rank = rank
@@ -825,6 +839,48 @@ def _plane(v: Vec) -> Vec:
     return v if len(v) == 2 else (v[0], 0)
 
 
+def _in_cone_2d(p: Vec, gens: Sequence[Vec]) -> bool:
+    """Rational cone membership in the plane; two generators suffice for any
+    conic combination, so pairs are enough to test."""
+    if p == (0, 0):
+        return True
+    for g in gens:
+        if cross(g, p) == 0 and dot(g, p) > 0:
+            return True
+    for g, h in combinations(gens, 2):
+        det = cross(g, h)
+        if det == 0:
+            continue
+        a_num = cross(p, h)
+        b_num = cross(g, p)
+        if det < 0:
+            a_num, b_num = -a_num, -b_num
+        if a_num >= 0 and b_num >= 0:
+            return True
+    return False
+
+
+def reference_positive_functional(rest: Sequence[Vec], lat: Optional[Vec]) -> Vec:
+    """Integer functional vanishing on the unit line (if any) and strictly
+    positive on the remaining generators."""
+    if lat is not None:
+        for phi in ((-lat[1], lat[0]), (lat[1], -lat[0])):
+            if all(dot(phi, g) > 0 for g in rest):
+                return phi
+        raise AssertionError("generators not separated from the unit line")
+    dirs = sorted({primitive(g) for g in rest})
+    if len(dirs) == 1:
+        return dirs[0]
+    for u, v in ((u, v) for u in dirs for v in dirs if u != v):
+        if cross(u, v) <= 0:
+            continue
+        if all(cross(u, g) >= 0 and cross(g, v) >= 0 for g in dirs):
+            phi = (v[1] - u[1], u[0] - v[0])
+            assert all(dot(phi, g) > 0 for g in rest)
+            return phi
+    raise AssertionError("generator cone is not pointed")
+
+
 def _lattice_line(units: Sequence[Vec]) -> Optional[Vec]:
     """Generator of the rank-1 sublattice spanned by collinear units."""
     if not units:
@@ -847,18 +903,198 @@ def _canon_mod_line(x: Vec, lat: Optional[Vec]) -> Vec:
     return (x[0] - k * lat[0], x[1] - k * lat[1])
 
 
+def _pairing_t_set(direction: Vec, ws: Sequence[Vec]) -> tuple[int, ...]:
+    return tuple(i for i, w in enumerate(ws) if dot(direction, w) < 0)
+
+
+def reference_chamber_decomposition(weights: WeightsLike) -> ChamberDecomposition:
+    """The chamber decomposition with one ``dot`` per piece and weight, the
+    rays sorted whole by ``angle_key``."""
+    ws = weight_list(weights)
+    if not ws:
+        raise ValueError("empty weight system")
+    rank = len(ws[0])
+    if rank == 1:
+        chambers = tuple(
+            Chamber(t_set=_pairing_t_set(lam, ws), kind=mcm.CLOSED, witness=lam)
+            for lam in ((1,), (-1,)))
+        return _reference_hypothesis(chambers)
+    if rank != 2:
+        raise ValueError("chamber decomposition implemented for rank 1 and 2")
+
+    rays: set[Vec] = set()
+    for w in ws:
+        if w == (0, 0):
+            continue
+        n = primitive((-w[1], w[0]))
+        rays.add(n)
+        rays.add((-n[0], -n[1]))
+    if not rays:
+        raise ValueError("all weights are zero")
+    ordered = sorted(rays, key=angle_key)
+
+    # atomic pieces, counterclockwise: sector after ray i, then ray i+1; the
+    # list ends with the first ray itself
+    pieces: list[tuple[str, Vec]] = []
+    m = len(ordered)
+    for i in range(m):
+        a = ordered[i]
+        b = ordered[(i + 1) % m]
+        if cross(a, b) > 0:
+            mid: Vec = (a[0] + b[0], a[1] + b[1])
+        else:  # opposite rays: the gap is half a turn
+            mid = (-a[1], a[0])
+        pieces.append(("sector", primitive(mid)))
+        pieces.append(("ray", b))
+
+    t_sets = [_pairing_t_set(wit, ws) for _, wit in pieces]
+
+    runs: list[list[int]] = []
+    for idx in range(len(pieces)):
+        if runs and t_sets[runs[-1][-1]] == t_sets[idx]:
+            runs[-1].append(idx)
+        else:
+            runs.append([idx])
+    if len(runs) > 1 and t_sets[runs[0][0]] == t_sets[runs[-1][-1]]:
+        runs[0] = runs[-1] + runs[0]
+        runs.pop()
+    assert len(runs) >= 2, "degenerate decomposition: constant pairing sets"
+
+    chambers = []
+    for run in runs:
+        starts_with_ray = pieces[run[0]][0] == "ray"
+        ends_with_ray = pieces[run[-1]][0] == "ray"
+        included = int(starts_with_ray) + int(ends_with_ray)
+        if len(run) == 1 and starts_with_ray:
+            included = 2  # a lone ray is its own closed boundary
+        kind = {2: mcm.CLOSED, 1: mcm.HALF_OPEN, 0: mcm.OPEN}[included]
+        chambers.append(Chamber(t_set=t_sets[run[0]], kind=kind,
+                                witness=pieces[run[0]][1]))
+    return _reference_hypothesis(tuple(chambers))
+
+
+def _reference_hypothesis(chambers: tuple[Chamber, ...]) -> ChamberDecomposition:
+    failures = []
+    for i, c in enumerate(chambers):
+        needed = {mcm.CLOSED: 2, mcm.OPEN: 3}.get(c.kind)
+        if needed is not None and len(c.t_set) < needed:
+            failures.append((i, len(c.t_set), needed))
+    return ChamberDecomposition(chambers=chambers, hypothesis_failures=tuple(failures))
+
+
+def reference_non_mcm_cone(chamber: Chamber, weights: WeightsLike) -> tuple[Vec, tuple[Vec, ...]]:
+    """(offset, generators) of a chamber's non-MCM cone, summed coordinate
+    by coordinate."""
+    if chamber.kind == mcm.HALF_OPEN:
+        raise ValueError("half-open chambers never contribute non-MCM cones")
+    ws = weight_list(weights)
+    rank = len(ws[0])
+    t = set(chamber.t_set)
+    offset = [0] * rank
+    gens: set[Vec] = set()
+    for i, w in enumerate(ws):
+        if i in t:
+            gens.add(w)
+        else:
+            for k in range(rank):
+                offset[k] -= w[k]
+            gens.add(tuple(-c for c in w))
+    gens.discard((0,) * rank)
+    return tuple(offset), tuple(sorted(gens))
+
+
 def level_cones(weights: WeightsLike) -> list[LevelNonMcmCone]:
     """The reference cone of every closed chamber and open sector."""
     ws = weight_list(weights)
-    return [LevelNonMcmCone(cone.offset, cone.generators)
-            for cone in (mcm.non_mcm_cone(c, ws)
-                         for c in mcm.chamber_decomposition(ws).chambers
-                         if c.kind != mcm.HALF_OPEN)]
+    return [LevelNonMcmCone(*reference_non_mcm_cone(c, ws))
+            for c in reference_chamber_decomposition(ws).chambers
+            if c.kind != mcm.HALF_OPEN]
 
 
 def cones_is_mcm(chi: Vec, cones: Sequence[LevelNonMcmCone]) -> bool:
     """Is chi outside every one of the cones?"""
     return not any(cone.contains(chi) for cone in cones)
+
+
+def reference_smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """(D, U, V) with U*A*V = D, by the same pivots and operations as
+    ``intlattice.smith_normal_form``, written as five nested closures that
+    act on whole rows and columns."""
+    A = [list(row) for row in a]
+    n = len(A)
+    d = len(A[0]) if n else 0
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [[int(i == j) for j in range(d)] for i in range(d)]
+
+    def row_sub(i: int, j: int, f: int) -> None:
+        A[i] = [x - f * y for x, y in zip(A[i], A[j])]
+        U[i] = [x - f * y for x, y in zip(U[i], U[j])]
+
+    def col_sub(i: int, j: int, f: int) -> None:
+        for r in range(n):
+            A[r][i] -= f * A[r][j]
+        for r in range(d):
+            V[r][i] -= f * V[r][j]
+
+    def row_swap(i: int, j: int) -> None:
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i: int, j: int) -> None:
+        for r in range(n):
+            A[r][i], A[r][j] = A[r][j], A[r][i]
+        for r in range(d):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+
+    def diagonalize() -> int:
+        t = 0
+        while t < min(n, d):
+            pivot = None
+            for i in range(t, n):
+                for j in range(t, d):
+                    if A[i][j] != 0 and (pivot is None
+                                         or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            row_swap(t, pivot[0])
+            col_swap(t, pivot[1])
+            while True:
+                for i in range(t + 1, n):
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        row_sub(i, t, q)
+                if any(A[i][t] for i in range(t + 1, n)):
+                    # a remainder smaller than the pivot appeared; re-pivot
+                    i = min((i for i in range(t + 1, n) if A[i][t]),
+                            key=lambda i: abs(A[i][t]))
+                    row_swap(t, i)
+                    continue
+                for j in range(t + 1, d):
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        col_sub(j, t, q)
+                if any(A[t][j] for j in range(t + 1, d)):
+                    j = min((j for j in range(t + 1, d) if A[t][j]),
+                            key=lambda j: abs(A[t][j]))
+                    col_swap(t, j)
+                    continue
+                break
+            if A[t][t] < 0:
+                A[t] = [-x for x in A[t]]
+                U[t] = [-x for x in U[t]]
+            t += 1
+        return t
+
+    rank = diagonalize()
+    while True:
+        bad = next((i for i in range(rank - 1)
+                    if A[i + 1][i + 1] % A[i][i] != 0), None)
+        if bad is None:
+            break
+        col_sub(bad, bad + 1, -1)  # col_bad += col_{bad+1}; breaks diagonality
+        rank = diagonalize()
+    return A, U, V
 
 
 def tree_main(argv: Sequence[str]) -> int:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from hibinccr import corpus_path, parse_cone, parse_poset
 from hibinccr.classgroup import class_group, sigma_matrix
 from hibinccr.families import classify, expected_weight_table, generate_family
 from hibinccr.intlattice import (angle_key, convex_hull, cross,
@@ -17,8 +18,11 @@ from hibinccr.intlattice import (angle_key, convex_hull, cross,
                                  smith_normal_form, solve_rational)
 from hibinccr.posets import spanning_tree
 
+import kernel_agreement
 from oracles import (fraction_angle_key, fraction_solve_rational, lattice_rank,
-                     permutation_unimodular_match, rational_rank, solve_integer)
+                     permutation_unimodular_match, rational_rank,
+                     reference_smith_normal_form, solve_integer)
+from test_posets import FAMILY_SIZES
 
 
 def _matmul(a, b):
@@ -51,6 +55,41 @@ def test_snf_transforms_random():
         expected = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
         exp_diag = [abs(expected[i, i]) for i in range(min(n, d))]
         assert [abs(x) for x in diag] == exp_diag
+
+
+def test_snf_matches_the_reference_on_a_seeded_sample():
+    """The same (D, U, V) as the closure-based eliminator it replaced, on
+    the empty matrix, rows without entries, and every shape of
+    ``kernel_agreement.SHAPES``: 1x1, tall, wide, rank-deficient, torsion
+    and zero rows."""
+    sample = kernel_agreement.matrices(seed=1, count=50 * len(kernel_agreement.SHAPES))
+    assert sample[:3] == [[], [[]], [[], [], []]]
+    assert smith_normal_form([]) == ([], [], [])
+    assert smith_normal_form([[], []]) == ([[], []], [[1, 0], [0, 1]], [])
+    assert not kernel_agreement.smith_disagreements(sample)
+    assert any(len(a) > len(a[0]) for a in sample[3:])
+    assert any(len(a) < len(a[0]) for a in sample[3:])
+    assert any(x > 1 for a in sample[3:] for x in invariant_factors(a))
+
+
+def _corpus_rows():
+    for path in sorted(corpus_path("").iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.name.endswith(".cone"):
+            yield path.name, parse_cone(text).rows
+        elif path.name.endswith(".poset"):
+            yield path.name, sigma_matrix(parse_poset(text)).rows
+
+
+@pytest.mark.parametrize("name, rows", list(_corpus_rows()))
+def test_snf_matches_the_reference_on_the_corpus(name, rows):
+    assert smith_normal_form(rows) == reference_smith_normal_form(rows)
+
+
+@pytest.mark.parametrize("tag, params", FAMILY_SIZES)
+def test_snf_matches_the_reference_on_family_sigma_matrices(tag, params):
+    rows = sigma_matrix(generate_family(tag, params).poset).rows
+    assert smith_normal_form(rows) == reference_smith_normal_form(rows)
 
 
 def test_invariant_factors_example():

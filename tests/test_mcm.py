@@ -16,7 +16,9 @@ from hibinccr import (CharacterSet, CriterionHypothesisError, NotGorensteinError
 from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN, NonMcmCone
 
 from conftest import table
-from oracles import LevelNonMcmCone, cones_is_mcm, level_cones, semigroup_members
+from kernel_agreement import mcm_disagreements, weight_systems
+from oracles import (LevelNonMcmCone, cones_is_mcm, level_cones, reference_chamber_decomposition,
+                     reference_non_mcm_cone, semigroup_members)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +404,44 @@ def test_compiled_test_agrees_with_level_cones(ws, points):
     assert [is_mcm(pt, ws) for pt in points[:3]] == [test(pt) for pt in points[:3]]
 
 
+def _assert_chambers_and_cones_match_the_reference(ws):
+    try:
+        ref = reference_chamber_decomposition(ws)
+    except (ValueError, AssertionError) as exc:
+        with pytest.raises(type(exc)) as ours:
+            chamber_decomposition(ws)
+        assert str(ours.value) == str(exc)
+        return
+    dec = chamber_decomposition(ws)
+    assert dec == ref
+    for chamber in dec.chambers:
+        if chamber.kind != HALF_OPEN:
+            cone = non_mcm_cone(chamber, ws)
+            assert (cone.offset, cone.generators) == reference_non_mcm_cone(chamber, ws)
+
+
+@pytest.mark.parametrize("ws", FAMILY_TABLES)
+def test_chambers_and_cones_match_the_reference_on_families(ws):
+    _assert_chambers_and_cones_match_the_reference(ws)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_gorenstein_rank2(),
+                 st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=1, max_size=7)))
+def test_chambers_and_cones_match_the_reference(ws):
+    """Gorenstein systems, and any plane weights: zero ones, repeated ones,
+    one line only."""
+    _assert_chambers_and_cones_match_the_reference(ws)
+
+
+def test_compiled_test_matches_level_cones_on_a_seeded_sample():
+    systems = weight_systems(seed=3, count=40)
+    bad, tested = mcm_disagreements(systems, seed=3, points=30)
+    assert not bad
+    assert tested >= 30
+
+
 @st.composite
 def _cone(draw):
     """Rank 1 or 2; some generators with their negatives (a unit line, or
@@ -427,6 +467,23 @@ def test_compiled_cone_agrees_with_level_cone(cone, points):
     points = [pt[:len(offset)] for pt in points]
     ours, ref = NonMcmCone(offset, gens), LevelNonMcmCone(offset, gens)
     assert [ours.contains(pt) for pt in points] == [ref.contains(pt) for pt in points]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=7),
+       st.lists(st.integers(1, 3), max_size=7))
+def test_unit_split_matches_the_pairwise_scan(gens, scales):
+    """The one-pass split finds the units, the rest and phi that the
+    pairwise cone-membership scan and its phi search find, so the levels
+    are the same sets; negatives, scaled, make lines and half-planes."""
+    gens = gens + [(-k * x, -k * y) for (x, y), k in zip(gens, scales)]
+    ref = LevelNonMcmCone((0, 0), gens)
+    units, rest, _ = mcm._split_units(sorted(set(gens) - {(0, 0)}))
+    assert units == ref.units
+    assert rest == [g for _, g in ref.steps]
+    row = NonMcmCone((0, 0), tuple(gens))._row
+    assert row[2:4] == ref.phi
+    assert [(cost, (gx, gy)) for cost, gx, gy in row[7]] == ref.steps
 
 
 def test_unit_line_and_group_cones_by_hand():

@@ -262,6 +262,19 @@ def test_bad_hints_name_the_edge(running_example, hint, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("hint, message", [
+    ([1.7, 2, 3, 4, 5, 6], "tree hint entry 1.7 is not an edge index"),
+    ([1, "2", 3, 4, 5, 6], "tree hint entry '2' is not an edge index"),
+    ([1, 2, 3, 4, 5, 6, True], "tree hint entry True is not an edge index"),
+], ids=["float", "str", "bool"])
+def test_non_integer_hint_entries_refused(running_example, hint, message):
+    """A hint entry that is not an ``int`` is refused by name, not read as
+    the edge it would convert to (1.7 and True once read as e2, "2" as e3)."""
+    with pytest.raises(PosetError) as info:
+        spanning_tree(running_example, hint=hint)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # polynomial extension edges
 
