@@ -5,7 +5,7 @@ splitting non-commutative crepant resolutions with replayable certificates.
 
 from .classgroup import (ClassGroupData, ConeError, SigmaMatrix, TorsionError,
                          class_group, class_of, parse_cone, same_class,
-                         serialize_cone, sigma_matrix, verify_divisor_relations)
+                         serialize_cone, sigma_matrix)
 from .divisorial import (ConicPolytope, conic_classes, conic_facets,
                          conic_polytope, enumerate_conic, is_conic)
 from .families import (GeneratedFamily, Rejection, TypeParams, classify,

@@ -220,21 +220,14 @@ def _class_group_hibi(s: SigmaMatrix, tree: TreeSelection) -> ClassGroupData:
     if len(order) != d + 1:
         raise not_a_basis
     for v in reversed(order[1:]):
+        balance = [0] * rank  # the classes going up from v minus those coming down
+        for k in incident[v]:  # the parent edge's class is still zero
+            sign = 1 if ends[k][0] == v else -1
+            balance = [b + sign * c for b, c in zip(balance, weights[k])]
         up = parent_edge[v]
         sign = 1 if ends[up][0] == v else -1
-        weights[up] = tuple(-sign * b for b in _balance(v, incident[v], ends, weights))
+        weights[up] = tuple(-sign * b for b in balance)
     return ClassGroupData(rank=rank, weights=tuple(weights), cotree=cotree)
-
-
-def _balance(v: int, edge_ids: Sequence[int], ends: Sequence[tuple[int, int]],
-             weights: Sequence[Vec]) -> list[int]:
-    """The classes of the given edges going up from position v minus those
-    of the ones coming down to it."""
-    out = [0] * len(weights[0])
-    for k in edge_ids:
-        sign = 1 if ends[k][0] == v else -1
-        out = [b + sign * c for b, c in zip(out, weights[k])]
-    return out
 
 
 def _class_group_cone(s: SigmaMatrix) -> ClassGroupData:
@@ -277,11 +270,3 @@ def same_class(a: Sequence[int], b: Sequence[int], s: SigmaMatrix) -> bool:
     diff = tuple(x - y for x, y in zip(a, b))
     return intlattice.lattice_contains(list(zip(*s.rows)), diff)
 
-
-def verify_divisor_relations(p: BoundedPoset, cgd: ClassGroupData) -> bool:
-    """Check the defining relations of the class group on a Hibi input:
-    at every element below the top the up-edge classes sum to the down-edge
-    classes (at the minimum, to zero)."""
-    ends = p.edge_ends
-    return not any(any(_balance(v, p.incident_edges(v), ends, cgd.weights))
-                   for v in range(p.dim))

@@ -258,7 +258,7 @@ def _cmd_mcm_region(args) -> int:
     kind, obj, tree, cgd = _weights_for_input(text, args.tree)
     ws = list(cgd.weights)
     if cgd.rank == 1:
-        lo, hi = mcm.rank1_mcm_interval(ws)
+        lo, hi = rank1.mcm_interval(w[0] for w in ws)
         default = [(lo - 2, hi + 2)]
     elif cgd.rank == 2:
         default = _default_box(ws)
@@ -325,10 +325,13 @@ def _cmd_nccr_verify(args) -> int:
 def _cmd_generate(args) -> int:
     tag = args.type
     names = families.FAMILIES[tag].names
+    wanted = "/".join(f"--{name}" for name in names)
+    for name in ("l", "m", "n"):
+        if name not in names and getattr(args, name) is not None:
+            raise UsageError(f"error: type {tag} takes parameters {wanted}, not --{name}")
     params = [getattr(args, name) for name in names]
     if None in params:
-        raise UsageError(f"error: type {tag} needs parameters "
-                         + "/".join(f"--{name}" for name in names))
+        raise UsageError(f"error: type {tag} needs parameters {wanted}")
     try:
         fam = families.generate_family(tag, params)
     except ValueError as exc:

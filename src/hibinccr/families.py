@@ -79,13 +79,17 @@ FAMILIES = {
 
 
 def validate_params(type_tag: str, params: Sequence[int]) -> tuple[int, ...]:
+    """One ``int`` (not ``bool``, nothing converted) per name, each at
+    least its least value, as a tuple."""
     if type_tag not in FAMILIES:
         raise ValueError(f"unknown type {type_tag!r}")
     names, minima, *_ = FAMILIES[type_tag]
-    params = tuple(int(v) for v in params)
+    params = tuple(params)
     if len(params) != len(minima):
         raise ValueError(f"type {type_tag} takes parameters {names}")
     for value, least, name in zip(params, minima, names):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"type {type_tag} parameter {value!r} is not an int")
         if value < least:
             raise ValueError(f"type {type_tag} needs {name} >= {least}")
     return params

@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .classgroup import ClassGroupData
 from .divisorial import WeightsLike, weight_list
 from .intlattice import Vec, angle_key, primitive
+from .rank1 import mcm_interval
 from .record import Record
 
 CLOSED = "closed"        # contains both boundary rays (lone ray or closed cone)
@@ -386,11 +387,6 @@ def _check_gorenstein(ws: Sequence[Vec]) -> None:
         raise NotGorensteinError("weight system does not sum to zero")
 
 
-def rank1_mcm_interval(ws: Sequence[Vec]) -> tuple[int, int]:
-    beta = -sum(w[0] for w in ws if w[0] < 0)
-    return (-beta + 1, beta - 1)
-
-
 def _weight_rank(ws: Sequence[Vec]) -> int:
     if not ws:
         raise ValueError("empty weight system")
@@ -400,8 +396,10 @@ def _weight_rank(ws: Sequence[Vec]) -> int:
 class McmTest:
     """The MCM test of one weight system, compiled once.
 
-    Rank 1 is an interval test.  Rank 2 holds the :class:`NonMcmCone` of
-    every closed chamber and open sector (``cones``) and decides a class in
+    Rank 1 is the interval of :func:`hibinccr.rank1.mcm_interval`; unless a
+    weight is +-1 the rank-one chamber cones contradict it (open, see
+    :mod:`hibinccr.rank1`).  Rank 2 holds the :class:`NonMcmCone` of every
+    closed chamber and open sector (``cones``) and decides a class in
     one flat loop over their rows (:func:`_outside`), in the order of the
     cones; their reached levels grow with the queries and live as long as
     the test.  Calling the test checks the rank of chi.  Build one with
@@ -422,7 +420,7 @@ class McmTest:
         self.rank = _weight_rank(ws)
         _check_gorenstein(ws)
         if self.rank == 1:
-            lo, hi = rank1_mcm_interval(ws)
+            lo, hi = mcm_interval(w[0] for w in ws)
             self.cones: tuple[NonMcmCone, ...] = ()
             self._decide: Callable[[Vec], bool] = lambda chi: lo <= chi[0] <= hi
             return

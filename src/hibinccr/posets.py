@@ -16,10 +16,9 @@ order cover pairs were written in.
 from __future__ import annotations
 
 import re
-from collections import deque
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .record import Record
 
@@ -68,9 +67,10 @@ class BoundedPoset(Record):
     builder and graph walks work on, is its coordinate index for the cone
     of linear forms.  ``edge_ends`` lists the Hasse edges as (lower, upper)
     position pairs in canonical order (upward depth-first search from
-    ``bot`` with neighbours in position order, which is name order).  The
-    name pairs (``edges``), each position's incident edges and the name to
-    position lookup are derived on first use.
+    ``bot`` with neighbours in position order, which is name order).  No
+    name is looked up: ``covers``, ``degrees`` and the incidence lists take
+    and give positions.  The name pairs (``edges``) and the incidence lists
+    (``_incident``) are derived on first use.
     """
 
     _fields = ("elements", "edge_ends")
@@ -111,28 +111,6 @@ class BoundedPoset(Record):
             incident[u].append(k)
         return incident
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {el: i for i, el in enumerate(self.elements)}
-
-    def index(self, el: str) -> int:
-        try:
-            return self._position[el]
-        except KeyError:
-            raise ValueError(f"{el!r} is not an element") from None
-
-    def up_neighbors(self, el: str) -> tuple[str, ...]:
-        """The upper covers of el, in edge order."""
-        return self._named_covers(el, 0)
-
-    def down_neighbors(self, el: str) -> tuple[str, ...]:
-        """The lower covers of el, in edge order."""
-        return self._named_covers(el, 1)
-
-    def _named_covers(self, el: str, end: int) -> tuple[str, ...]:
-        i = self._position.get(el)
-        return () if i is None else tuple(self.elements[j] for j in self.covers(i, end))
-
     def covers(self, i: int, end: int) -> list[int]:
         """The far ends of the edges whose ``end`` end (0 lower, 1 upper) is
         position i: its upper covers for 0, its lower covers for 1, as
@@ -140,18 +118,10 @@ class BoundedPoset(Record):
         ends = self.edge_ends
         return [ends[k][1 - end] for k in self._incident[i] if ends[k][end] == i]
 
-    def degree(self, el: str) -> int:
-        i = self._position.get(el)
-        return 0 if i is None else len(self._incident[i])
-
     @property
     def degrees(self) -> list[int]:
         """The degree of each element, in position order."""
         return [len(ks) for ks in self._incident]
-
-    def incident_edges(self, i: int) -> Sequence[int]:
-        """The ids of the edges at the element in position i, ascending."""
-        return self._incident[i]
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +269,6 @@ def flip(p: BoundedPoset) -> BoundedPoset:
     return build_poset(list(p.interior), covers)
 
 
-def relabel(p: BoundedPoset, mapping: dict[str, str]) -> BoundedPoset:
-    """Rename interior elements; the result is re-canonicalized."""
-    covers = [(mapping[l], mapping[u]) for (l, u) in p.edges
-              if l != BOTTOM and u != TOP]
-    return build_poset([mapping[el] for el in p.interior], covers)
-
-
 # ---------------------------------------------------------------------------
 # chains and purity
 
@@ -379,8 +342,9 @@ def chordless_circuits(p: BoundedPoset) -> list[Circuit]:
     Every cycle is a sum over GF(2) of the fundamental cycles of a spanning
     tree, and a nonzero sum is a single cycle exactly when its edge set is
     connected and 2-regular; the cycle is chordless when each of its
-    vertices has exactly two graph neighbours on it.  The fundamental cycles
-    of the breadth-first :func:`spanning_tree` are edge bitsets, a Gray-code
+    vertices has exactly two graph neighbours on it.  One walk of the
+    breadth-first tree of :func:`spanning_tree` gives each vertex's tree
+    path as an edge bitset, and the fundamental cycles follow; a Gray-code
     walk reaches each of the 2^r - 1 nonzero sums with one XOR (r = |E| -
     |V| + 1, the cycle rank), and each sum is tested in O(|E|).  The cost is
     O(2^r * |E|): exponential in the cycle rank only, linear in the size of
@@ -391,20 +355,13 @@ def chordless_circuits(p: BoundedPoset) -> list[Circuit]:
     returned sorted by (length, vertex indices).
     """
     ends, incident = p.edge_ends, p._incident
-    tree = spanning_tree(p)
-    root_path = {0: 0}  # edge bitset of the tree path from bot
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for k in incident[v]:
-            if k in tree.tree_edges:
-                l, u = ends[k]
-                w = u if v == l else l
-                if w not in root_path:
-                    root_path[w] = root_path[v] | (1 << k)
-                    queue.append(w)
-    fundamental = [root_path[ends[k][0]] ^ root_path[ends[k][1]] ^ (1 << k)
-                   for k in tree.cotree_edges]
+    root_path = [0] * len(p.elements)  # edge bitset of the tree path from bot
+    for k, v, w in _tree_walk(p):
+        root_path[w] = root_path[v] | (1 << k)
+    # a tree edge's two root paths differ in that edge alone, so only the
+    # cotree edges, ascending, leave a nonzero fundamental cycle
+    fundamental = [c for c in (root_path[l] ^ root_path[u] ^ (1 << k)
+                               for k, (l, u) in enumerate(ends)) if c]
 
     walks: list[tuple[int, ...]] = []
     element = 0
@@ -471,7 +428,9 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
     (``bool`` included).
     """
     n_vertices = len(p.elements)
-    if hint is not None:
+    if hint is None:
+        order = [k for k, _, _ in _tree_walk(p)]
+    else:
         order = list(hint)
         for k in order:
             if isinstance(k, bool) or not isinstance(k, int):
@@ -487,26 +446,26 @@ def spanning_tree(p: BoundedPoset, hint: Optional[Iterable[int]] = None) -> Tree
             raise PosetError(f"tree hint is not a spanning tree: it has "
                              f"{len(order)} edges, a spanning tree has "
                              f"{n_vertices - 1}")
-        tree = frozenset(order)
-        cotree = tuple(k for k in range(p.n_edges) if k not in tree)
-        return TreeSelection(tree_edges=tree, cotree_edges=cotree)
-
-    ends, incident = p.edge_ends, p._incident
-    visited = {0}
-    queue = deque([0])
-    tree_list: list[int] = []
-    while queue:
-        v = queue.popleft()
-        for k in incident[v]:
-            l, u = ends[k]
-            other = u if v == l else l
-            if other not in visited:
-                visited.add(other)
-                tree_list.append(k)
-                queue.append(other)
-    tree = frozenset(tree_list)
+    tree = frozenset(order)
     cotree = tuple(k for k in range(p.n_edges) if k not in tree)
     return TreeSelection(tree_edges=tree, cotree_edges=cotree)
+
+
+def _tree_walk(p: BoundedPoset) -> Iterator[tuple[int, int, int]]:
+    """The breadth-first tree from ``bot``, each vertex's edges scanned in
+    index order: every tree edge k with the end v the walk stood on and the
+    end w it reached through k, in the order they are reached."""
+    ends, incident = p.edge_ends, p._incident
+    seen = bytearray(len(p.elements))
+    seen[0] = 1
+    reached = [0]
+    for v in reached:
+        for k in incident[v]:
+            w = ends[k][0] + ends[k][1] - v
+            if not seen[w]:
+                seen[w] = 1
+                reached.append(w)
+                yield k, v, w
 
 
 def _closing_edge(p: BoundedPoset, edges: Sequence[int]) -> Optional[int]:

@@ -6,12 +6,17 @@ interval it cuts out, every basic module giving a splitting NCCR is a window
 of consecutive classes of exactly that length, and in dimension three the
 windows are connected by mutations at their end summands, giving a path as
 the exchange graph.
+
+The interval and the chamber criterion (``mcm.chamber_decomposition``,
+``mcm.non_mcm_cone``) disagree just outside it unless some weight is +-1: on
+(2, 3, -2, -3) at +-6, (3, 7, -4, -6) at +-11, +-12, +-15.  Which is right is
+open; a local-cohomology MCM test, independent of both, would decide it.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .classgroup import ClassGroupData
 from .intlattice import Vec
@@ -72,11 +77,17 @@ class McmBound(NamedTuple):
     interval: tuple[int, int]
 
 
+def mcm_interval(weights: Iterable[int]) -> tuple[int, int]:
+    """The least and greatest MCM class, -beta + 1 and beta - 1, of plain
+    integer weights, unvalidated; beta is minus the sum of the negative ones."""
+    beta = -sum(w for w in weights if w < 0)
+    return (-beta + 1, beta - 1)
+
+
 def mcm_bound(w: Rank1Weights) -> McmBound:
-    """Minus the sum of the negative weights; MCM classes are the symmetric
-    open interval it bounds."""
-    beta = -sum(w.negatives)
-    return McmBound(summands=beta, interval=(-beta + 1, beta - 1))
+    """The summand count beta and the MCM interval (:func:`mcm_interval`)."""
+    lo, hi = mcm_interval(w.weights)
+    return McmBound(summands=hi + 1, interval=(lo, hi))
 
 
 class Window(NamedTuple):

@@ -82,6 +82,13 @@ and column operation a call that walks whole rows and columns, and a pivot
 search over the whole block.  ``intlattice.smith_normal_form`` must return
 the very same (D, U, V).
 
+``verify_divisor_relations`` checks the defining relations of a Hibi class
+group, one per element below the top, by summing each edge's class into
+its two ends over the name pairs; the library computed its classes by
+balancing the same relations over the tree, and the check shares no code
+with ``classgroup.class_group``.  ``relabel`` renames a poset's interior
+elements through ``posets.build_poset``.
+
 ``tree_main`` is the CLI as it ran before it routed each argv to its leaf
 parser: every argv is parsed by the whole tree from ``cli.build_parser``,
 then dispatched like ``cli.main``.
@@ -113,7 +120,7 @@ from hibinccr.nccr import (CertStep, CharacterSet, EndMcmReport, GldimCertificat
                            GldimResult, UnusableDirectionError, _check_rank, default_directions,
                            is_separated, koszul_terms)
 from hibinccr.posets import (_COVER_RE, _NAME_RE, BOTTOM, TOP, BoundedPoset, Circuit, PosetError,
-                             TreeSelection)
+                             TreeSelection, build_poset)
 
 
 def vertex_is_conic(chi: Vec, weights) -> bool:
@@ -348,6 +355,26 @@ def backtracking_chordless_circuits(p: BoundedPoset) -> list[Circuit]:
                            x_minus=tuple(sorted(downs))))
     out.sort(key=lambda c: (len(c.vertex_cycle), tuple(idx[v] for v in c.vertex_cycle)))
     return out
+
+
+def relabel(p: BoundedPoset, mapping: dict[str, str]) -> BoundedPoset:
+    """Rename interior elements; the result is re-canonicalized, and a
+    mapping that merges two names is refused as a duplicate element."""
+    covers = [(mapping[l], mapping[u]) for (l, u) in p.edges
+              if l != BOTTOM and u != TOP]
+    return build_poset([mapping[el] for el in p.interior], covers)
+
+
+def verify_divisor_relations(p: BoundedPoset, cgd: ClassGroupData) -> bool:
+    """At every element below the top, the classes of the edges going up
+    sum to those of the edges coming down (at ``bot``, to zero): each edge's
+    class is added at its lower name and taken away at its upper one."""
+    net = {el: [0] * cgd.rank for el in p.elements}
+    for (lower, upper), w in zip(p.edges, cgd.weights, strict=True):
+        for k, c in enumerate(w):
+            net[lower][k] += c
+            net[upper][k] -= c
+    return not any(any(net[el]) for el in p.elements[:-1])
 
 
 def string_parse_poset(text: str) -> BoundedPoset:

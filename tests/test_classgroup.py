@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from hibinccr import (ConeError, TorsionError, class_group,
                       class_of, parse_cone, parse_poset, same_class,
-                      serialize_cone, sigma_matrix, spanning_tree,
-                      verify_divisor_relations)
+                      serialize_cone, sigma_matrix, spanning_tree)
 from hibinccr.families import generate_family
 from hibinccr.posets import BoundedPoset, PosetError, TreeSelection, is_pure
 
 from conftest import EXAMPLE_TREE_HINT, load_corpus
-from oracles import snf_class_group_hibi, solve_integer
+from oracles import snf_class_group_hibi, solve_integer, verify_divisor_relations
 from test_posets import CORPUS_POSETS, FAMILY_SIZES, random_posets
 
 
@@ -221,9 +220,9 @@ def test_hibi_rows_are_built_on_request(running_example):
     assert (s.n, s.d) == (p.n_edges, p.dim)
     for (lower, upper), row in zip(p.edges, s.rows):
         expected = [0] * p.dim
-        expected[p.index(lower)] += 1
+        expected[p.elements.index(lower)] += 1
         if upper != "top":
-            expected[p.index(upper)] -= 1
+            expected[p.elements.index(upper)] -= 1
         assert row == tuple(expected)
     assert parse_cone(serialize_cone(s)).rows == s.rows
     assert vars(s) == {"source": "hibi", "d": p.dim, "rays": (),

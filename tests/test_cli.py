@@ -160,6 +160,22 @@ def test_generate_missing_params(capsys, tag, given, flags):
     assert capsys.readouterr().err == f"error: type {tag} needs parameters {flags}\n"
 
 
+@pytest.mark.parametrize("tag,given,flags,unused", [
+    ("I", ["--m", "1", "--n", "2", "--l", "5"], "--m/--n", "--l"),
+    ("IV", ["--l", "0", "--m", "1", "--n", "1"], "--m/--n", "--l"),
+    ("V", ["--n", "1", "--m", "0"], "--n", "--m"),
+    ("V", ["--l", "2", "--n", "1"], "--n", "--l"),
+], ids=["I-l", "IV-l", "V-m", "V-l"])
+def test_generate_refuses_parameters_the_type_does_not_take(capsys, tag, given, flags,
+                                                            unused):
+    """A parameter the type does not take is refused, not dropped."""
+    with pytest.raises(SystemExit) as info:
+        main(["generate", "--type", tag, *given])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", f"error: type {tag} takes parameters {flags}, "
+                                       f"not {unused}\n")
+
+
 def test_z1_analyze(capsys):
     code, out, _ = run_cli(capsys, "z1", "analyze", corpus("rank1_example.cone"))
     assert code == 0
@@ -255,6 +271,8 @@ SCRATCH_INPUTS = {
     ["mcm-region", "latin1.poset"],
     ["nccr", "verify", "latin1.poset"],
     ["z1", "analyze", "latin1.cone"],
+    ["generate", "--type", "I", "--m", "1", "--n", "2", "--l", "5"],
+    ["generate", "--type", "V", "--n", "1", "--m", "0"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
         "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
         "unknown-option", "bad-format-choice", "negative-radius", "conic-huge-box",
@@ -263,7 +281,8 @@ SCRATCH_INPUTS = {
         "classify-cone", "nccr-verify-cone", "z1-analyze-poset",
         "z1-exchange-graph-poset", "z1-mutate-poset", "analyze-not-utf8",
         "classify-not-utf8", "conic-not-utf8", "mcm-region-not-utf8",
-        "nccr-verify-not-utf8", "z1-analyze-not-utf8"])
+        "nccr-verify-not-utf8", "z1-analyze-not-utf8", "generate-unused-l",
+        "generate-unused-m"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
     """The command run as a program: exit 2, one ``error:`` line and no
     report (an output path in a missing directory is refused too)."""

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import networkx as nx
 import pytest
 
 from hibinccr import (Rejection, TypeParams, build_poset, class_group, classify,
                       expected_weight_table, flip, generate_family, is_pure,
-                      parse_poset, polynomial_extension_edge, segre_poset,
+                      nccr_characters, parse_poset, polynomial_extension_edge, segre_poset,
                       sigma_matrix, spanning_tree, verify_nccr)
 from hibinccr.families import AS_GIVEN, FLIPPED, validate_params
 from hibinccr.intlattice import find_unimodular_match
@@ -167,6 +168,18 @@ def test_validate_params():
         validate_params("V", (0, 1))
     with pytest.raises(ValueError):
         validate_params("VI", (1,))
+
+
+@pytest.mark.parametrize("entry", [1.7, 2.0, "1", True, None])
+def test_parameters_that_are_not_ints_are_refused(entry):
+    """Nothing is converted: a float, a string, a bool or None is refused
+    by name, by every function that takes family parameters."""
+    message = "^" + re.escape(f"type I parameter {entry!r} is not an int") + "$"
+    for call in (validate_params, generate_family, nccr_characters):
+        with pytest.raises(ValueError, match=message):
+            call("I", [1, entry])
+    with pytest.raises(ValueError, match=message):
+        expected_weight_table(TypeParams("I", (entry, 1), AS_GIVEN))
 
 
 CORPUS_FAMILIES = {

@@ -7,7 +7,9 @@ from hibinccr import (Rank1InputError, Rank1Weights, Window, base_window,
                       endomorphism_is_mcm, exchange_graph, exchange_graph_dot,
                       is_conic, is_mcm, mcm_bound, mutate_window, parse_cone,
                       segre_poset, sigma_matrix, spanning_tree)
+from hibinccr.mcm import McmTest, chamber_decomposition, non_mcm_cone
 from hibinccr.nccr import character_window
+from hibinccr.rank1 import mcm_interval
 
 from conftest import load_corpus
 
@@ -59,6 +61,33 @@ def test_mcm_bound_segre():
     bound = mcm_bound(segre_weights(3))
     assert bound.summands == 4
     assert bound.interval == (-3, 3)
+
+
+def test_mcm_interval_reads_raw_weights_unchecked():
+    """The one interval formula: any integers, in any order, none refused."""
+    assert mcm_interval((4, -3, 1, -2)) == (-4, 4)
+    assert mcm_interval(iter([2, -2])) == (-1, 1)
+    assert mcm_interval([3, 0]) == (1, -1)  # no negative weight: empty
+
+
+@pytest.mark.parametrize("weights", [(1, 1, -1, -1), (1, 2, -1, -2), (1, 3, -2, -2),
+                                     (3, 5, -1, -7), "rank1_example.cone"])
+def test_interval_agrees_with_the_chamber_cones_when_a_weight_is_a_unit(weights):
+    """With a weight +-1, McmTest's interval and the chamber criterion's own
+    rank-one cones answer alike on every class within 3 beta.  Without one
+    they differ just outside the interval; the ``rank1`` docstring records
+    where."""
+    if isinstance(weights, str):
+        weights = tuple(w for w, in class_group(parse_cone(load_corpus(weights))).weights)
+    assert 1 in map(abs, weights)
+    ws = [(w,) for w in weights]
+    decomposition = chamber_decomposition(ws)
+    assert decomposition.hypothesis_ok
+    cones = [non_mcm_cone(chamber, ws) for chamber in decomposition.chambers]
+    test = McmTest(ws)
+    beta = -sum(w for w in weights if w < 0)
+    for x in range(-3 * beta, 3 * beta + 1):
+        assert test((x,)) == (not any(cone.contains((x,)) for cone in cones)), x
 
 
 def test_interval_agrees_with_conic_on_doubled_window():
