@@ -3,8 +3,9 @@
 
 The class group is infinite cyclic; the weight of each prime divisor is a
 single integer.  From those we read off the number of NCCR summands, the
-MCM interval, the window family of splitting NCCRs, and walk the mutation
-path connecting the generator windows.
+conic interval (here all the MCM classes, since a weight is 1), the window
+family of splitting NCCRs, and walk the mutation path connecting the
+generator windows.
 """
 
 from hibinccr import (Rank1Weights, base_window, class_group,

@@ -15,7 +15,7 @@ documented sign convention.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, TypeAlias, Union
 
 from . import intlattice
 from .intlattice import Matrix, Vec
@@ -105,6 +105,17 @@ class ClassGroupData(Record):
         ``repr`` do not see it."""
         from .mcm import McmTest  # mcm imports this module
         return McmTest(self.weights)
+
+
+# A string: typing caches subscripted unions, and a cached union of this
+# module's classes would keep every earlier import of the module alive.
+WeightsLike: TypeAlias = "Union[ClassGroupData, Sequence[Vec]]"
+
+
+def weight_list(weights: WeightsLike) -> list[Vec]:
+    if isinstance(weights, ClassGroupData):
+        return list(weights.weights)
+    return [tuple(w) for w in weights]
 
 
 def sigma_matrix(p: BoundedPoset) -> SigmaMatrix:

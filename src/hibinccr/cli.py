@@ -369,6 +369,8 @@ def _cmd_z1_analyze(args) -> int:
 
 
 def _cmd_z1_exchange_graph(args) -> int:
+    if args.generators_only and args.radius is not None:
+        raise UsageError("error: --radius applies only without --generators-only")
     line = _rank1_weights(args.input)
     graph = rank1.exchange_graph(line, generators_only=args.generators_only,
                                  radius=args.radius)

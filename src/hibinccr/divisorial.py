@@ -24,10 +24,10 @@ from __future__ import annotations
 import sys
 from itertools import combinations, product
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, TypeAlias, Union
+from typing import NamedTuple, Optional, Sequence, TypeAlias
 
 from . import intlattice
-from .classgroup import ClassGroupData
+from .classgroup import ClassGroupData, WeightsLike, weight_list
 from .intlattice import Vec
 from .posets import Circuit
 
@@ -55,18 +55,9 @@ class ConicTooLargeError(ValueError):
 PROJECTION_ROW_BUDGET = 8000
 
 
-# A string: typing caches subscripted unions, and a cached union of this
-# module's classes would keep every earlier import of the module alive.
-WeightsLike: TypeAlias = "Union[ClassGroupData, Sequence[Vec]]"
 # (coeffs, b, history): <coeffs, z> <= b, combined from the input rows whose
 # bits the history sets
 Row: TypeAlias = tuple[Vec, int, int]
-
-
-def weight_list(weights: WeightsLike) -> list[Vec]:
-    if isinstance(weights, ClassGroupData):
-        return list(weights.weights)
-    return [tuple(w) for w in weights]
 
 
 class ConicPolytope(NamedTuple):

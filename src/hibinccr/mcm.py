@@ -5,7 +5,8 @@ The unit ball of one-parameter subgroups is cut into chambers on which the
 set of negatively-pairing divisor weights is constant.  Every chamber that
 contains both of its boundary rays, and every open sector, contributes an
 affine semigroup of non-MCM characters; a class is MCM iff it avoids all of
-them (half-open chambers never matter).
+them (half-open chambers never matter).  In rank one the two half-lines
+give +-(beta + N<|w_i|>), as local cohomology does (:mod:`hibinccr.rank1`).
 All decisions are exact integer arithmetic.  Each of those chambers is
 compiled once into a :class:`NonMcmCone`, whose row of plain integers (its
 offset, unit lattice, phi and a handle on its closed levels) is read by
@@ -31,12 +32,10 @@ from functools import partial
 from itertools import product
 from math import gcd
 from operator import neg
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .classgroup import ClassGroupData
-from .divisorial import WeightsLike, weight_list
+from .classgroup import ClassGroupData, WeightsLike, weight_list
 from .intlattice import Vec, angle_key, primitive
-from .rank1 import mcm_interval
 from .record import Record
 
 CLOSED = "closed"        # contains both boundary rays (lone ray or closed cone)
@@ -189,7 +188,9 @@ def chamber_decomposition(weights: WeightsLike) -> ChamberDecomposition:
     pair negatively with them; only a chamber's own T-set is spelled out
     over every weight index."""
     ws = weight_list(weights)
-    rank = _weight_rank(ws)
+    if not ws:
+        raise ValueError("empty weight system")
+    rank = len(ws[0])
     if rank == 1:
         chambers = tuple(
             Chamber(t_set=tuple(i for i, w in enumerate(ws) if lam[0] * w[0] < 0),
@@ -381,56 +382,43 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 # the MCM test and regions
 
 
-def _check_gorenstein(ws: Sequence[Vec]) -> None:
-    rank = len(ws[0]) if ws else 0
-    if any(sum(w[k] for w in ws) != 0 for k in range(rank)):
-        raise NotGorensteinError("weight system does not sum to zero")
-
-
-def _weight_rank(ws: Sequence[Vec]) -> int:
-    if not ws:
-        raise ValueError("empty weight system")
-    return len(ws[0])
-
-
 class McmTest:
     """The MCM test of one weight system, compiled once.
 
-    Rank 1 is the interval of :func:`hibinccr.rank1.mcm_interval`; unless a
-    weight is +-1 the rank-one chamber cones contradict it (open, see
-    :mod:`hibinccr.rank1`).  Rank 2 holds the :class:`NonMcmCone` of every
-    closed chamber and open sector (``cones``) and decides a class in
-    one flat loop over their rows (:func:`_outside`), in the order of the
-    cones; their reached levels grow with the queries and live as long as
-    the test.  Calling the test checks the rank of chi.  Build one with
-    :meth:`of` to reuse the test a
+    Both ranks hold the :class:`NonMcmCone` of every closed chamber and
+    open sector (``cones``), whose hypothesis (in rank one, two weights of
+    each sign) must hold, and decide a class in one flat loop over their
+    rows (:func:`_outside`); rank one runs on the first axis.  The reached
+    levels grow with the queries and live as long as the test.  Calling the
+    test checks the rank of chi; :meth:`of` reuses the test a
     :class:`~hibinccr.classgroup.ClassGroupData` already holds.
 
-    A query far from the origin is slow: it closes every cone's levels up
-    to its own phi level, and each level set grows linearly with the level,
-    so time and memory grow quadratically with the query's distance.  On
-    ``corpus/rank2_demo.cone`` a fresh test asked about (100, 0) takes about
-    50 ms and 0.7 MiB (tracemalloc peak), (1000, 0) 5.7 s and 77 MiB, and
-    (3000, 0) 52 s and 754 MiB.  Bounding it needs a proven bound on the
-    non-MCM holes.
+    A far query is slow: it closes every cone's levels up to its own phi
+    level.  A rank-two level set grows linearly with the level, so the cost
+    is quadratic: a fresh test on ``corpus/rank2_demo.cone`` takes about
+    50 ms and 0.7 MiB (tracemalloc peak) at (100, 0), 5.7 s and 77 MiB at
+    (1000, 0), 52 s and 754 MiB at (3000, 0).  A rank-one level holds at
+    most one class, so the cost is linear: on (3, 7, -4, -6), 20 ms and
+    0.27 MiB at (10**3,), 0.2 s and 2.9 MiB at (10**4,), 2.2 s and 30 MiB
+    at (10**5,); compiling takes 26-42 us.  A proven bound on the non-MCM
+    holes would cap the cost; in rank one it is the Frobenius number of
+    N<|w_i|> plus one.
     """
 
     def __init__(self, weights: WeightsLike):
         ws = weight_list(weights)
-        self.rank = _weight_rank(ws)
-        _check_gorenstein(ws)
-        if self.rank == 1:
-            lo, hi = mcm_interval(w[0] for w in ws)
-            self.cones: tuple[NonMcmCone, ...] = ()
-            self._decide: Callable[[Vec], bool] = lambda chi: lo <= chi[0] <= hi
-            return
+        if any(map(sum, zip(*ws))):
+            raise NotGorensteinError("weight system does not sum to zero")
         decomposition = chamber_decomposition(ws)
+        self.rank = len(ws[0])
         if not decomposition.hypothesis_ok:
             raise CriterionHypothesisError(
                 f"criterion hypothesis fails on chambers {decomposition.hypothesis_failures}")
         self.cones = tuple(non_mcm_cone(chamber, ws) for chamber in decomposition.chambers
                            if chamber.kind != HALF_OPEN)
-        self._decide = partial(_outside, tuple(cone._row for cone in self.cones))
+        decide = partial(_outside, tuple(cone._row for cone in self.cones))
+        # rank one runs on the first axis, embedded here once
+        self._decide = decide if self.rank == 2 else lambda chi: decide((chi[0], 0))
 
     @classmethod
     def of(cls, weights: WeightsLike) -> "McmTest":
@@ -446,15 +434,16 @@ class McmTest:
 
 
 def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
-    """Is the rank-one class MCM?  Rank 1 reduces to an interval test; rank 2
-    runs the chamber criterion (whose hypothesis must hold).
+    """Is the rank-one class MCM?  Both ranks run the chamber criterion,
+    whose hypothesis must hold (see :class:`McmTest`).
 
     A :class:`~hibinccr.classgroup.ClassGroupData` holds its compiled
     :class:`McmTest`, so repeated queries against it share one compilation.
     A plain weight sequence is compiled on every call; to ask many questions
     of one, build ``McmTest(weights)`` once and call it.  The cost of a
-    rank-2 query grows quadratically with its distance from the origin (see
-    :class:`McmTest`): (1000, 0) on ``corpus/rank2_demo.cone`` takes seconds.
+    query grows with its distance from the origin, quadratically in rank 2
+    and linearly in rank 1 (see :class:`McmTest`): (1000, 0) on
+    ``corpus/rank2_demo.cone`` takes seconds.
     """
     test = McmTest.of(weights)
     _check_rank(chi, test.rank)

@@ -30,8 +30,7 @@ from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import divisorial, families, mcm, rank1 as rank1_mod
-from .classgroup import class_group, sigma_matrix
-from .divisorial import WeightsLike, weight_list
+from .classgroup import WeightsLike, class_group, sigma_matrix, weight_list
 from .intlattice import Vec, convex_hull, dot, find_unimodular_match, primitive
 from .posets import BoundedPoset, is_pure, polynomial_extension_edge, spanning_tree
 from .record import Record

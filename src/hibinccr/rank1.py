@@ -1,16 +1,19 @@
 """Gorenstein toric rings with infinite cyclic class group.
 
-The divisor weights are integers summing to zero; minus the sum of the
-negative ones bounds everything: rank-one MCM classes form the symmetric
-interval it cuts out, every basic module giving a splitting NCCR is a window
-of consecutive classes of exactly that length, and in dimension three the
-windows are connected by mutations at their end summands, giving a path as
-the exchange graph.
+The divisor weights are coprime integers summing to zero, at least two of
+each sign; beta is minus the sum of the negative ones.  The conic classes
+form the interval [-beta + 1, beta - 1], every basic module giving a
+splitting NCCR is a window of beta consecutive classes, and in dimension
+three the windows are connected by mutations at their end summands, giving
+a path as the exchange graph.
 
-The interval and the chamber criterion (``mcm.chamber_decomposition``,
-``mcm.non_mcm_cone``) disagree just outside it unless some weight is +-1: on
-(2, 3, -2, -3) at +-6, (3, 7, -4, -6) at +-11, +-12, +-15.  Which is right is
-open; a local-cohomology MCM test, independent of both, would decide it.
+T(chi) is MCM unless +-chi - beta lies in the numerical semigroup
+N<|w_i|>: the MCM classes are the interval and +-(beta + g) for each gap g
+(none when a weight is +-1; +-11, +-12 and +-15 on (3, 7, -4, -6)).
+Sketch: H^i_m(T(chi)) is the degree-chi part of the local cohomology of the
+Cox ring S on the nullcone V(x+) u V(x-), which by Mayer-Vietoris is
+H^p_(x+)(S) + H^q_(x-)(S) for i <= n - 2, in degrees -+(beta + N<|w_i|>):
+the chamber cones of ``mcm.McmTest`` (proof: ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -71,21 +74,23 @@ class Rank1Weights(Record):
 
 
 class McmBound(NamedTuple):
-    """Number of NCCR summands and the interval of MCM classes."""
+    """Number of NCCR summands and the conic interval, all of it MCM."""
 
     summands: int
     interval: tuple[int, int]
 
 
 def mcm_interval(weights: Iterable[int]) -> tuple[int, int]:
-    """The least and greatest MCM class, -beta + 1 and beta - 1, of plain
-    integer weights, unvalidated; beta is minus the sum of the negative ones."""
+    """The least and greatest conic class, -beta + 1 and beta - 1, of plain
+    integer weights, unvalidated; beta is minus the sum of the negative ones.
+    All of it is MCM, and unless a weight is +-1 some classes outside."""
     beta = -sum(w for w in weights if w < 0)
     return (-beta + 1, beta - 1)
 
 
 def mcm_bound(w: Rank1Weights) -> McmBound:
-    """The summand count beta and the MCM interval (:func:`mcm_interval`)."""
+    """The summand count beta and the conic interval (:func:`mcm_interval`),
+    whose classes are all MCM."""
     lo, hi = mcm_interval(w.weights)
     return McmBound(summands=hi + 1, interval=(lo, hi))
 
@@ -166,11 +171,13 @@ def exchange_graph(w: Rank1Weights, generators_only: bool = True,
                    radius: Optional[int] = None) -> ExchangeGraph:
     """The mutation graph on windows: a path.
 
-    With ``generators_only`` the vertices are the windows containing class 0;
-    otherwise all windows with |lo| up to the radius, which must not be
-    negative.  Edges need dimension three; for other dimensions the vertex
-    list is still returned, with the error recorded.
+    With ``generators_only`` (no radius) the vertices are the windows
+    containing class 0; otherwise all windows with |lo| up to the radius,
+    which must not be negative.  Edges need dimension three; for other
+    dimensions the vertex list is still returned, with the error recorded.
     """
+    if radius is not None and generators_only:
+        raise Rank1InputError("radius applies only without generators_only")
     if radius is not None and radius < 0:
         raise Rank1InputError(f"radius must be non-negative, not {radius}")
     beta = mcm_bound(w).summands

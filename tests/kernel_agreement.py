@@ -19,7 +19,10 @@ rows mixed into a random matrix.  The weight systems are the family tables
 of ``FAMILIES`` and Gorenstein systems of pairs v, -v plus a triangle, as
 ``tests/test_mcm.py`` draws them; each is asked about ``POINTS`` points of
 ``[-BOX, BOX]^2`` in a fresh order.  ``tests/test_intlattice.py`` and
-``tests/test_mcm.py`` run the same comparison on smaller samples.
+``tests/test_mcm.py`` run the same comparison on smaller samples.  The
+rank-one systems of ``RANK1_SYSTEMS`` are asked about every class within
+3 beta, and there ``oracles.closed_form_mcm_classes``, which decides by
+local cohomology instead of the chamber criterion, is a third check.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import sys
 from hibinccr import CriterionHypothesisError, McmTest, TypeParams, expected_weight_table
 from hibinccr.intlattice import smith_normal_form
 
-from oracles import cones_is_mcm, level_cones, reference_smith_normal_form
+from oracles import (closed_form_mcm_classes, cones_is_mcm, level_cones,
+                     reference_smith_normal_form)
 
 MATRICES = 6000
 WEIGHT_SYSTEMS = 300
@@ -40,6 +44,12 @@ FAMILIES = [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (3, 3, 3)),
             ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)), ("IV", (4, 5)),
             ("V", (0,)), ("V", (3,))]
 SHAPES = ("1x1", "tall", "wide", "rank-deficient", "torsion", "zero-rows")
+# the benchmark's rank-one weights, beta = 2 .. 26, and one more without a
+# weight +-1
+RANK1_SYSTEMS = [(1, 1, -1, -1), (1, 2, -1, -2), (1, 3, -2, -2), (1, 4, -2, -3),
+                 (1, 5, -2, -4), (3, 5, -1, -7), (3, 7, -4, -6), (5, 7, -3, -9),
+                 (5, 9, -6, -8), (7, 10, -8, -9), (7, 13, -9, -11), (10, 13, -11, -12),
+                 (9, 17, -15, -11), (2, 3, -2, -3)]
 
 
 def _matrix(rng: random.Random, shape: str) -> list[list[int]]:
@@ -118,6 +128,23 @@ def mcm_disagreements(systems: list[list[tuple[int, int]]], seed: int = 0,
     return bad, tested
 
 
+def rank1_disagreements(systems=RANK1_SYSTEMS) -> tuple[list[tuple], int]:
+    """The (weights, class) pairs within 3 beta on which ``McmTest``, the
+    level cones and the closed form do not all agree, and how many classes
+    were asked."""
+    bad, asked = [], 0
+    for weights in systems:
+        ws = [(w,) for w in weights]
+        beta = sum(w for w in weights if w > 0)
+        test, cones = McmTest(ws), level_cones(ws)
+        closed = closed_form_mcm_classes(weights, -3 * beta, 3 * beta)
+        for x in range(-3 * beta, 3 * beta + 1):
+            asked += 1
+            if not test((x,)) == cones_is_mcm((x,), cones) == (x in closed):
+                bad.append((weights, x))
+    return bad, asked
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--check"]:
         sys.exit("usage: kernel_agreement.py --check")
@@ -129,8 +156,13 @@ if __name__ == "__main__":
     mcm_bad, tested = mcm_disagreements(systems)
     for ws, pt in mcm_bad:
         print(f"McmTest differs: {ws!r} at {pt!r}")
+    rank1_bad, asked = rank1_disagreements()
+    for weights, x in rank1_bad:
+        print(f"rank-one MCM routes differ: {weights!r} at {x}")
     print(f"{len(sample) - len(smith_bad)}/{len(sample)} Smith forms agree; "
           f"{tested * POINTS - len(mcm_bad)}/{tested * POINTS} MCM answers agree "
-          f"on {tested} of {len(systems)} weight systems, "
+          f"on {tested} of {len(systems)} weight systems; "
+          f"{asked - len(rank1_bad)}/{asked} rank-one MCM answers agree with the "
+          f"closed form on {len(RANK1_SYSTEMS)} weight systems, "
           f"on Python {sys.version.split()[0]}")
-    sys.exit(1 if smith_bad or mcm_bad else 0)
+    sys.exit(1 if smith_bad or mcm_bad or rank1_bad else 0)

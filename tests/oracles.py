@@ -76,6 +76,11 @@ through before it paired pieces with distinct weights inline and split each
 cone's units in one pass.  So it shares with ``mcm.McmTest`` only the
 criterion, the record types and the Smith form.
 
+``closed_form_mcm_classes`` decides the rank-one MCM classes by local
+cohomology instead of the chamber criterion: T(chi) is non-MCM exactly on
++-(beta + N<|w_i|>), read from a numerical-semigroup table.  It shares no
+code with ``mcm.py``.
+
 ``reference_smith_normal_form`` is the Smith form the library ran before it
 inlined its five nested closures: the same pivots and operations, each row
 and column operation a call that walks whole rows and columns, and a pivot
@@ -1041,6 +1046,46 @@ def level_cones(weights: WeightsLike) -> list[LevelNonMcmCone]:
 def cones_is_mcm(chi: Vec, cones: Sequence[LevelNonMcmCone]) -> bool:
     """Is chi outside every one of the cones?"""
     return not any(cone.contains(chi) for cone in cones)
+
+
+def closed_form_mcm_classes(weights: Sequence[int], lo: int, hi: int) -> set[int]:
+    """The MCM classes chi in [lo, hi] of rank-one weights w_1, ..., w_n:
+    coprime integers summing to zero, at least two of each sign.  With
+    beta the sum of the positive weights, T(chi) is non-MCM exactly when
+    chi >= beta and chi - beta lies in the numerical semigroup
+    N<|w_1|, ..., |w_n|>, or chi <= -beta and -chi - beta does.
+
+    Proof.  Let S = k[x_1, ..., x_n] be graded by deg x_i = w_i, and R = S_0
+    the ring, of dimension n - 1; T(chi) = S_chi.  Let m be the irrelevant
+    ideal of R, generated by invariant monomials f_1, ..., f_r.  Since the f_j
+    have degree 0, the degree-chi part of the Cech complex of S on the f_j is
+    the Cech complex of S_chi, so H^i_m(T(chi)) = H^i_{mS}(S)_chi.  The
+    radical of mS is the ideal of the nullcone: a point has 0 in the
+    closure of its orbit exactly when its nonzero coordinates all have
+    weights of one sign.  So the nullcone is V(x+) u V(x-), with x+ and x-
+    the variables of positive and negative weight, and mS has the radical
+    of (x+) (x-).  As (x+) + (x-) is the maximal ideal of S, whose local
+    cohomology lives in degree n only, Mayer-Vietoris gives
+    H^i_{mS}(S) = H^i_{(x+)}(S) + H^i_{(x-)}(S) for i <= n - 2 (Van den
+    Bergh, Invent. Math. 106 (1991); Stanley, Invent. Math. 68 (1982)).
+    The variables x+ form a regular sequence of length p, the number of
+    positive weights, so H^i_{(x+)}(S) vanishes for i != p and
+    H^p_{(x+)}(S) has the basis of monomials with every x+ exponent at most
+    -1 and every x- exponent at least 0.  Their degrees are exactly
+    -beta - N<|w_i|>.  Likewise H^q_{(x-)}(S), q the number of negative
+    weights, lives in degrees beta + N<|w_i|>.  With two weights of each
+    sign, p and q are at most n - 2, below the dimension n - 1, so T(chi)
+    is MCM exactly when chi lies in neither set.
+    """
+    beta = sum(w for w in weights if w > 0)
+    reach = max(0, hi - beta, -lo - beta)
+    sizes = sorted({abs(w) for w in weights})
+    member = [True] + [False] * reach
+    for t in range(1, reach + 1):
+        member[t] = any(member[t - s] for s in sizes if s <= t)
+    return {chi for chi in range(lo, hi + 1)
+            if not (chi >= beta and member[chi - beta])
+            and not (chi <= -beta and member[-chi - beta])}
 
 
 def reference_smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:

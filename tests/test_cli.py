@@ -273,6 +273,7 @@ SCRATCH_INPUTS = {
     ["z1", "analyze", "latin1.cone"],
     ["generate", "--type", "I", "--m", "1", "--n", "2", "--l", "5"],
     ["generate", "--type", "V", "--n", "1", "--m", "0"],
+    ["z1", "exchange-graph", "rank1_example.cone", "--generators-only", "--radius", "3"],
 ], ids=["tree-label", "box-integer", "box-inverted", "box-rank1-arity",
         "box-rank2-arity", "cone-dim", "mcm-region-rank0", "missing-input",
         "unknown-option", "bad-format-choice", "negative-radius", "conic-huge-box",
@@ -282,7 +283,7 @@ SCRATCH_INPUTS = {
         "z1-exchange-graph-poset", "z1-mutate-poset", "analyze-not-utf8",
         "classify-not-utf8", "conic-not-utf8", "mcm-region-not-utf8",
         "nccr-verify-not-utf8", "z1-analyze-not-utf8", "generate-unused-l",
-        "generate-unused-m"])
+        "generate-unused-m", "exchange-graph-generators-radius"])
 def test_malformed_input_is_a_usage_error(tmp_path, argv):
     """The command run as a program: exit 2, one ``error:`` line and no
     report (an output path in a missing directory is refused too)."""
@@ -305,6 +306,25 @@ def test_malformed_input_is_a_usage_error(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert proc.stdout == ""
+
+
+def test_exchange_graph_radius_needs_all_windows(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["z1", "exchange-graph", corpus("rank1_example.cone"), "--radius", "0",
+              "--generators-only"])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", "error: --radius applies only without "
+                                       "--generators-only\n")
+
+
+def test_mcm_region_refuses_one_weight_of_a_sign(capsys, tmp_path):
+    """Rays whose class group has the weights (1, 1, -2) up to sign: the
+    criterion needs two weights of each sign, in rank one as in rank two."""
+    path = tmp_path / "a1.cone"
+    path.write_text("dim: 2\nray: 1 0\nray: 1 2\nray: 1 1\n")
+    code, out, err = run_cli(capsys, "mcm-region", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: criterion hypothesis fails") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tree", ["ee2,e3,e4,e5,e6,e7", "e+2,e3,e4,e5,e6,e7",

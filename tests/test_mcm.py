@@ -16,7 +16,8 @@ from hibinccr import (CharacterSet, CriterionHypothesisError, NotGorensteinError
 from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN, NonMcmCone
 
 from conftest import table
-from kernel_agreement import mcm_disagreements, weight_systems
+from kernel_agreement import (RANK1_SYSTEMS, mcm_disagreements, rank1_disagreements,
+                              weight_systems)
 from oracles import (LevelNonMcmCone, cones_is_mcm, level_cones, reference_chamber_decomposition,
                      reference_non_mcm_cone, semigroup_members)
 
@@ -440,6 +441,12 @@ def test_compiled_test_matches_level_cones_on_a_seeded_sample():
     bad, tested = mcm_disagreements(systems, seed=3, points=30)
     assert not bad
     assert tested >= 30
+
+
+def test_rank_one_test_matches_level_cones_and_closed_form():
+    bad, asked = rank1_disagreements(RANK1_SYSTEMS[6:])
+    assert not bad
+    assert asked == sum(6 * sum(w for w in ws if w > 0) + 1 for ws in RANK1_SYSTEMS[6:])
 
 
 @st.composite

@@ -92,7 +92,7 @@ def _end_mcm_cases():
     yield "far-middle", nccr_characters("II", (1, 1, 1)).chars + ((2, -6),), \
         table("II", (1, 1, 1))
     yield "single", ((0, 0),), ws
-    yield "rank1-window", tuple((c,) for c in range(-3, 4)), [(1,), (1,), (-2,)]
+    yield "rank1-window", tuple((c,) for c in range(-3, 4)), [(2,), (3,), (-2,), (-3,)]
 
 
 END_MCM_CASES = list(_end_mcm_cases())
@@ -503,7 +503,7 @@ _DIRECTIONS = {1: [(1,), (-1,)],
                2: [(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1),
                    (2, 1), (1, -2)]}
 _END_WEIGHTS = [table("I", (0, 1)), table("II", (1, 1, 1)), table("IV", (1, 1)),
-                table("V", (0,)), [(1,), (1,), (-2,)], [(1,), (2,), (-1,), (-2,)]]
+                table("V", (0,)), [(2,), (3,), (-2,), (-3,)], [(1,), (2,), (-1,), (-2,)]]
 
 
 _SEARCH_FAMILIES = [("I", (0, 1)), ("II", (1, 1, 1)), ("III", (0, 2, 0)), ("IV", (1, 1)),
