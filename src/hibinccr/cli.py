@@ -260,13 +260,16 @@ def _cmd_mcm_region(args) -> int:
     if cgd.rank == 1:
         lo, hi = rank1.mcm_interval(w[0] for w in ws)
         default = [(lo - 2, hi + 2)]
+        if args.box is None:  # compiled only here, so a bad --box is reported first
+            reach = cgd.mcm_test.reach()
+            default = [(min(lo - 2, -reach), max(hi + 2, reach))]
     elif cgd.rank == 2:
         default = _default_box(ws)
     else:
         raise UsageError(f"error: mcm-region needs class group rank 1 or 2, "
                          f"not {cgd.rank}")
     box = _parse_box_arg(args.box, default)
-    region = mcm.mcm_region(ws, box)
+    region = mcm.mcm_region(cgd, box)
     rule = divisorial.conic_facets(ws, cgd.rank)
     conic = {pt for pt in region if rule.contains(pt)}
     if args.format == "json":

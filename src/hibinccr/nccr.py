@@ -232,13 +232,14 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     The set members and the goal must have the rank of the weights.
 
     Characters are tried in admission order (distance from the set's
-    bounding box, then lexicographic), in passes until one admits nothing,
-    each pass keeping only the characters it left uncovered: first the goal
-    characters alone (the usual strip induction never leaves them), then,
-    only if a goal character is still uncovered, the working window: the
-    box around the goal and the set, widened in each coordinate by the
-    weights' total absolute value, so that auxiliary characters can be
-    admitted.  The window is built only in that case.
+    bounding box, then lexicographic), in passes until one admits nothing
+    or every goal character is covered, each pass keeping only the
+    characters it left uncovered: first the goal characters alone (the
+    usual strip induction never leaves them), then, only if a goal
+    character is still uncovered, the working window: the box around the
+    goal and the set, widened in each coordinate by the weights' total
+    absolute value, so that auxiliary characters can be admitted.  The
+    window is built only in that case.
 
     Each direction d is compiled once per call: its separation threshold
     t_d = min over the set of <d, nu>, so chi is separated iff <d, chi> < t_d,
@@ -314,10 +315,16 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     covered = {admission_key(nu) % size for nu in base}
     admitted: list[tuple[Vec, int, tuple]] = []  # (chi, code, compiled direction)
 
+    goal_keys = list(map(admission_key, goal_set))
+    goal_codes = [key % size for key in goal_keys]
+    open_goals = set(goal_codes)
+
     def close(pending: list[tuple[int, Vec]]) -> None:
         """Passes in admission order over the (admission key, chi) pairs,
         each keeping the characters it left uncovered, until one admits
-        nothing."""
+        nothing or the last goal character is covered.  No step admitted
+        after that could be a dependency of a goal, so stopping there
+        leaves the pruned certificate as it is."""
         while pending:
             still = []
             for key, chi in pending:
@@ -329,6 +336,10 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
                             and covered.issuperset(map(c.__add__, steps)):
                         admitted.append((chi, c, entry))
                         covered.add(c)
+                        if c in open_goals:
+                            open_goals.remove(c)
+                            if not open_goals:
+                                return
                         break
                 else:
                     still.append((key, chi))
@@ -336,10 +347,8 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
                 return
             pending = still
 
-    goal_keys = list(map(admission_key, goal_set))
-    goal_codes = [key % size for key in goal_keys]
     close(sorted(zip(goal_keys, goal_set)))
-    if not covered.issuperset(goal_codes):
+    if open_goals:
         keys = [0]
         for k in range(rank):
             part = [key_part(k, v) for v in range(lo[k], hi[k] + 1)]

@@ -18,8 +18,14 @@ narrower inner size), torsion (entries sharing factors 2 and 3) and zero
 rows mixed into a random matrix.  The weight systems are the family tables
 of ``FAMILIES`` and Gorenstein systems of pairs v, -v plus a triangle, as
 ``tests/test_mcm.py`` draws them; each is asked about ``POINTS`` points of
-``[-BOX, BOX]^2`` in a fresh order.  ``tests/test_intlattice.py`` and
-``tests/test_mcm.py`` run the same comparison on smaller samples.  The
+``[-BOX, BOX]^2`` in a fresh order.  Then ``SPARSE_SYSTEMS`` more systems
+of 3 to 7 weights with entries in ``[-4, 4]``, completed to sum zero, are
+drawn until that many meet the criterion's hypothesis; most of their cones
+are not saturated, so they reach every route of ``NonMcmCone``: the
+congruence of a saturated cone, the held levels below a ray's or a
+half-plane's conductor, and the levels a non-saturated cone closes.  The
+check prints how many cones took each route.  ``tests/test_intlattice.py``
+and ``tests/test_mcm.py`` run the same comparison on smaller samples.  The
 rank-one systems of ``RANK1_SYSTEMS`` are asked about every class within
 3 beta, and there ``oracles.closed_form_mcm_classes``, which decides by
 local cohomology instead of the chamber criterion, is a third check.
@@ -29,8 +35,10 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
-from hibinccr import CriterionHypothesisError, McmTest, TypeParams, expected_weight_table
+from hibinccr import (CriterionHypothesisError, McmTest, TypeParams, chamber_decomposition,
+                      expected_weight_table)
 from hibinccr.intlattice import smith_normal_form
 
 from oracles import (closed_form_mcm_classes, cones_is_mcm, level_cones,
@@ -38,6 +46,7 @@ from oracles import (closed_form_mcm_classes, cones_is_mcm, level_cones,
 
 MATRICES = 6000
 WEIGHT_SYSTEMS = 300
+SPARSE_SYSTEMS = 300
 POINTS = 80
 BOX = 14
 FAMILIES = [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (3, 3, 3)),
@@ -108,6 +117,34 @@ def weight_systems(seed: int = 0, count: int = WEIGHT_SYSTEMS) -> list[list[tupl
     return tables + [_gorenstein(rng) for _ in range(count)]
 
 
+def _sparse(rng: random.Random) -> list[tuple[int, int]]:
+    while True:
+        ws = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(2, 6))]
+        last = (-sum(x for x, _ in ws), -sum(y for _, y in ws))
+        if (0, 0) not in ws and last != (0, 0):
+            return ws + [last]
+
+
+def sparse_systems(seed: int = 0, count: int = SPARSE_SYSTEMS) -> list[list[tuple[int, int]]]:
+    """``count`` systems of 3 to 7 weights with entries in [-4, 4] (the
+    last one completes the sum to zero, and may leave the range) that meet
+    the criterion's hypothesis."""
+    rng = random.Random(seed)
+    systems: list[list[tuple[int, int]]] = []
+    while len(systems) < count:
+        ws = _sparse(rng)
+        if chamber_decomposition(ws).hypothesis_ok:
+            systems.append(ws)
+    return systems
+
+
+def cone_routes(systems: list[list[tuple[int, int]]]) -> Counter:
+    """How many compiled cones of the systems decide by each route."""
+    return Counter("congruence" if cone.conductor == 0 else
+                   "levels" if cone.conductor is None else "conductor"
+                   for ws in systems for cone in McmTest(ws).cones)
+
+
 def mcm_disagreements(systems: list[list[tuple[int, int]]], seed: int = 0,
                       points: int = POINTS) -> tuple[list[tuple], int]:
     """The (weights, point) pairs on which ``McmTest`` and the level cones
@@ -154,14 +191,22 @@ if __name__ == "__main__":
         print(f"smith_normal_form differs: {a!r}")
     systems = weight_systems()
     mcm_bad, tested = mcm_disagreements(systems)
+    sparse = sparse_systems()
+    sparse_bad, _ = mcm_disagreements(sparse, seed=1)
+    mcm_bad += sparse_bad
     for ws, pt in mcm_bad:
         print(f"McmTest differs: {ws!r} at {pt!r}")
+    routes = cone_routes(sparse)
     rank1_bad, asked = rank1_disagreements()
     for weights, x in rank1_bad:
         print(f"rank-one MCM routes differ: {weights!r} at {x}")
     print(f"{len(sample) - len(smith_bad)}/{len(sample)} Smith forms agree; "
           f"{tested * POINTS - len(mcm_bad)}/{tested * POINTS} MCM answers agree "
           f"on {tested} of {len(systems)} weight systems; "
+          f"{len(sparse) * POINTS - len(sparse_bad)}/{len(sparse) * POINTS} on "
+          f"{len(sparse)} sparse systems, whose {sum(routes.values())} cones decide by "
+          f"congruence {routes['congruence']}, conductor {routes['conductor']}, "
+          f"levels {routes['levels']}; "
           f"{asked - len(rank1_bad)}/{asked} rank-one MCM answers agree with the "
           f"closed form on {len(RANK1_SYSTEMS)} weight systems, "
           f"on Python {sys.version.split()[0]}")

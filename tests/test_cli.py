@@ -327,6 +327,21 @@ def test_mcm_region_refuses_one_weight_of_a_sign(capsys, tmp_path):
     assert err.startswith("error: criterion hypothesis fails") and err.count("\n") == 1
 
 
+def test_rank_one_default_box_reaches_the_last_mcm_classes(capsys, tmp_path):
+    """Weights (3, 7, -4, -6): beta = 10 and N<3, 4, 6, 7> has Frobenius
+    number 5, so the MCM classes reach +-15; the interval's box [-11, 11]
+    would hide +-12 and +-15.  An explicit box is read as given."""
+    path = tmp_path / "w3746.cone"
+    path.write_text("dim: 3\nray: 7 6 2\nray: -3 -2 0\nray: 0 1 0\nray: 0 0 1\n")
+    code, out, _ = run_cli(capsys, "mcm-region", str(path), "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["box"] == [[-15, 15]]
+    far = [x for x, in report["mcm"] if abs(x) >= 10]
+    assert far == [-15, -12, -11, 11, 12, 15]
+    code, out, _ = run_cli(capsys, "mcm-region", str(path), "--box=-3,3", "--format", "json")
+    assert code == 0 and json.loads(out)["box"] == [[-3, 3]]
+
+
 @pytest.mark.parametrize("tree", ["ee2,e3,e4,e5,e6,e7", "e+2,e3,e4,e5,e6,e7",
                                   "e0,e3,e4,e5,e6,e7", "0,3,4,5,6,7", "+2,3,4,5,6,7",
                                   "e2,,e3,e4,e5,e6,e7", "e 2,e3,e4,e5,e6,e7", "e2e3", "e"])

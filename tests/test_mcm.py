@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import random
+import time
+import tracemalloc
 import weakref
 from itertools import product
 
@@ -12,14 +14,19 @@ from hypothesis import strategies as st
 from hibinccr import (CharacterSet, CriterionHypothesisError, NotGorensteinError,
                       McmTest, chamber_decomposition, class_group, corpus_path,
                       endomorphism_is_mcm, is_conic, is_mcm, mcm, mcm_region,
-                      nccr_characters, non_mcm_cone, parse_cone, semigroup_member)
+                      nccr_characters, non_mcm_cone, parse_cone, parse_poset,
+                      semigroup_member, sigma_matrix, spanning_tree)
+from hibinccr.families import generate_family
+from hibinccr.intlattice import lattice_contains
 from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN, NonMcmCone
 
 from conftest import table
-from kernel_agreement import (RANK1_SYSTEMS, mcm_disagreements, rank1_disagreements,
-                              weight_systems)
-from oracles import (LevelNonMcmCone, cones_is_mcm, level_cones, reference_chamber_decomposition,
-                     reference_non_mcm_cone, semigroup_members)
+from kernel_agreement import (RANK1_SYSTEMS, cone_routes, mcm_disagreements,
+                              rank1_disagreements, sparse_systems, weight_systems)
+from test_posets import FAMILY_SIZES
+from oracles import (LevelNonMcmCone, closed_form_mcm_classes, cones_is_mcm, level_cones,
+                     reference_chamber_decomposition, reference_non_mcm_cone,
+                     semigroup_members)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +450,16 @@ def test_compiled_test_matches_level_cones_on_a_seeded_sample():
     assert tested >= 30
 
 
+def test_every_route_matches_level_cones_on_sparse_systems():
+    """Weights with entries in [-4, 4]: most cones are not saturated, and
+    some rays and half-planes have a conductor above 0."""
+    systems = sparse_systems(seed=5, count=40)
+    routes = cone_routes(systems)
+    assert routes["congruence"] and routes["conductor"] and routes["levels"]
+    bad, tested = mcm_disagreements(systems, seed=5, points=40)
+    assert not bad and tested == 40
+
+
 def test_rank_one_test_matches_level_cones_and_closed_form():
     bad, asked = rank1_disagreements(RANK1_SYSTEMS[6:])
     assert not bad
@@ -490,7 +507,7 @@ def test_unit_split_matches_the_pairwise_scan(gens, scales):
     assert rest == [g for _, g in ref.steps]
     row = NonMcmCone((0, 0), tuple(gens))._row
     assert row[2:4] == ref.phi
-    assert [(cost, (gx, gy)) for cost, gx, gy in row[7]] == ref.steps
+    assert [(cost, (gx, gy)) for cost, gx, gy in row[-1][3]] == ref.steps
 
 
 def test_unit_line_and_group_cones_by_hand():
@@ -667,3 +684,142 @@ def test_raw_cone_region_agrees_with_pointwise():
        st.tuples(st.integers(-7, 7), st.integers(-7, 7)))
 def test_semigroup_vs_oracle_property(gens, target):
     assert semigroup_member(target, gens) == (target in semigroup_members(gens, [target]))
+
+
+# ---------------------------------------------------------------------------
+# conductors: far queries without levels
+
+
+def _poset_weights(p):
+    return class_group(sigma_matrix(p), spanning_tree(p))
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in corpus_path("").iterdir()))
+def test_corpus_cones_have_conductor_zero(name):
+    text = corpus_path(name).read_text()
+    cgd = class_group(parse_cone(text)) if name.endswith(".cone") else _poset_weights(
+        parse_poset(text))
+    assert cgd.rank in (1, 2)
+    assert [cone.conductor for cone in cgd.mcm_test.cones] == [0] * len(cgd.mcm_test.cones)
+
+
+@pytest.mark.parametrize("tag, params", FAMILY_SIZES)
+def test_family_cones_have_conductor_zero(tag, params):
+    cones = _poset_weights(generate_family(tag, params).poset).mcm_test.cones
+    assert cones and all(cone.conductor == 0 for cone in cones)
+
+
+_DEMO = corpus_path("rank2_demo.cone").read_text()
+
+
+@pytest.mark.parametrize("weights, chi", [
+    (lambda: class_group(parse_cone(_DEMO)).weights, (3000, 0)),
+    (lambda: table("I", (5, 6)), (1000, 0)),
+    (lambda: [(3,), (7,), (-4,), (-6,)], (10 ** 5,)),
+], ids=["rank2_demo", "I-5-6", "3,7,-4,-6"])
+def test_far_query_takes_constant_time_and_memory(weights, chi):
+    """A fresh test answers far outside the (finite) MCM region without
+    closing levels: under 50 ms and a 1 MiB tracemalloc peak, compile
+    included (closing levels, rank2_demo took 52 s and 754 MiB)."""
+    ws = weights()
+    start = time.perf_counter()
+    assert not McmTest(ws)(chi)
+    assert time.perf_counter() - start < 0.05
+    tracemalloc.start()
+    try:
+        assert not McmTest(ws)(chi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_conductor_of_rank_one_cones_is_frobenius_plus_one():
+    """N<3, 4, 6, 7> misses 1, 2 and 5: the conductor is 6; with a unit
+    weight the semigroup is N and the conductor 0.  A half-plane whose
+    only hole modulo its units is (1, 1), at phi level 2, has conductor 3:
+    the least phi step is 4, and levels 3 to 6 are full (3 and 5 hold no
+    point of the group)."""
+    assert [c.conductor for c in McmTest([(3,), (7,), (-4,), (-6,)]).cones] == [6, 6]
+    assert [c.conductor for c in McmTest([(1,), (2,), (-1,), (-2,)]).cones] == [0, 0]
+    assert NonMcmCone((0,), ((2,), (3,))).conductor == 2
+    half_plane = NonMcmCone((0, 0), ((2, 0), (-2, 0), (0, 2), (3, 3)))
+    assert half_plane.conductor == 3
+    assert [pt for pt in product(range(-6, 7), range(0, 7))
+            if (pt[0] - pt[1]) % 2 == 0 and not half_plane.contains(pt)] == [
+        (x, 1) for x in range(-5, 7, 2)]
+
+
+def test_rank_one_conductor_agrees_with_the_closed_form():
+    """N<100, 101> has Frobenius number 9899: the conductor is 9900, and
+    the test agrees with the closed form up to and past beta + F."""
+    weights = (100, 101, -100, -101)
+    test, reach = McmTest([(w,) for w in weights]), 201 + 9899
+    assert [c.conductor for c in test.cones] == [9900, 9900]
+    closed = closed_form_mcm_classes(weights, -reach - 50, reach + 50)
+    assert {x for x in range(-reach - 50, reach + 51) if test((x,))} == closed
+    assert reach in closed and reach + 1 not in closed
+
+
+def test_rank_one_levels_close_as_queries_ask():
+    """N<1000, 1001> has conductor 999000; a fresh test answers classes
+    near the offsets +-2001 without closing levels up to it, under 50 ms
+    and a 1 MiB tracemalloc peak, compile included."""
+    ws = [(1000,), (1001,), (-1000,), (-1001,)]
+    start = time.perf_counter()
+    assert [McmTest(ws)((x,)) for x in (0, 2000, 2001, 2010, 3001)] == [
+        True, True, False, True, False]
+    assert time.perf_counter() - start < 0.05
+    tracemalloc.start()
+    try:
+        assert McmTest(ws)((-2010,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_rank_one_reach_is_beta_plus_frobenius():
+    """(3, 7, -4, -6): beta = 10, and N<3, 4, 6, 7> has Frobenius number 5;
+    (1, 2, -1, -2): beta = 3 and the semigroup is N, so the conic interval
+    [-2, 2] is the whole MCM set.  A rank-two test has no reach."""
+    for weights, reach in [((3, 7, -4, -6), 15), ((1, 2, -1, -2), 2),
+                           ((100, 101, -100, -101), 10100)]:
+        test = McmTest([(w,) for w in weights])
+        assert test.reach() == reach
+        assert max(x for x in range(-reach - 30, reach + 31) if test((x,))) == reach
+    with pytest.raises(ValueError):
+        McmTest(table("I", (4, 5))).reach()
+
+
+def test_saturation_is_decided_by_the_hilbert_basis():
+    """The cone of (1, 0) and (1, 3) has Hilbert basis (1, 0), (1, 1),
+    (1, 2), (1, 3) in Z^2: with all four generators it is saturated, and
+    without (1, 2) it is not ((1, 2) is a hole).  Relative to the group
+    its generators span, (1, 0), (1, 3) alone is saturated: that group
+    holds neither (1, 1) nor (1, 2)."""
+    full = NonMcmCone((0, 0), ((1, 0), (1, 1), (1, 2), (1, 3)))
+    holed = NonMcmCone((0, 0), ((1, 0), (1, 1), (1, 3)))
+    sparse = NonMcmCone((0, 0), ((1, 0), (1, 3)))
+    assert (full.conductor, holed.conductor, sparse.conductor) == (0, None, 0)
+    assert not holed.contains((1, 2)) and holed.contains((2, 2))
+    for cone in (full, holed, sparse):
+        ref = LevelNonMcmCone(cone.offset, cone.generators)
+        for pt in product(range(-3, 12), repeat=2):
+            assert cone.contains(pt) == ref.contains(pt), pt
+
+
+def test_non_saturated_cone_has_no_conductor():
+    """The cone at offset (4, -6) of this system is not saturated: the
+    shift (1, 0) is half of (2, 0), which is in the semigroup, so it lies
+    in the rational cone, and it lies in the generators' group, but not in
+    the semigroup.  Its levels stay, and it still agrees with the oracle."""
+    ws = [(-1, -3), (3, -4), (2, 2), (-4, 3), (0, -1), (0, 3)]
+    cone, = [c for c in McmTest(ws).cones if c.offset == (4, -6)]
+    assert cone.conductor is None
+    assert semigroup_members(cone.generators, [(1, 0), (2, 0)]) == {(2, 0)}
+    assert lattice_contains(cone.generators, (1, 0))
+    assert not cone.contains((5, -6)) and cone.contains((6, -6))
+    ref = LevelNonMcmCone(cone.offset, cone.generators)
+    for pt in product(range(-20, 21), repeat=2):
+        assert cone.contains(pt) == ref.contains(pt), pt
