@@ -22,9 +22,11 @@ one of the strongest end-to-end checks in the test suite.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from itertools import combinations, product
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, TypeAlias
+from operator import mul
+from typing import Iterable, NamedTuple, Optional, Sequence, TypeAlias
 
 from . import intlattice
 from .classgroup import ClassGroupData, WeightsLike, weight_list
@@ -67,8 +69,17 @@ class ConicPolytope(NamedTuple):
     rank: int
 
     def contains(self, chi: Vec) -> bool:
-        return all(lo <= intlattice.dot(coeffs, chi) <= hi
-                   for coeffs, lo, hi in self.ineqs)
+        if len(chi) != self.rank:
+            raise ValueError(f"expected a vector of rank {self.rank}, got {tuple(chi)}")
+        return all(lo <= sum(map(mul, coeffs, chi)) <= hi for coeffs, lo, hi in self.ineqs)
+
+    def select(self, points: Iterable[Vec]) -> set[Vec]:
+        """The points among ``points``, all of the polytope's rank, that it
+        contains: each bound pair in turn filters what the last one kept."""
+        kept = set(points)
+        for coeffs, lo, hi in self.ineqs:
+            kept = {chi for chi in kept if lo <= sum(map(mul, coeffs, chi)) <= hi}
+        return kept
 
 
 def conic_polytope(circuits: Sequence[Circuit],
@@ -215,40 +226,44 @@ def conic_facets(weights: WeightsLike, rank: int) -> ConicPolytope:
     s_i in (-1, 0).  Conic.  For Gorenstein weights (sum w_i = 0) every
     h_u is positive and the rule reads 2|<u, chi>| < sum_i |<u, w_i>|.
 
+    Only the distinct nonzero weights are worked with, each with its
+    multiplicity m_w: the normals depend only on the lines the weights
+    span, and h_u = sum_w m_w max(0, -<u, w>) over the distinct ones (a
+    class group of type I (4, 5) has 28 weights but 4 distinct ones).
     Weights that do not span Q^rank are first moved by the column transform
-    V of the Smith normal form of their matrix, which clears every
-    coordinate beyond its rank r: chi is conic iff chi V vanishes beyond r
-    (the equations) and its first r coordinates satisfy the rule for the
-    moved weights, whose normals are read back through V.  Each normal is
-    the primitive generator of the integer kernel of r-1 weights, the last
-    column of their own Smith transform.  Zero weights change nothing.
+    V of the Smith normal form of the matrix of distinct weights, which
+    clears every coordinate beyond its rank r: chi is conic iff chi V
+    vanishes beyond r (the equations) and its first r coordinates satisfy
+    the rule for the moved weights, whose normals are read back through V.
+    Each normal is the primitive generator of the integer kernel of r-1
+    weights, the last column of their own Smith transform.  Zero weights
+    change nothing.
     """
     ws = weight_list(weights)
     if any(len(w) != rank for w in ws):
         raise ValueError(f"weights must have {rank} coordinates")
-    nonzero = [w for w in ws if any(w)]
-    if nonzero:
-        D, _, V = intlattice.smith_normal_form(nonzero)
+    counts = Counter(w for w in ws if any(w))  # distinct nonzero weights, in order
+    if counts:
+        D, _, V = intlattice.smith_normal_form(list(counts))
     else:
         D, V = [], [[int(i == j) for j in range(rank)] for i in range(rank)]
     r = sum(1 for i in range(min(len(D), rank)) if D[i][i])
     columns = [tuple(row[c] for row in V) for c in range(rank)]
     moved = {intlattice.primitive(tuple(intlattice.dot(w, col) for col in columns[:r]))
-             for w in nonzero}
+             for w in counts}
     lines = sorted({max(v, tuple(-c for c in v)) for v in moved})
     normals = set()
     for span in (combinations(lines, r - 1) if r else ()):
         u = _kernel_generator(span)
         if u is not None:
             normal = tuple(intlattice.dot(row[:r], u) for row in V)
-            normals |= {normal, tuple(-c for c in normal)}
-    tops = {}
-    for u in normals:
-        h = sum(max(0, -intlattice.dot(u, w)) for w in nonzero)
-        tops[u] = h - (h != 0)
+            normals.add(max(normal, tuple(-c for c in normal)))
     ineqs = [(e, 0, 0) for e in columns[r:]]
-    ineqs += [(u, -tops[tuple(-c for c in u)], tops[u])
-              for u in sorted(normals) if next(c for c in u if c) > 0]
+    for u in sorted(normals):
+        pairings = [(sum(map(mul, u, w)), m) for w, m in counts.items()]
+        up = sum(-p * m for p, m in pairings if p < 0)  # h_u
+        down = sum(p * m for p, m in pairings if p > 0)  # h_-u
+        ineqs.append((u, -down + (down != 0), up - (up != 0)))
     return ConicPolytope(ineqs=tuple(ineqs), rank=rank)
 
 

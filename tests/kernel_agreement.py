@@ -29,6 +29,9 @@ and ``tests/test_mcm.py`` run the same comparison on smaller samples.  The
 rank-one systems of ``RANK1_SYSTEMS`` are asked about every class within
 3 beta, and there ``oracles.closed_form_mcm_classes``, which decides by
 local cohomology instead of the chamber criterion, is a third check.
+Last, ``mcm.mcm_region``, which sweeps a box by columns, must list the very
+region ``oracles.pointwise_mcm_region`` finds point by point: on one
+off-centre box per sparse system and two intervals per rank-one system.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ import sys
 from collections import Counter
 
 from hibinccr import (CriterionHypothesisError, McmTest, TypeParams, chamber_decomposition,
-                      expected_weight_table)
+                      expected_weight_table, mcm_region)
 from hibinccr.intlattice import smith_normal_form
 
 from oracles import (closed_form_mcm_classes, cones_is_mcm, level_cones,
-                     reference_smith_normal_form)
+                     pointwise_mcm_region, reference_smith_normal_form)
 
 MATRICES = 6000
 WEIGHT_SYSTEMS = 300
@@ -165,6 +168,27 @@ def mcm_disagreements(systems: list[list[tuple[int, int]]], seed: int = 0,
     return bad, tested
 
 
+def region_disagreements(systems: list[list[tuple[int, int]]], seed: int = 0,
+                         rank1_systems=RANK1_SYSTEMS) -> tuple[list[tuple], int]:
+    """The (weights, box) pairs on which ``mcm_region``, which sweeps the box
+    by columns, differs from ``oracles.pointwise_mcm_region``, and how many
+    regions were compared.  Each rank-two system gets one box of sides up
+    to ``2 * BOX + 1`` whose centre lies anywhere in ``[-BOX, BOX]^2``; each
+    rank-one system gets [-3 beta, 3 beta] and [beta // 2, 4 beta]."""
+    rng = random.Random(seed)
+    cases = []
+    for ws in systems:
+        x, y = rng.randint(-BOX, BOX), rng.randint(-BOX, BOX)
+        cases.append((ws, [(x - rng.randint(0, BOX), x + rng.randint(0, BOX)),
+                           (y - rng.randint(0, BOX), y + rng.randint(0, BOX))]))
+    for weights in rank1_systems:
+        beta = sum(w for w in weights if w > 0)
+        ws = [(w,) for w in weights]
+        cases += [(ws, [(-3 * beta, 3 * beta)]), (ws, [(beta // 2, 4 * beta)])]
+    bad = [(ws, box) for ws, box in cases if mcm_region(ws, box) != pointwise_mcm_region(ws, box)]
+    return bad, len(cases)
+
+
 def rank1_disagreements(systems=RANK1_SYSTEMS) -> tuple[list[tuple], int]:
     """The (weights, class) pairs within 3 beta on which ``McmTest``, the
     level cones and the closed form do not all agree, and how many classes
@@ -200,6 +224,9 @@ if __name__ == "__main__":
     rank1_bad, asked = rank1_disagreements()
     for weights, x in rank1_bad:
         print(f"rank-one MCM routes differ: {weights!r} at {x}")
+    region_bad, regions = region_disagreements(sparse)
+    for ws, box in region_bad:
+        print(f"swept MCM region differs: {ws!r} on {box!r}")
     print(f"{len(sample) - len(smith_bad)}/{len(sample)} Smith forms agree; "
           f"{tested * POINTS - len(mcm_bad)}/{tested * POINTS} MCM answers agree "
           f"on {tested} of {len(systems)} weight systems; "
@@ -210,4 +237,7 @@ if __name__ == "__main__":
           f"{asked - len(rank1_bad)}/{asked} rank-one MCM answers agree with the "
           f"closed form on {len(RANK1_SYSTEMS)} weight systems, "
           f"on Python {sys.version.split()[0]}")
-    sys.exit(1 if smith_bad or mcm_bad or rank1_bad else 0)
+    print(f"{regions - len(region_bad)}/{regions} swept MCM regions agree with the pointwise "
+          f"oracle on {len(sparse)} sparse systems (off-centre boxes) and "
+          f"{len(RANK1_SYSTEMS)} rank-one systems")
+    sys.exit(1 if smith_bad or mcm_bad or rank1_bad or region_bad else 0)

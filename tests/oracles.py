@@ -76,6 +76,12 @@ through before it paired pieces with distinct weights inline and split each
 cone's units in one pass.  So it shares with ``mcm.McmTest`` only the
 criterion, the record types and the Smith form.
 
+``pointwise_mcm_region`` is the MCM region the library listed before it
+swept the box by columns: every point of the box goes through the compiled
+test's ``_decide``, which stops at the first cone holding it.  It shares
+the compiled cones with ``mcm.mcm_region`` but not the sweep, its
+intervals or its arithmetic progressions.
+
 ``closed_form_mcm_classes`` decides the rank-one MCM classes by local
 cohomology instead of the chamber criterion: T(chi) is non-MCM exactly on
 +-(beta + N<|w_i|>), read from a numerical-semigroup table.  It shares no
@@ -1046,6 +1052,15 @@ def level_cones(weights: WeightsLike) -> list[LevelNonMcmCone]:
 def cones_is_mcm(chi: Vec, cones: Sequence[LevelNonMcmCone]) -> bool:
     """Is chi outside every one of the cones?"""
     return not any(cone.contains(chi) for cone in cones)
+
+
+def pointwise_mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]:
+    """The MCM classes inside the box (inclusive ranges), each point of the
+    box decided on its own by the compiled test."""
+    test = mcm.McmTest.of(weights)
+    if len(box) != test.rank:
+        raise ValueError(f"expected a box of rank {test.rank}, got {len(box)} ranges")
+    return set(filter(test._decide, product(*(range(lo, hi + 1) for lo, hi in box))))
 
 
 def closed_form_mcm_classes(weights: Sequence[int], lo: int, hi: int) -> set[int]:

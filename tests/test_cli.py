@@ -849,3 +849,15 @@ def test_sampled_argvs_agree_and_many_are_matched():
     argvs = sample(count=25)
     assert disagreements(argvs) == []
     assert sum(map(matched, argvs)) >= len(argvs) // 5
+
+
+def test_mcm_region_json_on_a_non_ascii_path(capsys, tmp_path):
+    path = tmp_path / "kegel-ä€\U0001d538.cone"
+    path.write_text(corpus_path("rank2_demo.cone").read_text(), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "mcm-region", str(path), "--box=-4,4,-4,4",
+                           "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["input"] == str(path)
+    assert "kegel-\\u00e4\\u20ac\\ud835\\udd38.cone" in out
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert len(report["mcm"]) == 37 and report["mcm_and_conic"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,6 +312,36 @@ def test_projection_refuses_a_level_past_the_row_budget(monkeypatch):
 def test_facet_rule_needs_matching_rank():
     with pytest.raises(ValueError, match="3 coordinates"):
         conic_facets([(1, 0)], 3)
+
+
+@pytest.mark.parametrize("chi", [(0, 0, 5), (0,), ()])
+def test_facet_rule_refuses_a_class_of_another_rank(chi):
+    """A rank-2 rule once cut (0, 0, 5) and (0,) short to (0, 0) and (0,)
+    and called both conic."""
+    rule = conic_facets([(1, 0), (0, 1), (-1, -1)], 2)
+    with pytest.raises(ValueError, match=rf"^expected a vector of rank 2, got {re.escape(str(chi))}$"):
+        rule.contains(chi)
+
+
+@pytest.mark.parametrize("tag, params", [("I", (4, 5)), ("II", (2, 2, 2)), ("IV", (3, 4))])
+def test_facet_rule_counts_each_weight_with_its_multiplicity(tag, params):
+    """The rule is built from the distinct weights; its bounds are those of
+    every weight, repeats included: top(u) = h_u - 1 with h_u the sum of
+    max(0, -<u, w>) over all of them."""
+    ws = expected_weight_table(TypeParams(tag, params, "as-given"))
+    assert len(set(ws)) < len(ws)
+    rule = conic_facets(ws, 2)
+    for (a, b), lo, hi in rule.ineqs:
+        assert hi == sum(max(0, -(a * x + b * y)) for x, y in ws) - 1
+        assert lo == 1 - sum(max(0, a * x + b * y) for x, y in ws)
+
+
+def test_facet_rule_selects_what_it_contains():
+    ws = expected_weight_table(TypeParams("I", (2, 3), "as-given"))
+    rule = conic_facets(ws, 2)
+    box = [(x, y) for x in range(-9, 10) for y in range(-9, 10)]
+    assert rule.select(box) == {chi for chi in box if rule.contains(chi)} == set(conic_classes(ws))
+    assert rule.select([]) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from kernel_agreement import (RANK1_SYSTEMS, cone_routes, mcm_disagreements,
                               rank1_disagreements, sparse_systems, weight_systems)
 from test_posets import FAMILY_SIZES
 from oracles import (LevelNonMcmCone, closed_form_mcm_classes, cones_is_mcm, level_cones,
-                     reference_chamber_decomposition, reference_non_mcm_cone,
-                     semigroup_members)
+                     pointwise_mcm_region, reference_chamber_decomposition,
+                     reference_non_mcm_cone, semigroup_members)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +666,82 @@ def test_region_agrees_with_pointwise():
 def test_rank1_region():
     weights = [(1,), (-2,), (4,), (-3,)]
     assert mcm_region(weights, [(-8, 8)]) == {(a,) for a in range(-4, 5)}
+
+
+# ---------------------------------------------------------------------------
+# the swept region against the pointwise oracle
+
+# 7 of its 10 cones are pointed and not saturated, so they close levels;
+# the "every-route" system below has cones of each of the three routes, and
+# the weights of "index-3" span the lattice of (x, y) with y = x modulo 3
+LEVEL_SYSTEM = [(-1, -3), (3, -4), (2, 2), (-4, 3), (0, -1), (0, 3)]
+
+SWEEP_BOXES = [
+    [(3, 2), (-4, 4)], [(-4, 4), (5, -5)], [(1, 0), (1, 0)],  # empty ranges: set()
+    [(0, 0), (-9, 9)], [(4, 4), (-9, 9)], [(-9, 9), (0, 0)], [(-9, 9), (-3, -3)],
+    [(5, 14), (-12, -3)], [(-20, -11), (8, 17)], [(2, 2), (-1, -1)],  # off the origin
+    [(-12, 12), (-12, 12)],
+]
+
+
+@pytest.mark.parametrize("ws", [table("I", (2, 3)), table("V", (3,)), LEVEL_SYSTEM,
+                                [(-3, -3), (1, 4), (3, -3), (0, 4), (0, -3), (-1, 1)],
+                                [(x, x + 3 * y) for x, y in table("I", (2, 3))]],
+                         ids=["I-2-3", "V-3", "levels", "every-route", "index-3"])
+@pytest.mark.parametrize("box", SWEEP_BOXES)
+def test_swept_region_agrees_with_pointwise_oracle(ws, box):
+    assert mcm_region(ws, box) == pointwise_mcm_region(ws, box)
+
+
+def test_swept_region_closes_levels_as_the_oracle_does():
+    """The sweep grows each pointed, non-saturated cone once per column, up
+    to the highest level of the points still standing, and looks the
+    points below the held levels up in them."""
+    test = McmTest(LEVEL_SYSTEM)
+    assert sum(cone.conductor is None for cone in test.cones) == 7
+    for box in ([(-30, 30), (-30, 30)], [(12, 40), (-40, -9)]):
+        assert mcm_region(LEVEL_SYSTEM, box) == pointwise_mcm_region(LEVEL_SYSTEM, box)
+    fresh = McmTest(LEVEL_SYSTEM)
+    assert {pt for pt in product(range(-30, 31), repeat=2) if fresh(pt)} == \
+        mcm_region(LEVEL_SYSTEM, [(-30, 30), (-30, 30)])
+
+
+@pytest.mark.parametrize("weights", RANK1_SYSTEMS)
+def test_swept_rank_one_region_agrees_with_the_oracle(weights):
+    ws = [(w,) for w in weights]
+    beta = sum(w for w in weights if w > 0)
+    for box in ([(-3 * beta, 3 * beta)], [(beta, 4 * beta)], [(-beta, -beta)], [(2, 1)]):
+        assert mcm_region(ws, box) == pointwise_mcm_region(ws, box)
+    lo, hi = -3 * beta, 3 * beta
+    assert mcm_region(ws, [(lo, hi)]) == {
+        (x,) for x in closed_form_mcm_classes(weights, lo, hi)}
+
+
+def test_swept_rank_one_region_closes_each_ray_once():
+    """N<300, 301> has conductor 89700: the default box [-R - 2, R + 2],
+    R = beta + F = 90300, closes those levels once per ray before the
+    sweep, about a second (40 s when each column closed one level more on a
+    copy of the levels below it)."""
+    weights = (300, 301, -300, -301)
+    ws = [(w,) for w in weights]
+    reach = McmTest(ws).reach()
+    start = time.perf_counter()
+    region = mcm_region(ws, [(-reach - 2, reach + 2)])
+    assert time.perf_counter() - start < 10
+    assert region == {(x,) for x in closed_form_mcm_classes(weights, -reach - 2, reach + 2)}
+    assert len(region) == 90901
+
+
+def test_swept_region_scales_with_the_columns():
+    """rank2_demo has 37 MCM classes, all within [-20, 20]^2; the box
+    [-1000, 1000]^2 finds the same ones in well under a second (4.4 s
+    pointwise)."""
+    cgd = class_group(parse_cone(_DEMO))
+    near = mcm_region(cgd, [(-20, 20), (-20, 20)])
+    start = time.perf_counter()
+    far = mcm_region(cgd, [(-1000, 1000), (-1000, 1000)])
+    assert time.perf_counter() - start < 1.5
+    assert len(near) == 37 and far == near
 
 
 def test_raw_cone_region_agrees_with_pointwise():
