@@ -270,7 +270,8 @@ def _cmd_mcm_region(args) -> int:
                          f"not {cgd.rank}")
     box = _parse_box_arg(args.box, default)
     region = mcm.mcm_region(cgd, box)
-    conic = divisorial.conic_facets(ws, cgd.rank).select(region)
+    rule = divisorial.conic_facets(ws, cgd.rank)
+    conic = {pt for pt in region if rule.contains(pt)}
     if args.format == "json":
         _emit({"input": args.input, "box": [list(b) for b in box],
                "mcm": sorted(list(p) for p in region),

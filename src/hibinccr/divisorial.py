@@ -26,7 +26,7 @@ from collections import Counter
 from itertools import combinations, product
 from math import gcd
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence, TypeAlias
+from typing import NamedTuple, Optional, Sequence, TypeAlias
 
 from . import intlattice
 from .classgroup import ClassGroupData, WeightsLike, weight_list
@@ -72,14 +72,6 @@ class ConicPolytope(NamedTuple):
         if len(chi) != self.rank:
             raise ValueError(f"expected a vector of rank {self.rank}, got {tuple(chi)}")
         return all(lo <= sum(map(mul, coeffs, chi)) <= hi for coeffs, lo, hi in self.ineqs)
-
-    def select(self, points: Iterable[Vec]) -> set[Vec]:
-        """The points among ``points``, all of the polytope's rank, that it
-        contains: each bound pair in turn filters what the last one kept."""
-        kept = set(points)
-        for coeffs, lo, hi in self.ineqs:
-            kept = {chi for chi in kept if lo <= sum(map(mul, coeffs, chi)) <= hi}
-        return kept
 
 
 def conic_polytope(circuits: Sequence[Circuit],

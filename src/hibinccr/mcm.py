@@ -231,12 +231,12 @@ def _grow(held: list, level: Optional[int], below: tuple) -> list[set[Vec]]:
     conductor: the first level k with levels k, ..., k + s - 1 all full, s
     the least phi step (see :class:`NonMcmCone`).  ``held`` is the pair
     (levels, run), run being how many full levels end the list, or None
-    once the conductor is the list's length.  New levels are built on a
-    copy that replaces the pair only when complete, so no query ever reads
-    a half-closed level."""
+    once the conductor is the list's length.  Each level is appended to
+    the held list only when complete, so no query ever reads a half-closed
+    level, and a caller that asks for one level more pays for that level
+    alone; the trim at the conductor puts a shorter list in its place."""
     a, b, c, steps, full = below
     levels, run = held
-    levels = list(levels)
     while level is None or len(levels) <= level:
         n = len(levels)
         reached = set() if n else {(0, 0)}
@@ -252,15 +252,16 @@ def _grow(held: list, level: Optional[int], below: tuple) -> list[set[Vec]]:
                     if c:
                         y %= c
                     reached.add((x, y))
-        levels.append(reached)
         if full:
             step, classes, least = full
             run = run + 1 if n % step or len(reached) == classes else 0
             if run == least:
-                del levels[n - least + 1:]
+                levels = levels[:n - least + 1]
                 run = None
+                held[:] = levels, run
                 break
-    held[:] = levels, run
+        levels.append(reached)
+        held[1] = run
     return levels
 
 
@@ -622,10 +623,10 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     the points of the column it holds (:func:`_strike`), so the cost is a
     few integer operations per cone per column, plus one step per MCM
     class listed and one level lookup per point that lies below a cone's
-    conductor.  A ray or a half-plane closes its levels once, up to the
-    box's highest level or its conductor; a pointed cone that is not
-    saturated grows per column, up to the points still standing.  Rank
-    one runs on the first axis, a column of one point each.  On
+    conductor.  A cone that closes levels grows them as the columns reach
+    them, up to the points still standing, and a ray or a half-plane stops
+    at its conductor.  Rank one runs on the first axis, a column of one
+    point each.  On
     ``corpus/rank2_demo.cone`` the box [-1000, 1000]^2 takes about 0.2 s
     (4.4 s pointwise); on (300, 301, -300, -301) the default box of the
     CLI, +-90300, takes about 1 s (40 s pointwise)."""
@@ -638,12 +639,6 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     region: set[Vec] = set()
     if x_lo > x_hi or not ys:
         return region
-    for ox, oy, px, py, *_, held, below in rows:
-        if held[1] is not None and below[4] is not None:
-            # a ray or a half-plane stops at its conductor: grow it once to
-            # the box's highest level, not a level per column
-            _grow(held, max(px * (x - ox) + py * (y - oy)
-                            for x in (x_lo, x_hi) for y in (y_lo, y_hi)), below)
     for x in range(x_lo, x_hi + 1):
         column = bytearray(b"\x01") * len(ys)
         for row in rows:

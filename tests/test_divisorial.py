@@ -336,14 +336,6 @@ def test_facet_rule_counts_each_weight_with_its_multiplicity(tag, params):
         assert lo == 1 - sum(max(0, a * x + b * y) for x, y in ws)
 
 
-def test_facet_rule_selects_what_it_contains():
-    ws = expected_weight_table(TypeParams("I", (2, 3), "as-given"))
-    rule = conic_facets(ws, 2)
-    box = [(x, y) for x in range(-9, 10) for y in range(-9, 10)]
-    assert rule.select(box) == {chi for chi in box if rule.contains(chi)} == set(conic_classes(ws))
-    assert rule.select([]) == set()
-
-
 # ---------------------------------------------------------------------------
 # integer Fourier-Motzkin against the Fraction route of tests/oracles.py
 

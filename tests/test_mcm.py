@@ -717,11 +717,11 @@ def test_swept_rank_one_region_agrees_with_the_oracle(weights):
         (x,) for x in closed_form_mcm_classes(weights, lo, hi)}
 
 
-def test_swept_rank_one_region_closes_each_ray_once():
+def test_swept_rank_one_region_reaches_a_far_conductor():
     """N<300, 301> has conductor 89700: the default box [-R - 2, R + 2],
-    R = beta + F = 90300, closes those levels once per ray before the
-    sweep, about a second (40 s when each column closed one level more on a
-    copy of the levels below it)."""
+    R = beta + F = 90300, closes those levels a column at a time, about a
+    second (40 s when each level was closed on a copy of the levels below
+    it)."""
     weights = (300, 301, -300, -301)
     ws = [(w,) for w in weights]
     reach = McmTest(ws).reach()
@@ -730,6 +730,23 @@ def test_swept_rank_one_region_closes_each_ray_once():
     assert time.perf_counter() - start < 10
     assert region == {(x,) for x in closed_form_mcm_classes(weights, -reach - 2, reach + 2)}
     assert len(region) == 90901
+
+
+def test_queries_that_climb_a_ray_pay_each_level_once():
+    """A fresh test asked about 0, 1, ..., R in order closes one level more
+    per query; each level is appended to the held ones, not built on a
+    copy of all of them, so the climb to the conductor 89700 of
+    N<300, 301> takes well under a second (34 s with a copy).  ``reach``
+    asks for the conductors, so it is taken from another test."""
+    weights = (300, 301, -300, -301)
+    reach = McmTest([(w,) for w in weights]).reach()
+    test = McmTest([(w,) for w in weights])
+    assert all(not cone._row[-2][0] for cone in test.cones)  # no level held yet
+    start = time.perf_counter()
+    found = [x for x in range(reach + 3) if test((x,))]
+    assert time.perf_counter() - start < 5
+    assert set(found) == closed_form_mcm_classes(weights, 0, reach + 2)
+    assert all(cone.conductor in (0, 89700) for cone in test.cones)
 
 
 def test_swept_region_scales_with_the_columns():
