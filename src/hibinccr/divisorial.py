@@ -71,7 +71,10 @@ class ConicPolytope(NamedTuple):
     def contains(self, chi: Vec) -> bool:
         if len(chi) != self.rank:
             raise ValueError(f"expected a vector of rank {self.rank}, got {tuple(chi)}")
-        return all(lo <= sum(map(mul, coeffs, chi)) <= hi for coeffs, lo, hi in self.ineqs)
+        for coeffs, lo, hi in self.ineqs:
+            if not lo <= sum(map(mul, coeffs, chi)) <= hi:
+                return False
+        return True
 
 
 def conic_polytope(circuits: Sequence[Circuit],
