@@ -8,28 +8,26 @@ affine semigroup of non-MCM characters; a class is MCM iff it avoids all of
 them (half-open chambers never matter).  In rank one the two half-lines
 give +-(beta + N<|w_i|>), as local cohomology does (:mod:`hibinccr.rank1`).
 All decisions are exact integer arithmetic.  Each of those chambers is
-compiled once into a :class:`NonMcmCone`, whose row of plain integers (its
-offset, phi, boundary normals, the group its generators span, its
-conductor and the levels held below it) is read by the one membership
-engine, :func:`_outside`: a flat loop over rows that serves
+compiled once into a :class:`NonMcmCone`: a row of plain integers (its
+offset, phi, boundary normals and the lattice its residues are taken
+modulo) and an Apery table, read by the one membership engine,
+:func:`_outside`: a flat loop over rows that serves
 :meth:`NonMcmCone.contains`, :func:`semigroup_member` and the compiled test
-of a whole weight system, :class:`McmTest`.  Compiling takes one pass over
-the weights for the chambers (integer pairings of each piece with the
-distinct weights), one over each cone's generators for its units and phi,
-and, on a pointed cone, a walk of at most one step more than it has
-generators to decide whether it is saturated.
+of a whole weight system, :class:`McmTest`.  No query changes a row.
 
-Cost model.  A query of a cone whose conductor is known costs the same at
-any distance: three inequalities and a congruence, or one lookup in a
-level held below the conductor.  A saturated cone knows it from the start;
-a ray or a half-plane finds it by closing levels, at most up to it, so its
-queries cost at most the conductor's levels once.  That covers all of rank
-one and every cone of the paper's families and of the corpus.  A pointed
-cone that is not saturated keeps closing levels up to the phi level of the
-farthest query inside it, so its cost stays quadratic in the distance (see
-:class:`McmTest`).  A region (:func:`mcm_region`) is swept a column at a
-time: a few integer operations per cone per column, plus one step per MCM
-class listed and one level lookup per point below a cone's conductor.
+Cost model.  Compiling takes one pass over the weights for the chambers
+(integer pairings of each piece with the distinct weights), one over each
+cone's generators for its units and phi, and on a pointed cone a walk of
+at most one step more than it has generators to decide whether it is
+saturated; a ray or a half-plane is saturated when its least generator and
+its units span the group of all its generators.  Any other cone is then
+walked once over its Apery set Ap, in time O(|Ap| log |Ap|) per generator;
+|Ap| grows with the cone's index (see :class:`McmTest`).  After that a
+query costs the same at any distance: three inequalities, one residue,
+and a congruence or one staircase lookup.  A region
+(:func:`mcm_region`) is swept a column at a time: a few integer operations
+per cone per column and one slice per Apery corner, plus one step per MCM
+class listed.
 
 Whoever owns the weights holds their compiled test.  A
 :class:`~hibinccr.classgroup.ClassGroupData` keeps it as an instance
@@ -42,7 +40,9 @@ does).  Nothing is cached at module level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import partial
+from heapq import heappop, heappush
 from itertools import compress, repeat
 from math import gcd
 from operator import neg
@@ -85,47 +85,60 @@ class NonMcmCone(Record):
     """Characters offset + (non-negative combination of generators) are the
     non-MCM classes detected by one chamber.
 
-    The cone is compiled once into a row of plain integers and then answers
-    :meth:`contains` for any number of characters; rank one is the rank-two
-    case on the second axis.  Generators whose negative lies in the rational
-    cone of the whole set act invertibly, so they collapse into a unit
-    lattice: they are the generators in the cone's lineality space, read
-    off in one pass over the generators.  The remaining generators admit an
-    integer functional phi, zero on the unit lattice (a line, then) and
-    strictly positive on them, which sorts the classes they reach modulo
-    the line into levels.
+    The cone is compiled once into a row of plain integers and an Apery
+    table, and then answers :meth:`contains` for any number of characters;
+    rank one is the rank-two case on the second axis.  Generators whose
+    negative lies in the rational cone of the whole set act invertibly, so
+    they collapse into a unit lattice U: they are the generators in the
+    cone's lineality space, read off in one pass over the generators.  The
+    remaining generators admit an integer functional phi, zero on U (a
+    line, then) and strictly positive on them.
 
     A shifted point is in the semigroup S only if it is in the rational
-    cone C (phi >= 0 and, on a pointed cone, two boundary inequalities) and
-    in the group L the generators span; from the cone's *conductor* level
-    on, that is enough:
+    cone C: phi >= 0 and, on a pointed cone or a ray, n >= 0 and m >= 0 for
+    the two boundary normals.  Then:
 
-    * a plane, a line, or no generators: S is L, conductor 0;
-    * a pointed cone with two boundary rays is saturated (S = C n L,
-      conductor 0) exactly when S holds the least points u', v' of L on
-      the rays and the points of L in [0, 1) u' + [0, 1) v', which generate
+    * S is all of C n L, L the group the generators span, on a plane, a
+      line, with no generators, and on a *saturated* cone, so membership is
+      a congruence modulo L.  A pointed cone with two boundary rays is
+      saturated exactly when S holds the least points u', v' of L on the
+      rays and the points of L in [0, 1) u' + [0, 1) v', which generate
       C n L (Bruns and Gubeladze, *Polytopes, Rings, and K-Theory*, ch. 2).
-      Compiling checks them (:func:`_saturated`).  A cone that is not
-      saturated has no conductor (None): its holes run in strips along the
-      rays (Katthan, *Manuscripta Math.* 146, 2015), and its levels are
-      closed up to the largest phi asked so far;
-    * a ray or a half-plane, a rank-one quotient by the unit lattice: with
-      s the least phi step, if levels k, ..., k + s - 1 hold every class of
-      L then so do all later ones (add the generator of step s).  The
-      least such k is the conductor; in rank one, the Frobenius number plus
-      one.  Its levels are closed as queries ask for them, and the first
-      query at or past the conductor closes them up to it and no further.
+      Compiling checks them (:func:`_saturated`), so such a cone of large
+      index never walks its Apery set.
+    * Otherwise S is the union of a + N u + N v over its Apery set
+      Ap = {s in S : s - u and s - v not in S} (Rosales and Garcia-Sanchez,
+      *Finitely Generated Commutative Monoids*, 1999).  On a pointed cone u
+      and v are the generators of least phi on its two boundary rays; on a
+      ray, or on a half-plane taken modulo U, u = v is the generator of
+      least phi.  Ap meets each residue of L modulo M = U + Z u + Z v in a
+      staircase of corners, none of which is another plus a point of
+      N u + N v: the holes run in strips along the rays (Katthan,
+      *Manuscripta Math.* 146, 2015).  A corner a is kept as the pair
+      (n(a), phi(a) - n(a)).  On a pointed cone phi = n + m, so that is
+      (n(a), m(a)), and a point p of a's residue is in a + N u + N v exactly
+      when n(p) >= n(a) and m(p) >= m(a).  On a ray or a half-plane n is 0
+      on every point of C, each residue has one corner, the least point of
+      S in it, and p is in S when phi(p) >= phi(a).
+
+    The *conductor* is the least phi level from which every point of C n L
+    is in S.  On a ray or a half-plane the highest hole of a residue lies
+    one step phi(u) below its corner, so the conductor is one more than the
+    highest corner's level less phi(u), or 0 if that is negative: in rank
+    one, the Frobenius number plus one.  A ray or a half-plane is saturated,
+    with conductor 0, exactly when M is L; otherwise the least point a of
+    another residue lies at least phi(u) up, and a - u is a hole.
 
     The row (``_row``) is the offset's plane coordinates, phi, the two
-    boundary normals (zero but on a pointed cone), L in echelon form
-    ``(A, B, C)`` (see :func:`_lattice`), the held pair (levels, run) that
-    :func:`_grow` keeps, and what closing levels needs: the unit lattice in
-    echelon form, the phi steps and, on a ray or a half-plane, when a level
-    is full (:func:`_full_levels`).  The levels held are those below the
-    conductor once it is known, and none on a saturated cone.
-    :func:`_outside` reads the row, for this cone alone or for every cone of
-    a :class:`McmTest`.  It holds no reference to the cone, so a dropped
-    cone is freed at once.
+    boundary normals (zero on a half-plane or with no phi), the lattice its
+    residues are taken modulo in echelon form ``(a, b, c)`` (see
+    :func:`_lattice`), which is L on a saturated cone and M otherwise, and
+    the Apery table: a dict from each residue's reduced representative to
+    its staircase, the corners' n values rising and their phi - n values
+    falling.  A saturated cone has an empty table.  Nothing in the row
+    changes after compiling.  :func:`_outside` reads it, for this cone
+    alone or for every cone of a :class:`McmTest`.  It holds no reference
+    to the cone, so a dropped cone is freed at once.
     """
 
     _fields = ("offset", "generators")
@@ -138,7 +151,6 @@ class NonMcmCone(Record):
             _check_rank(g, rank)
         gens = sorted({_plane(g) for g in generators} - {(0, 0)})
         units, rest, bounds = _split_units(gens)
-        a, b, c = _lattice(units)
         lat = _lattice(gens)
         normals = (0, 0, 0, 0)
         pointed = bounds and bounds[0] != bounds[1]
@@ -148,32 +160,25 @@ class NonMcmCone(Record):
             phi = (vy - uy, ux - vx) if pointed else bounds[0]
             normals = (-uy, ux, vy, -vx)
         elif rest:
+            a, b, c = _lattice(units)
             assert not (a and c), "unit directions must be collinear"
             phi = _off_line(rest, (a, b) if a else (0, c))
         else:
             phi = (0, 0)
-        px, py = phi
-        steps = tuple((px * gx + py * gy, gx, gy) for gx, gy in rest)
-        if not steps or pointed and _saturated(bounds, lat, rest):
-            held, full = [[], None], None
-        else:
-            held, full = [[], 0], None if pointed else _full_levels(phi, lat, (a, b, c), steps)
+        lattice, table, conductor = lat, {}, 0
+        if rest and not (pointed and _saturated(bounds, lat, rest)):
+            lattice, table, conductor = _apery(phi, normals, units, rest, lat, pointed)
         ox, oy = _plane(offset)
-        self.__dict__.update(offset=offset, generators=generators,
-                             _row=(ox, oy, px, py, *normals, *lat, held, (a, b, c, steps, full)))
+        self.__dict__.update(offset=offset, generators=generators, _conductor=conductor,
+                             _row=(ox, oy, *phi, *normals, *lattice, table))
 
     @property
     def conductor(self) -> Optional[int]:
         """The least phi level from which every point of the cone that lies
-        in the generators' group is in the semigroup; 0 for a saturated
-        cone, None for a pointed cone that is not saturated.  On a ray or a
-        half-plane, asking closes the levels up to it."""
-        held, below = self._row[-2:]
-        if held[1] is not None:
-            if below[4] is None:
-                return None
-            _grow(held, None, below)
-        return len(held[0])
+        in the generators' group is in the semigroup: 0 for a saturated
+        cone, None for a pointed cone that is not saturated, and on a ray or
+        a half-plane read off its Apery table when it was compiled."""
+        return self._conductor
 
     def contains(self, chi: Vec) -> bool:
         """Is chi one of the cone's non-MCM characters?"""
@@ -184,22 +189,17 @@ class NonMcmCone(Record):
 def _outside(rows: tuple[tuple, ...], chi: Vec) -> bool:
     """Is the plane point chi in none of the compiled cones?  For each row:
     shift by the offset and test phi and the boundary inequalities; then,
-    below the conductor, look the class up in the held levels, and at or
-    above it test membership in L.  A cone whose conductor is not known yet
-    closes its levels up to the query's, or to the conductor if that comes
-    first."""
+    with no Apery table, test membership in L, and with one, look the
+    point up in it (:func:`_in_table`)."""
     x0, y0 = chi
-    for ox, oy, px, py, nx, ny, mx, my, a, b, c, held, below in rows:
+    for ox, oy, px, py, nx, ny, mx, my, a, b, c, table in rows:
         x = x0 - ox
         y = y0 - oy
         level = px * x + py * y
         if level < 0 or nx * x + ny * y < 0 or mx * x + my * y < 0:
             continue
-        levels, run = held
-        if level >= len(levels) and run is not None:
-            levels = _grow(held, level, below)
-        if level < len(levels):
-            if _in_level(levels[level], x, y, below):
+        if table:
+            if _in_table(table, x, y, level, nx * x + ny * y, a, b, c):
                 return False
             continue
         if a:
@@ -213,72 +213,66 @@ def _outside(rows: tuple[tuple, ...], chi: Vec) -> bool:
     return True
 
 
-def _in_level(classes: set[Vec], x: int, y: int, below: tuple) -> bool:
-    """Is the class of (x, y) modulo the unit lattice one of ``classes``?"""
-    a, b, c, _, _ = below
+def _in_table(table: dict, x: int, y: int, level: int, n: int, a: int, b: int, c: int) -> bool:
+    """Does the shifted point (x, y), at phi level ``level`` and n value
+    ``n``, dominate a corner of its residue's staircase modulo the lattice
+    (a, b, c)?  The corners' n values rise as their other values fall, so
+    the last corner whose n value is at most ``n`` decides."""
+    stair = table.get(_residue(x, y, a, b, c))
+    if not stair:
+        return False
+    i = bisect_right(stair[0], n)
+    return i > 0 and stair[1][i - 1] <= level - n
+
+
+def _apery(phi: Vec, normals: tuple[int, int, int, int], units: list[Vec], rest: list[Vec],
+           lat: tuple[int, int, int], pointed: bool) -> tuple[tuple[int, int, int], dict, Optional[int]]:
+    """The lattice M in echelon form, the Apery table and the conductor
+    (None on a pointed cone) of a cone that is not known to be saturated
+    (see :class:`NonMcmCone`).  If M is L, Ap is {0}: the cone is
+    saturated, and keeps L and no table.  Otherwise a walk from 0 in order
+    of phi adds every generator but u and v to each point of Ap it finds.
+    Ap less a generator is in Ap, so every point of Ap is reached; a corner
+    that a point dominates lies at a lower level, so it is found first, and
+    a point that dominates one is in a + N u + N v and is dropped.  The
+    walk takes O(|Ap| log |Ap|) steps per generator."""
+    px, py = phi
+    nx, ny, mx, my = normals
+    steps = sorted((px * gx + py * gy, gx, gy) for gx, gy in rest)
+    # the least step on each boundary ray: the least step of all on a ray or
+    # a half-plane, where both normals vanish on every generator
+    fixed = {next(st for st in steps if nx * st[1] + ny * st[2] == 0),
+             next(st for st in steps if mx * st[1] + my * st[2] == 0)}
+    a, b, c = _lattice([*units, *((gx, gy) for _, gx, gy in fixed)])
+    if (a, c) == (lat[0], lat[2]):  # M, a sublattice of L, has index 1
+        return lat, {}, 0
+    grow = [st for st in steps if st not in fixed]
+    found: dict[Vec, list[tuple[int, int]]] = {}
+    heap = [(0, 0, 0)]
+    while heap:
+        level, x, y = heappop(heap)
+        n = nx * x + ny * y
+        stair = found.setdefault(_residue(x, y, a, b, c), [])
+        if any(f <= n and g <= level - n for f, g in stair):
+            continue
+        stair.append((n, level - n))
+        for cost, gx, gy in grow:
+            heappush(heap, (level + cost, x + gx, y + gy))
+    table = {key: tuple(zip(*sorted(stair))) for key, stair in found.items()}
+    if pointed:
+        return (a, b, c), table, None
+    top = max(levels[0] for _, levels in table.values())
+    return (a, b, c), table, max(0, top - steps[0][0] + 1)
+
+
+def _residue(x: int, y: int, a: int, b: int, c: int) -> Vec:
+    """The representative of (x, y) modulo the lattice (a, b, c) in echelon
+    form (see :func:`_lattice`)."""
     if a:
         k = x // a
         x -= k * a
         y -= k * b
-    if c:
-        y %= c
-    return (x, y) in classes
-
-
-def _grow(held: list, level: Optional[int], below: tuple) -> list[set[Vec]]:
-    """Close a cone's levels, classes modulo its unit lattice, up to
-    ``level`` (None: no bound), and on a ray or a half-plane stop at the
-    conductor: the first level k with levels k, ..., k + s - 1 all full, s
-    the least phi step (see :class:`NonMcmCone`).  ``held`` is the pair
-    (levels, run), run being how many full levels end the list, or None
-    once the conductor is the list's length.  Each level is appended to
-    the held list only when complete, so no query ever reads a half-closed
-    level, and a caller that asks for one level more pays for that level
-    alone; the trim at the conductor puts a shorter list in its place."""
-    a, b, c, steps, full = below
-    levels, run = held
-    while level is None or len(levels) <= level:
-        n = len(levels)
-        reached = set() if n else {(0, 0)}
-        for cost, gx, gy in steps:
-            if cost <= n:
-                for x, y in levels[n - cost]:
-                    x += gx
-                    y += gy
-                    if a:
-                        k = x // a
-                        x -= k * a
-                        y -= k * b
-                    if c:
-                        y %= c
-                    reached.add((x, y))
-        if full:
-            step, classes, least = full
-            run = run + 1 if n % step or len(reached) == classes else 0
-            if run == least:
-                levels = levels[:n - least + 1]
-                run = None
-                held[:] = levels, run
-                break
-        levels.append(reached)
-        held[1] = run
-    return levels
-
-
-def _full_levels(phi: Vec, lat: tuple[int, int, int], units: tuple[int, int, int],
-                 steps: tuple[tuple[int, int, int], ...]) -> tuple[int, int, int]:
-    """For a ray or a half-plane: (g, classes, least).  The group L the
-    generators span meets the phi levels that g divides, each in
-    ``classes`` classes modulo the unit lattice (one on a ray); a level is
-    full when it holds them all, and ``least`` is the least phi step."""
-    px, py = phi
-    A, B, C = lat
-    p, q = px * A + py * B, py * C  # phi on the basis (A, B), (0, C) of L
-    g = gcd(p, q)
-    m = gcd(*units)  # the unit lattice is m times a primitive vector
-    # (q (A, B) - p (0, C)) / g spans L on the unit line
-    classes = m // gcd(q // g * A, (q * B - p * C) // g) if m else 1
-    return g, classes, min(cost for cost, _, _ in steps)
+    return x, y % c if c else y
 
 
 def _saturated(bounds: tuple[Vec, Vec], lat: tuple[int, int, int],
@@ -314,6 +308,9 @@ def _plane(v: Vec) -> Vec:
 def _check_rank(v: Sequence[int], rank: int) -> None:
     if len(v) != rank:
         raise ValueError(f"expected a vector of rank {rank}, got {tuple(v)}")
+    for c in v:
+        if type(c) is not int:
+            raise ValueError(f"coordinate {c!r} of {tuple(v)} is not an int")
 
 
 def chamber_decomposition(weights: WeightsLike) -> ChamberDecomposition:
@@ -513,6 +510,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
+
+
 # ---------------------------------------------------------------------------
 # the MCM test and regions
 
@@ -524,35 +523,28 @@ class McmTest:
     open sector (``cones``), whose hypothesis (in rank one, two weights of
     each sign) must hold, and decide a class in one flat loop over their
     rows (:func:`_outside`); rank one runs on the second axis.  Calling the
-    test checks the rank of chi; :meth:`of` reuses the test a
-    :class:`~hibinccr.classgroup.ClassGroupData` already holds.
+    test checks the rank of chi and that its coordinates are ints;
+    :meth:`of` reuses the test a :class:`~hibinccr.classgroup.ClassGroupData`
+    already holds.  Queries change nothing the test holds.
 
-    Every cone with a known conductor answers in constant time and
-    memory.  The saturated cones know it when compiled: a fresh test on
-    ``corpus/rank2_demo.cone`` answers (3000, 0) in about 0.4 ms, compile
-    included, at a tracemalloc peak of 0.01 MiB (52 s and 754 MiB when
-    every cone closed levels).  Deciding saturation walks at most
-    len(generators) + 1 Hilbert basis points, so compiling stays cheap
-    with large entries: 0.5-0.8 ms for random rank-two systems of 5-7
-    weights with entries up to 100.  A ray or a half-plane, so every cone
-    of rank one, closes levels as queries ask and stops at its conductor:
-    (1000, 1001, -1000, -1001) compiles in 0.04 ms and answers a class near
-    +-beta in microseconds, and the first query at or past beta + F, F the
-    Frobenius number of N<|w_i|>, closes the 999000 levels below the
-    conductor once (0.8 s, 255 MiB); (3, 7, -4, -6) answers (10**5,) in
-    0.06 ms.
-
-    A pointed cone that is not saturated has no conductor: its levels grow
-    with the queries that pass its inequalities and live as long as the
-    test, so a far query costs time and memory quadratic in its distance.
-    On (-1, -3), (3, -4), (2, 2), (-4, 3), (0, -1), (0, 3), with 7 such
-    cones of 10, a fresh test takes 34 ms and 5 MiB at (100, 0), 0.36 s and
-    49 MiB at (300, 0), 5 s and 617 MiB at (1000, 0).  Random weights with
-    large entries are mostly of this kind.
+    Compiling costs O(|Ap|) for each cone, and a query then costs the same
+    at any distance, in time and memory.  A pointed cone learns that it is
+    saturated from a walk of at most len(generators) + 1 Hilbert basis
+    points, whatever its index, and walks no Apery set: a fresh test on
+    ``corpus/rank2_demo.cone`` answers (3000, 0) in about 0.7 ms, compile
+    included.  Every other cone walks its Apery set, whose size grows with
+    the cone's index: (1000, 1001, -1000, -1001), whose rays hold 1000
+    corners each, takes about 3.5 ms at (10**6,), and (-1, -3), (3, -4),
+    (2, 2), (-4, 3), (0, -1), (0, 3), with 7 pointed cones of 10 not
+    saturated, about 0.8 ms at (10**6, 0).  Random rank-two weights mostly
+    give cones of that kind: over 20 systems of five weights and their
+    completion, the worst cone took about 25 ms (|Ap| 2736, index 1015)
+    with entries up to 30, and about 1 s (|Ap| 52773, index 9288) with
+    entries up to 100.
 
     :func:`mcm_region` reads the same rows a column at a time, so a box
-    costs each cone a few integer operations per column, plus the MCM
-    classes listed and one lookup per point below a cone's conductor.
+    costs each cone a few integer operations and one slice per Apery corner
+    per column, plus the MCM classes listed.
     """
 
     def __init__(self, weights: WeightsLike):
@@ -582,7 +574,9 @@ class McmTest:
         that generate Z, as a class group's do.  Each cone is a ray from
         -+beta outwards that holds every class at or past its conductor, and
         the class one level short of it is a hole, so R is beta + F, with F
-        the Frobenius number of N<|w_i|> (or beta - 1 when that is N)."""
+        the Frobenius number of N<|w_i|> (or beta - 1 when that is N).  The
+        conductors are read off the cones' Apery tables, so this costs the
+        same for any weights."""
         if self.rank != 1:
             raise ValueError("the reach of the MCM classes is a rank-one bound")
         return max(abs(cone.offset[0]) + cone.conductor - 1 for cone in self.cones)
@@ -595,18 +589,14 @@ class McmTest:
 
 def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
     """Is the rank-one class MCM?  Both ranks run the chamber criterion,
-    whose hypothesis must hold (see :class:`McmTest`).
+    whose hypothesis must hold (see :class:`McmTest`); chi's coordinates
+    must be ints.
 
     A :class:`~hibinccr.classgroup.ClassGroupData` holds its compiled
     :class:`McmTest`, so repeated queries against it share one compilation.
-    A plain weight sequence is compiled on every call; to ask many questions
-    of one, build ``McmTest(weights)`` once and call it.  A query costs the
-    same at any distance once each cone's conductor is known; a ray or a
-    half-plane (every cone of rank one) learns it from the first query that
-    reaches it, which closes the levels below it once.  Inside a pointed
-    non-MCM cone that is not saturated the cost grows quadratically with
-    the distance (see :class:`McmTest`); no cone of the families or of the
-    corpus is one.
+    A plain weight sequence is compiled on every call, at O(|Ap|) per cone;
+    to ask many questions of one, build ``McmTest(weights)`` once and call
+    it.  A query costs the same at any distance.
     """
     test = McmTest.of(weights)
     _check_rank(chi, test.rank)
@@ -617,23 +607,26 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     """All MCM classes inside the box (inclusive coordinate ranges): the
     points that no compiled non-MCM cone contains, the same answers
     :func:`is_mcm` gives pointwise.  The test is compiled once per call, or
-    taken from the class group that holds it.
+    taken from the class group that holds it, at O(|Ap|) per cone.
 
     The box is swept one column (one x) at a time, and each cone clears
     the points of the column it holds (:func:`_strike`), so the cost is a
-    few integer operations per cone per column, plus one step per MCM
-    class listed and one level lookup per point that lies below a cone's
-    conductor.  A cone that closes levels grows them as the columns reach
-    them, up to the points still standing, and a ray or a half-plane stops
-    at its conductor.  Rank one runs on the second axis, so its box is
-    one column.  On ``corpus/rank2_demo.cone`` the box [-1000, 1000]^2
-    takes about 0.2 s (4.4 s pointwise); on (300, 301, -300, -301) the
-    default box of the CLI, +-90300, takes about 0.4 s, its 89700 levels
-    below the conductor included."""
+    few integer operations and one slice per Apery corner per cone per
+    column, plus one step per MCM class listed.  Rank one runs on the
+    second axis, so its box is one column; for weights that generate Z it
+    is first clipped to [-R, R], R = :meth:`McmTest.reach`, outside which
+    no class is MCM, so a box of any size costs at most that interval (the
+    CLI's table format still prints one cell per point of the box).  On
+    ``corpus/rank2_demo.cone`` the box [-1000, 1000]^2 takes about 0.15 s
+    (4.4 s pointwise); on (300, 301, -300, -301) the default box of the
+    CLI, +-90300, with 90901 MCM classes, about 0.08 s."""
     test = McmTest.of(weights)
     if len(box) != test.rank:
         raise ValueError(f"expected a box of rank {test.rank}, got {len(box)} ranges")
     (x_lo, x_hi), (y_lo, y_hi) = box if test.rank == 2 else ((0, 0), *box)
+    if test.rank == 1 and gcd(*(w for w, in weight_list(weights))) == 1:
+        reach = test.reach()
+        y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach)
     rows = tuple(cone._row for cone in test.cones)
     ys = range(y_lo, y_hi + 1)
     region: set[Vec] = set()
@@ -650,51 +643,51 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
 def _strike(column: bytearray, row: tuple, x0: int, y_lo: int, y_hi: int) -> None:
     """Clear the points (x0, y), y_lo <= y <= y_hi, that the compiled cone
     of ``row`` holds; ``column[y - y_lo]`` stands for (x0, y).  As x is
-    fixed, phi and the two boundary inequalities cut out one interval of
-    y.  The cone's levels are grown once, to the highest one the interval
-    reaches; points below the held levels are looked up in them, and the
-    others are the points of L, an arithmetic progression in y cleared
-    with one slice assignment.  The answers are those of :func:`_outside`."""
-    ox, oy, px, py, nx, ny, mx, my, a, b, c, held, below = row
+    fixed, phi and the two boundary inequalities cut out one interval of y,
+    and the points of one residue modulo the row's lattice form an
+    arithmetic progression in y.  With no Apery table the cone holds the
+    progression of 0; with one, each corner of a residue's staircase cuts a
+    smaller interval, and the cone holds the residue's progression there,
+    so each corner is one slice assignment (:func:`_clear`).  The answers
+    are those of :func:`_outside`."""
+    ox, oy, px, py, nx, ny, mx, my, a, b, c, table = row
     x = x0 - ox
-    lo, hi = y_lo - oy, y_hi - oy
-    for k, rest in ((py, px * x), (ny, nx * x), (my, mx * x)):  # k y + rest >= 0
+    lo, hi = _clip(y_lo - oy, y_hi - oy, ((py, px * x), (ny, nx * x), (my, mx * x)))
+    shift = oy - y_lo  # column[y + shift] stands for the shifted point (x, y)
+    start = column.find(1, lo + shift, hi + shift + 1) if lo <= hi else -1
+    if start < 0:
+        return
+    # only the points still standing matter
+    lo, hi = start - shift, column.rfind(1, start, hi + shift + 1) - shift
+    if not table:
+        _clear(column, shift, lo, hi, x, 0, a, b, c)
+    for (rx, ry), (ns, rests) in table.items():
+        for n, rest in zip(ns, rests):  # n(p) >= n and (phi - n)(p) >= rest
+            first, last = _clip(lo, hi, ((ny, nx * x - n), (py - ny, (px - nx) * x - rest)))
+            _clear(column, shift, first, last, x - rx, ry, a, b, c)
+
+
+def _clip(lo: int, hi: int, bounds: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """The interval of the y in [lo, hi] with k y + rest >= 0 for every
+    (k, rest) of ``bounds``; lo > hi when it is empty."""
+    for k, rest in bounds:
         if k > 0:
             lo = max(lo, -(rest // k))
         elif k < 0:
             hi = min(hi, rest // -k)
         elif rest < 0:
-            return
-    shift = oy - y_lo  # column[y + shift] stands for the shifted point (x, y)
-    start = column.find(1, lo + shift, hi + shift + 1) if lo <= hi else -1
-    if start < 0:
+            return lo, lo - 1
+    return lo, hi
+
+
+def _clear(column: bytearray, shift: int, first: int, last: int, dx: int, ry: int,
+           a: int, b: int, c: int) -> None:
+    """Clear the points (x, y), first <= y <= last, that are congruent to
+    (x - dx, ry) modulo the lattice (a, b, c) in echelon form;
+    ``column[y + shift]`` stands for (x, y)."""
+    if first > last or (dx % a if a else dx):
         return
-    # only the points still standing matter, so levels grow no further
-    lo, hi = start - shift, column.rfind(1, start, hi + shift + 1) - shift
-    base = px * x
-    top = base + py * (hi if py > 0 else lo)  # the highest level in the interval
-    levels, run = held
-    if run is not None and top >= len(levels):
-        levels = _grow(held, top, below)
-    first, last = lo, hi  # the points at or above the held levels
-    if levels:
-        n = len(levels)
-        if py > 0:
-            first = min(max(lo, -((base - n) // py)), hi + 1)
-            asked = range(lo, first)
-        elif py < 0:
-            last = max(min(hi, (n - base) // py), lo - 1)
-            asked = range(last + 1, hi + 1)
-        elif base < n:
-            asked, first = range(lo, hi + 1), hi + 1
-        else:
-            asked = range(0)
-        for y in asked:
-            if column[y + shift] and _in_level(levels[base + py * y], x, y, below):
-                column[y + shift] = 0
-    if first > last or (x % a if a else x):
-        return
-    r = x // a * b if a else 0  # (x, y) is in L iff y = r modulo c
+    r = ry + (dx // a * b if a else 0)  # the points' y modulo c
     if c:
         first += (r - first) % c
         if first <= last:

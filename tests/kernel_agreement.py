@@ -21,14 +21,18 @@ of ``FAMILIES`` and Gorenstein systems of pairs v, -v plus a triangle, as
 ``[-BOX, BOX]^2`` in a fresh order.  Then ``SPARSE_SYSTEMS`` more systems
 of 3 to 7 weights with entries in ``[-4, 4]``, completed to sum zero, are
 drawn until that many meet the criterion's hypothesis; most of their cones
-are not saturated, so they reach every route of ``NonMcmCone``: the
-congruence of a saturated cone, the held levels below a ray's or a
-half-plane's conductor, and the levels a non-saturated cone closes.  The
-check prints how many cones took each route.  ``tests/test_intlattice.py``
-and ``tests/test_mcm.py`` run the same comparison on smaller samples.  The
-rank-one systems of ``RANK1_SYSTEMS`` are asked about every class within
-3 beta, and there ``oracles.closed_form_mcm_classes``, which decides by
-local cohomology instead of the chamber criterion, is a third check.
+are not saturated, so they reach both routes of ``NonMcmCone``: the
+congruence of a saturated cone and the Apery table of every other one.
+The check prints how many cones took each route, and the largest Apery
+set and index among the tables.  The sparse systems are asked once more,
+at one point each of ``[-FAR_BOX, FAR_BOX]^2``: far from the offsets, where
+a table's staircases no longer reach, and as far as the level cones, whose
+cost grows with the square of the distance, allow in a few seconds.
+``tests/test_intlattice.py`` and ``tests/test_mcm.py`` run the same
+comparisons on smaller samples.  The rank-one systems of ``RANK1_SYSTEMS``
+are asked about every class within 3 beta, and there
+``oracles.closed_form_mcm_classes``, which decides by local cohomology
+instead of the chamber criterion, is a third check.
 Last, ``mcm.mcm_region``, which sweeps a box by columns, must list the very
 region ``oracles.pointwise_mcm_region`` finds point by point: on one
 off-centre box per sparse system and two intervals per rank-one system.
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
 
 from hibinccr import (CriterionHypothesisError, McmTest, TypeParams, chamber_decomposition,
                       expected_weight_table, mcm_region)
@@ -52,6 +55,7 @@ WEIGHT_SYSTEMS = 300
 SPARSE_SYSTEMS = 300
 POINTS = 80
 BOX = 14
+FAR_BOX = 60
 FAMILIES = [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (3, 3, 3)),
             ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)), ("IV", (4, 5)),
             ("V", (0,)), ("V", (3,))]
@@ -141,17 +145,24 @@ def sparse_systems(seed: int = 0, count: int = SPARSE_SYSTEMS) -> list[list[tupl
     return systems
 
 
-def cone_routes(systems: list[list[tuple[int, int]]]) -> Counter:
-    """How many compiled cones of the systems decide by each route."""
-    return Counter("congruence" if cone.conductor == 0 else
-                   "levels" if cone.conductor is None else "conductor"
-                   for ws in systems for cone in McmTest(ws).cones)
+def cone_routes(systems: list[list[tuple[int, int]]]) -> dict[str, int]:
+    """How many compiled cones of the systems are saturated (an empty Apery
+    table: a congruence decides them) and how many keep an Apery table, and
+    the largest |Ap| and index D (the number of the table's residues) among
+    the latter."""
+    tables = [cone._row[-1] for ws in systems for cone in McmTest(ws).cones]
+    apery = [table for table in tables if table]
+    return {"saturated": len(tables) - len(apery), "apery": len(apery),
+            "largest_ap": max((sum(len(ns) for ns, _ in table.values()) for table in apery),
+                              default=0),
+            "largest_index": max(map(len, apery), default=0)}
 
 
 def mcm_disagreements(systems: list[list[tuple[int, int]]], seed: int = 0,
-                      points: int = POINTS) -> tuple[list[tuple], int]:
+                      points: int = POINTS, box: int = BOX) -> tuple[list[tuple], int]:
     """The (weights, point) pairs on which ``McmTest`` and the level cones
-    differ, and how many systems the criterion applies to."""
+    differ at ``points`` points of ``[-box, box]^2``, and how many systems
+    the criterion applies to."""
     rng = random.Random(seed)
     bad, tested = [], 0
     for ws in systems:
@@ -162,7 +173,7 @@ def mcm_disagreements(systems: list[list[tuple[int, int]]], seed: int = 0,
         tested += 1
         cones = level_cones(ws)
         for _ in range(points):
-            pt = (rng.randint(-BOX, BOX), rng.randint(-BOX, BOX))
+            pt = (rng.randint(-box, box), rng.randint(-box, box))
             if test(pt) != cones_is_mcm(pt, cones):
                 bad.append((ws, pt))
     return bad, tested
@@ -218,7 +229,8 @@ if __name__ == "__main__":
     sparse = sparse_systems()
     sparse_bad, _ = mcm_disagreements(sparse, seed=1)
     mcm_bad += sparse_bad
-    for ws, pt in mcm_bad:
+    far_bad, _ = mcm_disagreements(sparse, seed=2, points=1, box=FAR_BOX)
+    for ws, pt in mcm_bad + far_bad:
         print(f"McmTest differs: {ws!r} at {pt!r}")
     routes = cone_routes(sparse)
     rank1_bad, asked = rank1_disagreements()
@@ -231,13 +243,16 @@ if __name__ == "__main__":
           f"{tested * POINTS - len(mcm_bad)}/{tested * POINTS} MCM answers agree "
           f"on {tested} of {len(systems)} weight systems; "
           f"{len(sparse) * POINTS - len(sparse_bad)}/{len(sparse) * POINTS} on "
-          f"{len(sparse)} sparse systems, whose {sum(routes.values())} cones decide by "
-          f"congruence {routes['congruence']}, conductor {routes['conductor']}, "
-          f"levels {routes['levels']}; "
+          f"{len(sparse)} sparse systems, whose {routes['saturated'] + routes['apery']} "
+          f"cones are {routes['saturated']} saturated and {routes['apery']} with an "
+          f"Apery table (largest |Ap| {routes['largest_ap']}, index D "
+          f"{routes['largest_index']}); "
           f"{asked - len(rank1_bad)}/{asked} rank-one MCM answers agree with the "
           f"closed form on {len(RANK1_SYSTEMS)} weight systems, "
           f"on Python {sys.version.split()[0]}")
+    print(f"{len(sparse) - len(far_bad)}/{len(sparse)} MCM answers agree with the level "
+          f"cones at one point each of [-{FAR_BOX}, {FAR_BOX}]^2 on {len(sparse)} sparse systems")
     print(f"{regions - len(region_bad)}/{regions} swept MCM regions agree with the pointwise "
           f"oracle on {len(sparse)} sparse systems (off-centre boxes) and "
           f"{len(RANK1_SYSTEMS)} rank-one systems")
-    sys.exit(1 if smith_bad or mcm_bad or rank1_bad or region_bad else 0)
+    sys.exit(1 if smith_bad or mcm_bad or far_bad or rank1_bad or region_bad else 0)

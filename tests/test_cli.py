@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -340,6 +341,23 @@ def test_rank_one_default_box_reaches_the_last_mcm_classes(capsys, tmp_path):
     assert far == [-15, -12, -11, 11, 12, 15]
     code, out, _ = run_cli(capsys, "mcm-region", str(path), "--box=-3,3", "--format", "json")
     assert code == 0 and json.loads(out)["box"] == [[-3, 3]]
+
+
+def test_rank_one_box_is_clipped_to_the_reach(capsys):
+    """Every MCM class lies in [-R, R], R = McmTest.reach(), so a rank-one
+    box of any size lists them at the cost of that interval: the box
+    +-99999999999 ended in a MemoryError traceback before."""
+    path = corpus("rank1_example.cone")
+    reach = hibinccr.class_group(hibinccr.parse_cone(Path(path).read_text())).mcm_test.reach()
+    code, out, _ = run_cli(capsys, "mcm-region", path, f"--box=-{reach},{reach}",
+                           "--format", "json")
+    assert code == 0
+    start = time.perf_counter()
+    code, far, _ = run_cli(capsys, "mcm-region", path, "--box=-99999999999,99999999999",
+                           "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(far)["box"] == [[-99999999999, 99999999999]]
+    assert json.loads(far)["mcm"] == json.loads(out)["mcm"]
 
 
 @pytest.mark.parametrize("tree", ["ee2,e3,e4,e5,e6,e7", "e+2,e3,e4,e5,e6,e7",

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import gc
 import random
+import re
 import time
 import tracemalloc
 import weakref
+from functools import partial
 from itertools import product
 
 import pytest
@@ -451,11 +454,14 @@ def test_compiled_test_matches_level_cones_on_a_seeded_sample():
 
 
 def test_every_route_matches_level_cones_on_sparse_systems():
-    """Weights with entries in [-4, 4]: most cones are not saturated, and
-    some rays and half-planes have a conductor above 0."""
+    """Weights with entries in [-4, 4]: some cones are saturated, and the
+    rest keep an Apery table, among them pointed cones (no conductor) and
+    rays and half-planes with a conductor above 0."""
     systems = sparse_systems(seed=5, count=40)
     routes = cone_routes(systems)
-    assert routes["congruence"] and routes["conductor"] and routes["levels"]
+    assert routes["saturated"] and routes["apery"] and routes["largest_index"] > 1
+    conductors = {cone.conductor for ws in systems for cone in McmTest(ws).cones}
+    assert None in conductors and max(conductors - {None}) > 0
     bad, tested = mcm_disagreements(systems, seed=5, points=40)
     assert not bad and tested == 40
 
@@ -498,16 +504,17 @@ def test_compiled_cone_agrees_with_level_cone(cone, points):
        st.lists(st.integers(1, 3), max_size=7))
 def test_unit_split_matches_the_pairwise_scan(gens, scales):
     """The one-pass split finds the units, the rest and phi that the
-    pairwise cone-membership scan and its phi search find, so the levels
-    are the same sets; negatives, scaled, make lines and half-planes."""
+    pairwise cone-membership scan and its phi search find, and the cone
+    built on them answers as the level cone does near the origin;
+    negatives, scaled, make lines and half-planes."""
     gens = gens + [(-k * x, -k * y) for (x, y), k in zip(gens, scales)]
     ref = LevelNonMcmCone((0, 0), gens)
     units, rest, _ = mcm._split_units(sorted(set(gens) - {(0, 0)}))
     assert units == ref.units
     assert rest == [g for _, g in ref.steps]
-    row = NonMcmCone((0, 0), tuple(gens))._row
-    assert row[2:4] == ref.phi
-    assert [(cost, (gx, gy)) for cost, gx, gy in row[-1][3]] == ref.steps
+    cone = NonMcmCone((0, 0), tuple(gens))
+    assert cone._row[2:4] == ref.phi
+    assert all(cone.contains(pt) == ref.contains(pt) for pt in product(range(-6, 7), repeat=2))
 
 
 def test_unit_line_and_group_cones_by_hand():
@@ -532,6 +539,19 @@ def test_compiled_test_wrong_rank_message():
         assert str(ours.value) == str(ref.value) == f"expected a vector of rank 2, got {chi}"
     with pytest.raises(ValueError, match="^expected a vector of rank 1, got \\(1, 2\\)$"):
         McmTest([(1,), (-2,), (4,), (-3,)])((1, 2))
+
+
+@pytest.mark.parametrize("chi", [(0.5,), (11.0,), (True,), ("3",)])
+def test_non_integer_coordinates_are_refused(chi):
+    """A class has int coordinates: a float, a bool or a string is refused
+    by name, where (0.5,) read as MCM and (11.0,) raised a TypeError."""
+    ws = [(3,), (7,), (-4,), (-6,)]
+    message = f"^coordinate {re.escape(repr(chi[0]))} of "
+    for call in (McmTest(ws), partial(is_mcm, weights=ws), NonMcmCone((0,), ((3,), (7,))).contains):
+        with pytest.raises(ValueError, match=message):
+            call(chi)
+    with pytest.raises(ValueError, match="^coordinate 0.5 of \\(0.5, 0.25\\) is not an int$"):
+        is_mcm((0.5, 0.25), table("I", (4, 5)))
 
 
 def test_compiled_cones_are_freed_with_their_owner(monkeypatch):
@@ -671,9 +691,10 @@ def test_rank1_region():
 # ---------------------------------------------------------------------------
 # the swept region against the pointwise oracle
 
-# 7 of its 10 cones are pointed and not saturated, so they close levels;
-# the "every-route" system below has cones of each of the three routes, and
-# the weights of "index-3" span the lattice of (x, y) with y = x modulo 3
+# 7 of its 10 cones are pointed and not saturated, so they keep Apery
+# tables; the "every-route" system below has saturated cones, pointed cones
+# with Apery tables and half-planes with conductor 3, and the weights of
+# "index-3" span the lattice of (x, y) with y = x modulo 3
 LEVEL_SYSTEM = [(-1, -3), (3, -4), (2, 2), (-4, 3), (0, -1), (0, 3)]
 
 SWEEP_BOXES = [
@@ -694,9 +715,9 @@ def test_swept_region_agrees_with_pointwise_oracle(ws, box):
 
 
 def test_swept_region_closes_levels_as_the_oracle_does():
-    """The sweep grows each pointed, non-saturated cone once per column, up
-    to the highest level of the points still standing, and looks the
-    points below the held levels up in them."""
+    """Seven cones are pointed and not saturated: the sweep clears one slice
+    per corner of their Apery tables in each column, and lists the points
+    that a fresh test and the pointwise oracle find."""
     test = McmTest(LEVEL_SYSTEM)
     assert sum(cone.conductor is None for cone in test.cones) == 7
     for box in ([(-30, 30), (-30, 30)], [(12, 40), (-40, -9)]):
@@ -719,9 +740,9 @@ def test_swept_rank_one_region_agrees_with_the_oracle(weights):
 
 def test_swept_rank_one_region_reaches_a_far_conductor():
     """N<300, 301> has conductor 89700: the default box [-R - 2, R + 2],
-    R = beta + F = 90300, is one column, in which each ray closes those
-    levels once and looks the points below its conductor up in them, about
-    0.4 s (40 s when each level was closed on a copy of the levels below
+    R = beta + F = 90300, is one column, clipped to [-R, R], in which each
+    ray clears one slice for each of its 300 Apery corners (40 s when each
+    level below the conductor was closed on a copy of the levels below
     it)."""
     weights = (300, 301, -300, -301)
     ws = [(w,) for w in weights]
@@ -733,21 +754,44 @@ def test_swept_rank_one_region_reaches_a_far_conductor():
     assert len(region) == 90901
 
 
+def test_rank_one_region_of_weights_that_miss_classes_is_not_clipped():
+    """(2, 4, -2, -4) spans 2Z: no non-MCM cone holds an odd class, so the
+    MCM classes have no reach and the box is swept whole."""
+    ws = [(2,), (4,), (-2,), (-4,)]
+    region = mcm_region(ws, [(-60, 60)])
+    assert region == pointwise_mcm_region(ws, [(-60, 60)])
+    assert {(x,) for x in range(-59, 60, 2)} <= region
+
+
 def test_queries_that_climb_a_ray_pay_each_level_once():
-    """A fresh test asked about 0, 1, ..., R in order closes one level more
-    per query; each level is appended to the held ones, not built on a
-    copy of all of them, so the climb to the conductor 89700 of
-    N<300, 301> takes well under a second (34 s with a copy).  ``reach``
-    asks for the conductors, so it is taken from another test."""
+    """A fresh test asked about 0, 1, ..., R in order answers each query
+    from the rays' Apery tables, so the climb past the conductor 89700 of
+    N<300, 301> takes well under a second (34 s when each level was closed
+    on a copy of the levels below it), and it leaves the rows as compiled."""
     weights = (300, 301, -300, -301)
-    reach = McmTest([(w,) for w in weights]).reach()
     test = McmTest([(w,) for w in weights])
-    assert all(not cone._row[-2][0] for cone in test.cones)  # no level held yet
+    rows = copy.deepcopy([cone._row for cone in test.cones])
+    reach = test.reach()
     start = time.perf_counter()
     found = [x for x in range(reach + 3) if test((x,))]
     assert time.perf_counter() - start < 5
     assert set(found) == closed_form_mcm_classes(weights, 0, reach + 2)
-    assert all(cone.conductor in (0, 89700) for cone in test.cones)
+    assert [cone.conductor for cone in test.cones] == [89700, 89700]
+    assert [cone._row for cone in test.cones] == rows
+
+
+@pytest.mark.parametrize("weights, radius", [
+    (LEVEL_SYSTEM, 10 ** 6), ([(3,), (7,), (-4,), (-6,)], 10 ** 6),
+    ([(300,), (301,), (-300,), (-301,)], 10 ** 5)], ids=["levels", "3,7,-4,-6", "300,301"])
+def test_queries_leave_the_compiled_rows_unchanged(weights, radius):
+    """10**4 queries, near and far, change nothing a compiled test holds."""
+    test = McmTest(weights)
+    rows = copy.deepcopy([cone._row for cone in test.cones])
+    rng = random.Random(7)
+    for _ in range(10 ** 4):
+        r = rng.choice((20, radius))
+        test(tuple(rng.randint(-r, r) for _ in range(test.rank)))
+    assert [cone._row for cone in test.cones] == rows
 
 
 def test_swept_region_scales_with_the_columns():
@@ -781,7 +825,7 @@ def test_semigroup_vs_oracle_property(gens, target):
 
 
 # ---------------------------------------------------------------------------
-# conductors: far queries without levels
+# conductors and far queries
 
 
 def _poset_weights(p):
@@ -806,22 +850,27 @@ def test_family_cones_have_conductor_zero(tag, params):
 _DEMO = corpus_path("rank2_demo.cone").read_text()
 
 
-@pytest.mark.parametrize("weights, chi", [
-    (lambda: class_group(parse_cone(_DEMO)).weights, (3000, 0)),
-    (lambda: table("I", (5, 6)), (1000, 0)),
-    (lambda: [(3,), (7,), (-4,), (-6,)], (10 ** 5,)),
-], ids=["rank2_demo", "I-5-6", "3,7,-4,-6"])
-def test_far_query_takes_constant_time_and_memory(weights, chi):
-    """A fresh test answers far outside the (finite) MCM region without
-    closing levels: under 50 ms and a 1 MiB tracemalloc peak, compile
-    included (closing levels, rank2_demo took 52 s and 754 MiB)."""
+@pytest.mark.parametrize("weights, chi, mcm", [
+    (lambda: class_group(parse_cone(_DEMO)).weights, (3000, 0), False),
+    (lambda: table("I", (5, 6)), (1000, 0), False),
+    (lambda: [(3,), (7,), (-4,), (-6,)], (10 ** 5,), False),
+    (lambda: LEVEL_SYSTEM, (10 ** 6, 0), False),
+    (lambda: [(1000,), (1001,), (-1000,), (-1001,)], (10 ** 6,), True),
+], ids=["rank2_demo", "I-5-6", "3,7,-4,-6", "levels", "1000,1001"])
+def test_far_query_takes_constant_time_and_memory(weights, chi, mcm):
+    """A fresh test answers far away under 50 ms and a 1 MiB tracemalloc
+    peak, compile included.  Closing levels instead, rank2_demo took 52 s
+    and 754 MiB at (3000, 0), LEVEL_SYSTEM, whose seven pointed cones are
+    not saturated, 0.36 s and 49 MiB at (300, 0), and (1000, 1001, -1000,
+    -1001) 0.8 s and 255 MiB at (10**6,), which lies below beta + F =
+    1001000 and is MCM."""
     ws = weights()
     start = time.perf_counter()
-    assert not McmTest(ws)(chi)
+    assert McmTest(ws)(chi) is mcm
     assert time.perf_counter() - start < 0.05
     tracemalloc.start()
     try:
-        assert not McmTest(ws)(chi)
+        assert McmTest(ws)(chi) is mcm
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -834,7 +883,10 @@ def test_conductor_of_rank_one_cones_is_frobenius_plus_one():
     only hole modulo its units is (1, 1), at phi level 2, has conductor 3:
     the least phi step is 4, and levels 3 to 6 are full (3 and 5 hold no
     point of the group)."""
-    assert [c.conductor for c in McmTest([(3,), (7,), (-4,), (-6,)]).cones] == [6, 6]
+    cones = McmTest([(3,), (7,), (-4,), (-6,)]).cones
+    assert [c.conductor for c in cones] == [6, 6]
+    # Ap(N<3, 4, 6, 7>; 3) = {0, 4, 8}, one corner per residue modulo 3
+    assert [sorted(t for _, (t,) in c._row[-1].values()) for c in cones] == [[0, 4, 8]] * 2
     assert [c.conductor for c in McmTest([(1,), (2,), (-1,), (-2,)]).cones] == [0, 0]
     assert NonMcmCone((0,), ((2,), (3,))).conductor == 2
     half_plane = NonMcmCone((0, 0), ((2, 0), (-2, 0), (0, 2), (3, 3)))
@@ -857,12 +909,17 @@ def test_rank_one_conductor_agrees_with_the_closed_form():
 
 def test_rank_one_levels_close_as_queries_ask():
     """N<1000, 1001> has conductor 999000; a fresh test answers classes
-    near the offsets +-2001 without closing levels up to it, under 50 ms
-    and a 1 MiB tracemalloc peak, compile included."""
+    near the offsets +-2001, and its reach beta + F = 1001000, under 50 ms
+    and a 1 MiB tracemalloc peak, compile included, which walks the 1000
+    Apery corners of each ray (the reach took 0.8 s and 255 MiB when it
+    closed the levels below the conductor)."""
     ws = [(1000,), (1001,), (-1000,), (-1001,)]
     start = time.perf_counter()
     assert [McmTest(ws)((x,)) for x in (0, 2000, 2001, 2010, 3001)] == [
         True, True, False, True, False]
+    assert time.perf_counter() - start < 0.05
+    start = time.perf_counter()
+    assert McmTest(ws).reach() == 1001000
     assert time.perf_counter() - start < 0.05
     tracemalloc.start()
     try:
@@ -903,14 +960,29 @@ def test_saturation_is_decided_by_the_hilbert_basis():
             assert cone.contains(pt) == ref.contains(pt), pt
 
 
+def test_saturated_cone_of_large_index_walks_no_apery_set():
+    """(10**6, -1), (1, 0), (0, 1) is the Hilbert basis of its cone, whose
+    boundary generators span a sublattice of index 10**6: the Hilbert basis
+    walk finds it saturated, so it keeps the congruence and no table
+    instead of walking 10**6 Apery corners."""
+    start = time.perf_counter()
+    cone = NonMcmCone((0, 0), ((10 ** 6, -1), (1, 0), (0, 1)))
+    assert time.perf_counter() - start < 0.05
+    assert cone.conductor == 0 and not cone._row[-1]
+    assert cone.contains((10 ** 6 - 1, 0)) and not cone.contains((10 ** 6 + 1, -2))
+
+
 def test_non_saturated_cone_has_no_conductor():
     """The cone at offset (4, -6) of this system is not saturated: the
     shift (1, 0) is half of (2, 0), which is in the semigroup, so it lies
     in the rational cone, and it lies in the generators' group, but not in
-    the semigroup.  Its levels stay, and it still agrees with the oracle."""
+    the semigroup.  Its Apery table holds one corner in each of 4
+    residues, and it agrees with the oracle."""
     ws = [(-1, -3), (3, -4), (2, 2), (-4, 3), (0, -1), (0, 3)]
     cone, = [c for c in McmTest(ws).cones if c.offset == (4, -6)]
     assert cone.conductor is None
+    table = cone._row[-1]
+    assert (len(table), sum(len(ns) for ns, _ in table.values())) == (4, 4)
     assert semigroup_members(cone.generators, [(1, 0), (2, 0)]) == {(2, 0)}
     assert lattice_contains(cone.generators, (1, 0))
     assert not cone.contains((5, -6)) and cone.contains((6, -6))

@@ -191,8 +191,9 @@ def test_one_weight_of_a_sign_is_refused(weights):
 
 
 def test_far_rank_one_query_stays_small():
-    """A fresh test closes one class per level up to the query: (10**4,) on
-    (3, 7, -4, -6) stays under 8 MiB (about 2.9 MiB measured)."""
+    """A fresh test holds three Apery corners per ray and closes nothing
+    per query: (10**4,) on (3, 7, -4, -6) stays under 8 MiB (about 6 KiB
+    measured; 2.9 MiB when one class per level was closed up to it)."""
     tracemalloc.start()
     try:
         assert not McmTest([(3,), (7,), (-4,), (-6,)])((10 ** 4,))
