@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import repeat
 from typing import NoReturn, Optional, Sequence
 
 from . import divisorial, families, mcm, nccr, rank1
@@ -41,6 +42,7 @@ from .posets import (BoundedPoset, PosetError, chordless_circuits, is_pure,
 
 USAGE_ERROR = 2
 NEGATIVE = 1
+_TABLE_SLICE = 4096  # the cells of a table row joined and written at a time
 
 
 class UsageError(SystemExit):
@@ -136,11 +138,10 @@ def _parse_tree_arg(arg: Optional[str], p: BoundedPoset):
     return spanning_tree(p, hint=ids)
 
 
-def _parse_box_arg(arg: Optional[str], default: Sequence[tuple[int, int]]):
-    """The box from ``--box``, one lo,hi pair per coordinate of the default."""
+def _parse_box_arg(arg: Optional[str], rank: int):
+    """The box from ``--box``, one lo,hi pair per coordinate, or None."""
     if arg is None:
-        return list(default)
-    rank = len(default)
+        return None
     try:
         parts = [int(tok) for tok in arg.split(",")]
     except ValueError:
@@ -256,50 +257,42 @@ def _cmd_conic(args) -> int:
 def _cmd_mcm_region(args) -> int:
     text = _read(args.input)
     kind, obj, tree, cgd = _weights_for_input(text, args.tree)
-    ws = list(cgd.weights)
-    if cgd.rank == 1:
-        lo, hi = rank1.mcm_interval(w[0] for w in ws)
-        default = [(lo - 2, hi + 2)]
-        if args.box is None:  # compiled only here, so a bad --box is reported first
-            reach = cgd.mcm_test.reach()
-            default = [(min(lo - 2, -reach), max(hi + 2, reach))]
-    elif cgd.rank == 2:
-        default = _default_box(ws)
-    else:
+    if cgd.rank not in (1, 2):
         raise UsageError(f"error: mcm-region needs class group rank 1 or 2, "
                          f"not {cgd.rank}")
-    box = _parse_box_arg(args.box, default)
+    # parsed first, so a bad --box is reported before anything is compiled
+    box = _parse_box_arg(args.box, cgd.rank) or _default_box(cgd)
     region = mcm.mcm_region(cgd, box)
-    rule = divisorial.conic_facets(ws, cgd.rank)
+    rule = divisorial.conic_facets(cgd.weights, cgd.rank)
     conic = {pt for pt in region if rule.contains(pt)}
     if args.format == "json":
         _emit({"input": args.input, "box": [list(b) for b in box],
                "mcm": sorted(list(p) for p in region),
                "mcm_and_conic": sorted(list(p) for p in conic)})
-    elif cgd.rank == 1:
-        (x_lo, x_hi), = box
-        cells = [_cell((x,), region, conic) for x in range(x_lo, x_hi + 1)]
-        sys.stdout.write("\t".join(cells) + "\n")
-    else:
-        (x_lo, x_hi), (y_lo, y_hi) = box
-        for y in range(y_hi, y_lo - 1, -1):
-            cells = [_cell((x, y), region, conic) for x in range(x_lo, x_hi + 1)]
-            sys.stdout.write("\t".join(cells) + "\n")
+        return 0
+    # one row per second coordinate, top first; rank one is a single row
+    labels: dict = {}
+    for pt in region:
+        labels.setdefault(pt[1:], {})[pt[0]] = "mcm+conic" if pt in conic else "mcm"
+    (x_lo, x_hi), *y_box = box
+    rows = ((y,) for y_lo, y_hi in y_box for y in range(y_hi, y_lo - 1, -1)) if y_box else [()]
+    for row in rows:
+        label = labels.get(row, {}).get
+        for lo in range(x_lo, x_hi + 1, _TABLE_SLICE):
+            cells = map(label, range(lo, min(lo + _TABLE_SLICE, x_hi + 1)), repeat("none"))
+            sys.stdout.write(("\t" if lo > x_lo else "") + "\t".join(cells))
+        sys.stdout.write("\n")
     return 0
 
 
-def _cell(pt, region, conic) -> str:
-    if pt in conic:
-        return "mcm+conic"
-    if pt in region:
-        return "mcm"
-    return "none"
-
-
-def _default_box(ws) -> list[tuple[int, int]]:
-    bx = sum(abs(w[0]) for w in ws)
-    by = sum(abs(w[1]) for w in ws)
-    return [(-bx, bx), (-by, by)]
+def _default_box(cgd) -> list[tuple[int, int]]:
+    """``mcm-region``'s box without ``--box``: +-max(beta + 1, reach()) in
+    rank one, +-sum |w_k| in each coordinate in rank two."""
+    if cgd.rank == 1:
+        _, hi = rank1.mcm_interval(w for w, in cgd.weights)
+        bound = max(hi + 2, cgd.mcm_test.reach())
+        return [(-bound, bound)]
+    return [(-b, b) for b in (sum(map(abs, col)) for col in zip(*cgd.weights))]
 
 
 def _cmd_nccr_verify(args) -> int:
@@ -563,6 +556,9 @@ def _run(args: argparse.Namespace) -> int:
     except (PosetError, ConeError, TorsionError, divisorial.ConicBoxError,
             divisorial.ConicTooLargeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
         return USAGE_ERROR
     except (mcm.NotGorensteinError, mcm.CriterionHypothesisError,
             rank1.Rank1InputError) as exc:

@@ -1,5 +1,5 @@
-"""Rank-one maximal Cohen-Macaulay classes via the one-parameter-subgroup
-criterion.
+"""Which divisorial ideals are maximal Cohen-Macaulay, for a class group of
+rank one or two, by the one-parameter-subgroup criterion.
 
 The unit ball of one-parameter subgroups is cut into chambers on which the
 set of negatively-pairing divisor weights is constant.  Every chamber that
@@ -569,28 +569,31 @@ class McmTest:
             return weights.mcm_test
         return cls(weights)
 
-    def reach(self) -> int:
+    def reach(self) -> Optional[int]:
         """Rank one: the least R with every MCM class in [-R, R], for weights
         that generate Z, as a class group's do.  Each cone is a ray from
         -+beta outwards that holds every class at or past its conductor, and
         the class one level short of it is a hole, so R is beta + F, with F
         the Frobenius number of N<|w_i|> (or beta - 1 when that is N).  The
         conductors are read off the cones' Apery tables, so this costs the
-        same for any weights."""
+        same for any weights.  None for weights that do not generate Z: no
+        cone holds a class outside their group, so there is no bound."""
         if self.rank != 1:
             raise ValueError("the reach of the MCM classes is a rank-one bound")
+        if gcd(*(g for cone in self.cones for g, in cone.generators)) != 1:
+            return None
         return max(abs(cone.offset[0]) + cone.conductor - 1 for cone in self.cones)
 
     def __call__(self, chi: Vec) -> bool:
-        """Is the rank-one class chi MCM?"""
+        """Is the divisorial ideal of class chi MCM?"""
         _check_rank(chi, self.rank)
         return self._decide(chi)
 
 
 def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
-    """Is the rank-one class MCM?  Both ranks run the chamber criterion,
-    whose hypothesis must hold (see :class:`McmTest`); chi's coordinates
-    must be ints.
+    """Is the divisorial ideal of class chi MCM, for a class group of rank
+    one or two?  Both ranks run the chamber criterion, whose hypothesis
+    must hold (see :class:`McmTest`); chi's coordinates must be ints.
 
     A :class:`~hibinccr.classgroup.ClassGroupData` holds its compiled
     :class:`McmTest`, so repeated queries against it share one compilation.
@@ -613,27 +616,27 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     the points of the column it holds (:func:`_strike`), so the cost is a
     few integer operations and one slice per Apery corner per cone per
     column, plus one step per MCM class listed.  Rank one runs on the
-    second axis, so its box is one column; for weights that generate Z it
-    is first clipped to [-R, R], R = :meth:`McmTest.reach`, outside which
-    no class is MCM, so a box of any size costs at most that interval (the
-    CLI's table format still prints one cell per point of the box).  On
-    ``corpus/rank2_demo.cone`` the box [-1000, 1000]^2 takes about 0.15 s
-    (4.4 s pointwise); on (300, 301, -300, -301) the default box of the
-    CLI, +-90300, with 90901 MCM classes, about 0.08 s."""
+    second axis, so its box is one column, clipped to [-R, R] when there
+    is a reach R (:meth:`McmTest.reach`), outside which no class is MCM: a
+    box of any size costs at most that interval (the CLI's table format
+    writes its cells a slice at a time).  On ``corpus/rank2_demo.cone``
+    the box [-1000, 1000]^2 takes about 0.15 s (4.4 s pointwise); on
+    (300, 301, -300, -301) the default box of the CLI, +-90300, with 90901
+    MCM classes, about 0.08 s."""
     test = McmTest.of(weights)
     if len(box) != test.rank:
         raise ValueError(f"expected a box of rank {test.rank}, got {len(box)} ranges")
     (x_lo, x_hi), (y_lo, y_hi) = box if test.rank == 2 else ((0, 0), *box)
-    if test.rank == 1 and gcd(*(w for w, in weight_list(weights))) == 1:
-        reach = test.reach()
+    if test.rank == 1 and (reach := test.reach()) is not None:
         y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach)
     rows = tuple(cone._row for cone in test.cones)
     ys = range(y_lo, y_hi + 1)
     region: set[Vec] = set()
     if x_lo > x_hi or not ys:
         return region
+    full = b"\x01" * len(ys)  # on 3.11 a failed bytearray repeat also prints a SystemError
     for x in range(x_lo, x_hi + 1):
-        column = bytearray(b"\x01") * len(ys)
+        column = bytearray(full)
         for row in rows:
             _strike(column, row, x, y_lo, y_hi)
         region.update(zip(repeat(x), compress(ys, column)))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -358,6 +359,49 @@ def test_rank_one_box_is_clipped_to_the_reach(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0 and json.loads(far)["box"] == [[-99999999999, 99999999999]]
     assert json.loads(far)["mcm"] == json.loads(out)["mcm"]
+
+
+@pytest.mark.parametrize("name, box", [("rank1_example.cone", "-5000,5000"),
+                                       ("rank2_demo.cone", "-5000,5000,-2,2")])
+def test_table_rows_longer_than_a_slice_agree_with_the_json_region(capsys, name, box):
+    """A table row of 10001 cells is written in slices; joined, they are the
+    cells the JSON report's classes give, one row per y from the top."""
+    code, out, _ = run_cli(capsys, "mcm-region", corpus(name), f"--box={box}",
+                           "--format", "json")
+    report = json.loads(out)
+    mcm, conic = ({tuple(p) for p in report[key]} for key in ("mcm", "mcm_and_conic"))
+    (x_lo, x_hi), *y_box = report["box"]
+    rows = [(y,) for y_lo, y_hi in y_box for y in range(y_hi, y_lo - 1, -1)] or [()]
+    expected = "".join("\t".join("mcm+conic" if (x, *row) in conic else
+                                 "mcm" if (x, *row) in mcm else "none"
+                                 for x in range(x_lo, x_hi + 1)) + "\n" for row in rows)
+    assert run_cli(capsys, "mcm-region", corpus(name), f"--box={box}") == (0, expected, "")
+
+
+def test_rank_one_table_holds_one_slice_of_its_row():
+    """The table format writes its row a slice of cells at a time, so the
+    2 * 10**6 + 1 cells of the box +-10**6 stay under a 4 MiB tracemalloc
+    peak (35 MiB when the row was built whole)."""
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["mcm-region", corpus("rank1_example.cone"), "--box=-1000000,1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 4 * 2 ** 20
+
+
+def test_a_box_too_large_to_sweep_is_a_usage_error(capsys, monkeypatch):
+    """A box whose columns do not fit in memory, such as
+    -1,1,-99999999999,99999999999 on rank2_demo.cone, exits 2 with one
+    line instead of a MemoryError traceback."""
+    def out_of_memory(weights, box):
+        raise MemoryError
+    monkeypatch.setattr(hibinccr.mcm, "mcm_region", out_of_memory)
+    assert run_cli(capsys, "mcm-region", corpus("rank2_demo.cone"),
+                   "--box=-1,1,-99999999999,99999999999", "--format", "json") == (
+        2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("tree", ["ee2,e3,e4,e5,e6,e7", "e+2,e3,e4,e5,e6,e7",
