@@ -278,6 +278,8 @@ def same_class(a: Sequence[int], b: Sequence[int], s: SigmaMatrix) -> bool:
     """Do two divisor coefficient vectors define isomorphic divisorial
     ideals?  True iff their difference is an integer combination of the
     sigma columns (i.e. a principal divisor)."""
+    if len(a) != s.n or len(b) != s.n:
+        raise ValueError("coefficient vector length mismatch")
     diff = tuple(x - y for x, y in zip(a, b))
     return intlattice.lattice_contains(list(zip(*s.rows)), diff)
 

@@ -21,13 +21,16 @@ cone's generators for its units and phi, and on a pointed cone a walk of
 at most one step more than it has generators to decide whether it is
 saturated; a ray or a half-plane is saturated when its least generator and
 its units span the group of all its generators.  Any other cone is then
-walked once over its Apery set Ap, in time O(|Ap| log |Ap|) per generator;
-|Ap| grows with the cone's index (see :class:`McmTest`).  After that a
-query costs the same at any distance: three inequalities, one residue,
-and a congruence or one staircase lookup.  A region
-(:func:`mcm_region`) is swept a column at a time: a few integer operations
-per cone per column and one slice per Apery corner, plus one step per MCM
-class listed.
+walked once over its Apery set Ap (:func:`_apery`): each point of Ap
+queues its sums with the k generators other than u and v, each point is
+queued at most once, and its dominance test is one bisection of its
+residue's staircase, so the walk takes O(k |Ap| log(k |Ap|)) steps plus
+one list insertion per corner kept; |Ap| grows with the cone's index,
+the number of residues.  After that a query costs the same at any
+distance, in time and memory: three inequalities, one residue, and a
+congruence or one staircase bisection.  A region (:func:`mcm_region`) is
+swept a column at a time: a few integer operations per cone per column
+and one slice per Apery corner, plus one step per MCM class listed.
 
 Whoever owns the weights holds their compiled test.  A
 :class:`~hibinccr.classgroup.ClassGroupData` keeps it as an instance
@@ -134,11 +137,11 @@ class NonMcmCone(Record):
     residues are taken modulo in echelon form ``(a, b, c)`` (see
     :func:`_lattice`), which is L on a saturated cone and M otherwise, and
     the Apery table: a dict from each residue's reduced representative to
-    its staircase, the corners' n values rising and their phi - n values
-    falling.  A saturated cone has an empty table.  Nothing in the row
-    changes after compiling.  :func:`_outside` reads it, for this cone
-    alone or for every cone of a :class:`McmTest`.  It holds no reference
-    to the cone, so a dropped cone is freed at once.
+    its staircase, the list of its corners' n values, rising, and the list
+    of their phi - n values, falling.  A saturated cone has an empty table.
+    Nothing in the row changes after compiling.  :func:`_outside` reads it,
+    for this cone alone or for every cone of a :class:`McmTest`.  It holds
+    no reference to the cone, so a dropped cone is freed at once.
     """
 
     _fields = ("offset", "generators")
@@ -189,8 +192,10 @@ class NonMcmCone(Record):
 def _outside(rows: tuple[tuple, ...], chi: Vec) -> bool:
     """Is the plane point chi in none of the compiled cones?  For each row:
     shift by the offset and test phi and the boundary inequalities; then,
-    with no Apery table, test membership in L, and with one, look the
-    point up in it (:func:`_in_table`)."""
+    with no Apery table, test membership in L, and with one, find the
+    staircase of the point's residue.  The corners' n values rise as their
+    phi - n values fall, so the point is in the cone exactly when the last
+    corner whose n value is at most n(p) has phi - n at most that of p."""
     x0, y0 = chi
     for ox, oy, px, py, nx, ny, mx, my, a, b, c, table in rows:
         x = x0 - ox
@@ -199,8 +204,12 @@ def _outside(rows: tuple[tuple, ...], chi: Vec) -> bool:
         if level < 0 or nx * x + ny * y < 0 or mx * x + my * y < 0:
             continue
         if table:
-            if _in_table(table, x, y, level, nx * x + ny * y, a, b, c):
-                return False
+            stair = table.get(_residue(x, y, a, b, c))
+            if stair:
+                n = nx * x + ny * y
+                i = bisect_right(stair[0], n)
+                if i and stair[1][i - 1] <= level - n:
+                    return False
             continue
         if a:
             if x % a:
@@ -213,29 +222,20 @@ def _outside(rows: tuple[tuple, ...], chi: Vec) -> bool:
     return True
 
 
-def _in_table(table: dict, x: int, y: int, level: int, n: int, a: int, b: int, c: int) -> bool:
-    """Does the shifted point (x, y), at phi level ``level`` and n value
-    ``n``, dominate a corner of its residue's staircase modulo the lattice
-    (a, b, c)?  The corners' n values rise as their other values fall, so
-    the last corner whose n value is at most ``n`` decides."""
-    stair = table.get(_residue(x, y, a, b, c))
-    if not stair:
-        return False
-    i = bisect_right(stair[0], n)
-    return i > 0 and stair[1][i - 1] <= level - n
-
-
 def _apery(phi: Vec, normals: tuple[int, int, int, int], units: list[Vec], rest: list[Vec],
            lat: tuple[int, int, int], pointed: bool) -> tuple[tuple[int, int, int], dict, Optional[int]]:
     """The lattice M in echelon form, the Apery table and the conductor
     (None on a pointed cone) of a cone that is not known to be saturated
     (see :class:`NonMcmCone`).  If M is L, Ap is {0}: the cone is
     saturated, and keeps L and no table.  Otherwise a walk from 0 in order
-    of phi adds every generator but u and v to each point of Ap it finds.
-    Ap less a generator is in Ap, so every point of Ap is reached; a corner
-    that a point dominates lies at a lower level, so it is found first, and
-    a point that dominates one is in a + N u + N v and is dropped.  The
-    walk takes O(|Ap| log |Ap|) steps per generator."""
+    of phi adds every generator but u and v to each point of Ap it finds,
+    queueing each sum once.  Ap less a generator is in Ap, so every point
+    of Ap is reached; a corner that a point dominates lies at a lower
+    level, so it is found first, and a point that dominates one is in
+    a + N u + N v and is dropped, by the bisection :func:`_outside` makes.
+    A point kept is new and lies at no lower level than every corner, so
+    no corner is above it in both n and phi - n: inserted at its n, it
+    keeps its staircase sorted, and the walk's dict is the table."""
     px, py = phi
     nx, ny, mx, my = normals
     steps = sorted((px * gx + py * gy, gx, gy) for gx, gy in rest)
@@ -247,18 +247,23 @@ def _apery(phi: Vec, normals: tuple[int, int, int, int], units: list[Vec], rest:
     if (a, c) == (lat[0], lat[2]):  # M, a sublattice of L, has index 1
         return lat, {}, 0
     grow = [st for st in steps if st not in fixed]
-    found: dict[Vec, list[tuple[int, int]]] = {}
+    table: dict[Vec, tuple[list[int], list[int]]] = {}
     heap = [(0, 0, 0)]
+    queued = {(0, 0, 0)}
     while heap:
         level, x, y = heappop(heap)
         n = nx * x + ny * y
-        stair = found.setdefault(_residue(x, y, a, b, c), [])
-        if any(f <= n and g <= level - n for f, g in stair):
+        ns, rests = table.setdefault(_residue(x, y, a, b, c), ([], []))
+        i = bisect_right(ns, n)
+        if i and rests[i - 1] <= level - n:
             continue
-        stair.append((n, level - n))
+        ns.insert(i, n)
+        rests.insert(i, level - n)
         for cost, gx, gy in grow:
-            heappush(heap, (level + cost, x + gx, y + gy))
-    table = {key: tuple(zip(*sorted(stair))) for key, stair in found.items()}
+            q = level + cost, x + gx, y + gy
+            if q not in queued:
+                queued.add(q)
+                heappush(heap, q)
     if pointed:
         return (a, b, c), table, None
     top = max(levels[0] for _, levels in table.values())
@@ -525,26 +530,10 @@ class McmTest:
     rows (:func:`_outside`); rank one runs on the second axis.  Calling the
     test checks the rank of chi and that its coordinates are ints;
     :meth:`of` reuses the test a :class:`~hibinccr.classgroup.ClassGroupData`
-    already holds.  Queries change nothing the test holds.
-
-    Compiling costs O(|Ap|) for each cone, and a query then costs the same
-    at any distance, in time and memory.  A pointed cone learns that it is
-    saturated from a walk of at most len(generators) + 1 Hilbert basis
-    points, whatever its index, and walks no Apery set: a fresh test on
-    ``corpus/rank2_demo.cone`` answers (3000, 0) in about 0.7 ms, compile
-    included.  Every other cone walks its Apery set, whose size grows with
-    the cone's index: (1000, 1001, -1000, -1001), whose rays hold 1000
-    corners each, takes about 3.5 ms at (10**6,), and (-1, -3), (3, -4),
-    (2, 2), (-4, 3), (0, -1), (0, 3), with 7 pointed cones of 10 not
-    saturated, about 0.8 ms at (10**6, 0).  Random rank-two weights mostly
-    give cones of that kind: over 20 systems of five weights and their
-    completion, the worst cone took about 25 ms (|Ap| 2736, index 1015)
-    with entries up to 30, and about 1 s (|Ap| 52773, index 9288) with
-    entries up to 100.
-
-    :func:`mcm_region` reads the same rows a column at a time, so a box
-    costs each cone a few integer operations and one slice per Apery corner
-    per column, plus the MCM classes listed.
+    already holds.  Queries change nothing the test holds.  The rows are
+    kept once (``_rows``): :func:`_outside` reads them a point at a time,
+    :func:`mcm_region` a column at a time.  What compiling and a query cost
+    is the module's cost model.
     """
 
     def __init__(self, weights: WeightsLike):
@@ -558,7 +547,8 @@ class McmTest:
                 f"criterion hypothesis fails on chambers {decomposition.hypothesis_failures}")
         self.cones = tuple(non_mcm_cone(chamber, ws) for chamber in decomposition.chambers
                            if chamber.kind != HALF_OPEN)
-        decide = partial(_outside, tuple(cone._row for cone in self.cones))
+        self._rows = tuple(cone._row for cone in self.cones)
+        decide = partial(_outside, self._rows)
         # rank one runs on the second axis, embedded here once
         self._decide = decide if self.rank == 2 else lambda chi: decide((0, chi[0]))
 
@@ -597,9 +587,8 @@ def is_mcm(chi: Vec, weights: WeightsLike) -> bool:
 
     A :class:`~hibinccr.classgroup.ClassGroupData` holds its compiled
     :class:`McmTest`, so repeated queries against it share one compilation.
-    A plain weight sequence is compiled on every call, at O(|Ap|) per cone;
-    to ask many questions of one, build ``McmTest(weights)`` once and call
-    it.  A query costs the same at any distance.
+    A plain weight sequence is compiled on every call; to ask many
+    questions of one, build ``McmTest(weights)`` once and call it.
     """
     test = McmTest.of(weights)
     _check_rank(chi, test.rank)
@@ -610,26 +599,20 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     """All MCM classes inside the box (inclusive coordinate ranges): the
     points that no compiled non-MCM cone contains, the same answers
     :func:`is_mcm` gives pointwise.  The test is compiled once per call, or
-    taken from the class group that holds it, at O(|Ap|) per cone.
+    taken from the class group that holds it.
 
     The box is swept one column (one x) at a time, and each cone clears
-    the points of the column it holds (:func:`_strike`), so the cost is a
-    few integer operations and one slice per Apery corner per cone per
-    column, plus one step per MCM class listed.  Rank one runs on the
-    second axis, so its box is one column, clipped to [-R, R] when there
-    is a reach R (:meth:`McmTest.reach`), outside which no class is MCM: a
-    box of any size costs at most that interval (the CLI's table format
-    writes its cells a slice at a time).  On ``corpus/rank2_demo.cone``
-    the box [-1000, 1000]^2 takes about 0.15 s (4.4 s pointwise); on
-    (300, 301, -300, -301) the default box of the CLI, +-90300, with 90901
-    MCM classes, about 0.08 s."""
+    the points of the column it holds (:func:`_strike`).  Rank one runs on
+    the second axis, so its box is one column, clipped to [-R, R] when
+    there is a reach R (:meth:`McmTest.reach`), outside which no class is
+    MCM: a box of any size costs at most that interval (the CLI's table
+    format writes its cells a slice at a time)."""
     test = McmTest.of(weights)
     if len(box) != test.rank:
         raise ValueError(f"expected a box of rank {test.rank}, got {len(box)} ranges")
     (x_lo, x_hi), (y_lo, y_hi) = box if test.rank == 2 else ((0, 0), *box)
     if test.rank == 1 and (reach := test.reach()) is not None:
         y_lo, y_hi = max(y_lo, -reach), min(y_hi, reach)
-    rows = tuple(cone._row for cone in test.cones)
     ys = range(y_lo, y_hi + 1)
     region: set[Vec] = set()
     if x_lo > x_hi or not ys:
@@ -637,7 +620,7 @@ def mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -> set[Vec]
     full = b"\x01" * len(ys)  # on 3.11 a failed bytearray repeat also prints a SystemError
     for x in range(x_lo, x_hi + 1):
         column = bytearray(full)
-        for row in rows:
+        for row in test._rows:
             _strike(column, row, x, y_lo, y_hi)
         region.update(zip(repeat(x), compress(ys, column)))
     return region if test.rank == 2 else {(y,) for _, y in region}

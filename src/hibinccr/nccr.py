@@ -84,18 +84,20 @@ def endomorphism_is_mcm(chars: CharacterSet, weights: WeightsLike) -> EndMcmRepo
     is reused) and asked about each distinct difference once, in order of
     first occurrence, stopping at the first that fails; the first failing
     pair is that difference's first occurrence, and ``checked`` counts the
-    pairs up to it.
+    pairs up to it.  Every character must have the rank of the weights.
     """
     ordered = sorted(chars.chars)
     if not ordered:  # an empty set asks nothing, so its weights are never compiled
         return EndMcmReport(ok=True, checked=0)
-    rank = len(ordered[0])
+    test = mcm.McmTest.of(weights)
+    rank = test.rank
+    for chi in ordered:
+        _check_rank("character", chi, rank)
     places = [1] * rank
     for k in range(rank - 1, 0, -1):
         span = max(chi[k] for chi in ordered) - min(chi[k] for chi in ordered)
         places[k - 1] = places[k] * (2 * span + 1)
     codes = [sum(map(mul, chi, places)) for chi in ordered]
-    test = mcm.McmTest.of(weights)
     # c.__rsub__ maps c2 to c2 - c
     for code in dict.fromkeys(chain.from_iterable(map(c.__rsub__, codes) for c in codes)):
         # every place is odd, and the digits below a place sum to at most
@@ -303,13 +305,6 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
     def admission_key(chi: Vec) -> int:
         return sum(map(key_part, range(rank), chi))
 
-    def decode(c: int) -> Vec:
-        digits = []
-        for place in places:
-            digit, c = divmod(c, place)
-            digits.append(digit)
-        return tuple(map(add, digits, offset))
-
     compiled = [(direction, threshold, [sum(map(mul, s, places)) for s in shifts], shifts)
                 for direction, threshold, shifts in usable]
     covered = {admission_key(nu) % size for nu in base}
@@ -361,8 +356,9 @@ def certify_gldim(chars: CharacterSet, weights: WeightsLike,
         # the last pass admitted nothing, so each goal's last try saw this covered set
         reasons = []
         for chi, c in uncovered:
-            blocked = [(direction, decode(c + next(s for s in steps if c + s not in covered)))
-                       for direction, threshold, steps, _ in compiled
+            blocked = [(direction, next(tuple(map(add, chi, shift))
+                                        for s, shift in zip(steps, shifts) if c + s not in covered))
+                       for direction, threshold, steps, shifts in compiled
                        if sum(map(mul, direction, chi)) < threshold]
             reasons.append((chi, _failure_reason(blocked[:2])))
         return GldimResult(ok=False, certificate=None,
@@ -506,16 +502,19 @@ def verify_nccr(p: BoundedPoset) -> NccrReport:
                           reason=f"polynomial extension: edge e{poly + 1} = "
                                  f"{{{l}, {u}}} lies on every maximal chain")
     rank = p.n_edges - len(p.elements) + 1
-    if rank == 1:
-        return _verify_rank1(p)
-    if rank != 2:
+    if rank not in (1, 2):
         return NccrReport(verdict="rejected",
                           reason=f"class group rank {rank} is out of scope (1 or 2)")
+    computed = class_group(sigma_matrix(p), spanning_tree(p))
+    if rank == 1:
+        line = rank1_mod.Rank1Weights.from_class_group(computed)
+        window = rank1_mod.base_window(line)
+        chars = character_window([-c for c in window.classes])
+        return _verify_with_weights(tuple((w,) for w in line.weights), chars, None)
 
     # pure, no polynomial-extension edge and rank 2: classify cannot reject
     result = families.classify(p)
     table = tuple(families.expected_weight_table(result))
-    computed = class_group(sigma_matrix(p), spanning_tree(p))
     if find_unimodular_match(computed.weights, table) is None:
         return NccrReport(verdict="failed", classification=result,
                           reason="computed divisor classes do not match the "
@@ -524,41 +523,24 @@ def verify_nccr(p: BoundedPoset) -> NccrReport:
     return _verify_with_weights(table, chars, result)
 
 
-def _verify_rank1(p: BoundedPoset) -> NccrReport:
-    cgd = class_group(sigma_matrix(p), spanning_tree(p))
-    line = rank1_mod.Rank1Weights.from_class_group(cgd)
-    window = rank1_mod.base_window(line)
-    chars = character_window([-c for c in window.classes])
-    table = tuple((w,) for w in line.weights)
-    return _verify_with_weights(table, chars, None)
-
-
 def _verify_with_weights(table: tuple[Vec, ...], chars: CharacterSet,
                          classification: Optional[families.TypeParams]) -> NccrReport:
     conic = divisorial.conic_classes(table)
-    end_report = endomorphism_is_mcm(chars, table)
-    if not end_report.ok:
-        return NccrReport(verdict="failed", classification=classification,
-                          weights=table, characters=chars, conic_count=len(conic),
-                          end_mcm=end_report,
-                          reason=f"endomorphism ring is not MCM: difference "
-                                 f"{end_report.first_failure[2]} fails")
+    report = NccrReport(verdict="failed", reason="", classification=classification,
+                        weights=table, characters=chars, conic_count=len(conic),
+                        end_mcm=endomorphism_is_mcm(chars, table))
+    if not report.end_mcm.ok:
+        return report._replace(reason=f"endomorphism ring is not MCM: difference "
+                                      f"{report.end_mcm.first_failure[2]} fails")
     gres = certify_gldim(chars, table, goal=conic)
+    report = report._replace(gldim=gres)
     if not gres.ok:
-        return NccrReport(verdict="failed", classification=classification,
-                          weights=table, characters=chars, conic_count=len(conic),
-                          end_mcm=end_report, gldim=gres,
-                          reason=f"finite global dimension not certified; "
-                                 f"uncovered {list(gres.uncovered)[:4]}")
+        return report._replace(reason=f"finite global dimension not certified; "
+                                      f"uncovered {list(gres.uncovered)[:4]}")
     assert gres.certificate is not None
     ok, why = replay_certificate(gres.certificate, chars, table)
     if not ok:
-        return NccrReport(verdict="failed", classification=classification,
-                          weights=table, characters=chars, conic_count=len(conic),
-                          end_mcm=end_report, gldim=gres,
-                          reason=f"certificate replay failed: {why}")
-    return NccrReport(verdict="verified", classification=classification,
-                      weights=table, characters=chars, conic_count=len(conic),
-                      end_mcm=end_report, gldim=gres,
-                      reason="endomorphism ring is MCM and the finite global "
-                             "dimension certificate replays on all conic classes")
+        return report._replace(reason=f"certificate replay failed: {why}")
+    return report._replace(verdict="verified",
+                           reason="endomorphism ring is MCM and the finite global "
+                                  "dimension certificate replays on all conic classes")

@@ -33,9 +33,14 @@ comparisons on smaller samples.  The rank-one systems of ``RANK1_SYSTEMS``
 are asked about every class within 3 beta, and there
 ``oracles.closed_form_mcm_classes``, which decides by local cohomology
 instead of the chamber criterion, is a third check.
-Last, ``mcm.mcm_region``, which sweeps a box by columns, must list the very
+Then ``mcm.mcm_region``, which sweeps a box by columns, must list the very
 region ``oracles.pointwise_mcm_region`` finds point by point: on one
 off-centre box per sparse system and two intervals per rank-one system.
+Last, every cone of the sparse systems and of ``RANDOM_SYSTEMS`` systems
+of five weights with entries in ``[-RANDOM_ENTRIES, RANDOM_ENTRIES]`` and
+their completion must compile to the very lattice, Apery table and
+conductor that ``oracles.linear_scan_apery``, the walk that scans each
+staircase, gives in place of ``mcm._apery``.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ import random
 import sys
 
 from hibinccr import (CriterionHypothesisError, McmTest, TypeParams, chamber_decomposition,
-                      expected_weight_table, mcm_region)
+                      expected_weight_table, mcm, mcm_region)
 from hibinccr.intlattice import smith_normal_form
 
-from oracles import (closed_form_mcm_classes, cones_is_mcm, level_cones,
+from oracles import (closed_form_mcm_classes, cones_is_mcm, level_cones, linear_scan_apery,
                      pointwise_mcm_region, reference_smith_normal_form)
 
 MATRICES = 6000
@@ -56,6 +61,8 @@ SPARSE_SYSTEMS = 300
 POINTS = 80
 BOX = 14
 FAR_BOX = 60
+RANDOM_SYSTEMS = 20
+RANDOM_ENTRIES = 30
 FAMILIES = [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (3, 3, 3)),
             ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)), ("IV", (4, 5)),
             ("V", (0,)), ("V", (3,))]
@@ -143,6 +150,46 @@ def sparse_systems(seed: int = 0, count: int = SPARSE_SYSTEMS) -> list[list[tupl
         if chamber_decomposition(ws).hypothesis_ok:
             systems.append(ws)
     return systems
+
+
+def random_systems(seed: int = 0, count: int = RANDOM_SYSTEMS,
+                   bound: int = RANDOM_ENTRIES) -> list[list[tuple[int, int]]]:
+    """The first ``count`` systems of five weights with entries in
+    [-bound, bound] and the weight that completes their sum to zero that
+    meet the criterion's hypothesis."""
+    rng = random.Random(seed)
+    systems: list[list[tuple[int, int]]] = []
+    while len(systems) < count:
+        ws = [(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(5)]
+        ws.append((-sum(x for x, _ in ws), -sum(y for _, y in ws)))
+        if chamber_decomposition(ws).hypothesis_ok:
+            systems.append(ws)
+    return systems
+
+
+def _compiled(test: McmTest) -> list[tuple]:
+    """Each cone's row, its staircases as tuples, and its conductor."""
+    return [(*cone._row[:-1],
+             {key: tuple(map(tuple, stair)) for key, stair in cone._row[-1].items()},
+             cone.conductor) for cone in test.cones]
+
+
+def apery_disagreements(systems: list[list[tuple[int, int]]]) -> tuple[list, int]:
+    """The systems whose cones compile to another row or conductor when
+    ``oracles.linear_scan_apery`` walks their Apery sets instead of
+    ``mcm._apery``, and how many cones were compared."""
+    bad, cones = [], 0
+    for ws in systems:
+        compiled = _compiled(McmTest(ws))
+        walk, mcm._apery = mcm._apery, linear_scan_apery
+        try:
+            reference = _compiled(McmTest(ws))
+        finally:
+            mcm._apery = walk
+        cones += len(compiled)
+        if compiled != reference:
+            bad.append(ws)
+    return bad, cones
 
 
 def cone_routes(systems: list[list[tuple[int, int]]]) -> dict[str, int]:
@@ -239,6 +286,10 @@ if __name__ == "__main__":
     region_bad, regions = region_disagreements(sparse)
     for ws, box in region_bad:
         print(f"swept MCM region differs: {ws!r} on {box!r}")
+    walked = sparse + random_systems()
+    apery_bad, cones = apery_disagreements(walked)
+    for ws in apery_bad:
+        print(f"Apery tables differ from the linear scan's: {ws!r}")
     print(f"{len(sample) - len(smith_bad)}/{len(sample)} Smith forms agree; "
           f"{tested * POINTS - len(mcm_bad)}/{tested * POINTS} MCM answers agree "
           f"on {tested} of {len(systems)} weight systems; "
@@ -255,4 +306,8 @@ if __name__ == "__main__":
     print(f"{regions - len(region_bad)}/{regions} swept MCM regions agree with the pointwise "
           f"oracle on {len(sparse)} sparse systems (off-centre boxes) and "
           f"{len(RANK1_SYSTEMS)} rank-one systems")
-    sys.exit(1 if smith_bad or mcm_bad or far_bad or rank1_bad or region_bad else 0)
+    print(f"{len(walked) - len(apery_bad)}/{len(walked)} systems ({cones} cones) compile the "
+          f"tables and conductors of the linear-scan Apery walk: {len(sparse)} sparse systems "
+          f"and {RANDOM_SYSTEMS} with entries in [-{RANDOM_ENTRIES}, {RANDOM_ENTRIES}]")
+    sys.exit(1 if smith_bad or mcm_bad or far_bad or rank1_bad or region_bad or apery_bad
+             else 0)

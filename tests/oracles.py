@@ -82,6 +82,13 @@ test's ``_decide``, which stops at the first cone holding it.  It shares
 the compiled cones with ``mcm.mcm_region`` but not the sweep, its
 intervals or its arithmetic progressions.
 
+``linear_scan_apery`` is the Apery walk the library ran before it kept
+each staircase sorted as it grew: it queues every sum a point of Ap makes,
+however often it was queued before, tests each point it takes against
+every corner of its residue's staircase in turn, and sorts the staircases
+into tables after the walk.  It takes the arguments of ``mcm._apery`` and
+shares only ``mcm._lattice`` and ``mcm._residue`` with it.
+
 ``closed_form_mcm_classes`` decides the rank-one MCM classes by local
 cohomology instead of the chamber criterion: T(chi) is non-MCM exactly on
 +-(beta + N<|w_i|>), read from a numerical-semigroup table.  It shares no
@@ -1061,6 +1068,39 @@ def pointwise_mcm_region(weights: WeightsLike, box: Sequence[tuple[int, int]]) -
     if len(box) != test.rank:
         raise ValueError(f"expected a box of rank {test.rank}, got {len(box)} ranges")
     return set(filter(test._decide, product(*(range(lo, hi + 1) for lo, hi in box))))
+
+
+def linear_scan_apery(phi: Vec, normals: tuple[int, int, int, int], units: list[Vec],
+                      rest: list[Vec], lat: tuple[int, int, int], pointed: bool
+                      ) -> tuple[tuple[int, int, int], dict, Optional[int]]:
+    """The lattice M, the Apery table and the conductor, as ``mcm._apery``
+    returns them, by a walk that re-queues points and scans staircases (see
+    the module docstring)."""
+    px, py = phi
+    nx, ny, mx, my = normals
+    steps = sorted((px * gx + py * gy, gx, gy) for gx, gy in rest)
+    fixed = {next(st for st in steps if nx * st[1] + ny * st[2] == 0),
+             next(st for st in steps if mx * st[1] + my * st[2] == 0)}
+    a, b, c = mcm._lattice([*units, *((gx, gy) for _, gx, gy in fixed)])
+    if (a, c) == (lat[0], lat[2]):
+        return lat, {}, 0
+    grow = [st for st in steps if st not in fixed]
+    found: dict[Vec, list[tuple[int, int]]] = {}
+    heap = [(0, 0, 0)]
+    while heap:
+        level, x, y = heapq.heappop(heap)
+        n = nx * x + ny * y
+        stair = found.setdefault(mcm._residue(x, y, a, b, c), [])
+        if any(f <= n and g <= level - n for f, g in stair):
+            continue
+        stair.append((n, level - n))
+        for cost, gx, gy in grow:
+            heapq.heappush(heap, (level + cost, x + gx, y + gy))
+    table = {key: tuple(zip(*sorted(stair))) for key, stair in found.items()}
+    if pointed:
+        return (a, b, c), table, None
+    top = max(levels[0] for _, levels in table.values())
+    return (a, b, c), table, max(0, top - steps[0][0] + 1)
 
 
 def closed_form_mcm_classes(weights: Sequence[int], lo: int, hi: int) -> set[int]:

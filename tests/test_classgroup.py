@@ -128,6 +128,17 @@ def test_same_class_examples(running_example):
     assert same_class(a, [0] * 8, s)
 
 
+def test_same_class_refuses_vectors_of_the_wrong_length(running_example):
+    """running_example has 8 divisors: a 7- or a 10-vector names no divisor,
+    against an 8-vector or in either place."""
+    s = sigma_matrix(running_example)
+    eight = [1, 0, 0, 0, 0, 0, 0, 0]
+    for other in ([1, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]):
+        for a, b in ((eight, other), (other, eight), (other, other)):
+            with pytest.raises(ValueError, match="coefficient vector length mismatch"):
+                same_class(a, b, s)
+
+
 def test_same_class_matches_class_of(running_example):
     s = sigma_matrix(running_example)
     cgd = class_group(s, spanning_tree(running_example))

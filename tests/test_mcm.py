@@ -24,8 +24,9 @@ from hibinccr.intlattice import lattice_contains
 from hibinccr.mcm import CLOSED, HALF_OPEN, OPEN, NonMcmCone
 
 from conftest import table
-from kernel_agreement import (RANK1_SYSTEMS, cone_routes, mcm_disagreements,
-                              rank1_disagreements, sparse_systems, weight_systems)
+from kernel_agreement import (RANK1_SYSTEMS, apery_disagreements, cone_routes,
+                              mcm_disagreements, random_systems, rank1_disagreements,
+                              sparse_systems, weight_systems)
 from test_posets import FAMILY_SIZES
 from oracles import (LevelNonMcmCone, closed_form_mcm_classes, cones_is_mcm, level_cones,
                      pointwise_mcm_region, reference_chamber_decomposition,
@@ -464,6 +465,16 @@ def test_every_route_matches_level_cones_on_sparse_systems():
     assert None in conductors and max(conductors - {None}) > 0
     bad, tested = mcm_disagreements(systems, seed=5, points=40)
     assert not bad and tested == 40
+
+
+def test_apery_walk_agrees_with_the_linear_scan():
+    """A seeded slice of the sparse systems and three random systems with
+    entries in [-30, 30] compile every cone to the lattice, Apery table and
+    conductor of the walk that scans each staircase and sorts it after."""
+    systems = sparse_systems(seed=6, count=40) + random_systems(seed=6, count=3)
+    assert cone_routes(systems)["apery"]
+    bad, cones = apery_disagreements(systems)
+    assert not bad and cones > 3 * 40
 
 
 def test_rank_one_test_matches_level_cones_and_closed_form():

@@ -76,6 +76,19 @@ def test_end_mcm_failure_detected():
     assert report.first_failure[2] in {(5, 0), (-5, 0)}
 
 
+@pytest.mark.parametrize("chars, weights, bad", [
+    (((0,), (1, 99)), [(3,), (7,), (-4,), (-6,)], "character (1, 99) has rank 2, expected rank 1"),
+    (((0, 0), (1, 0, 5)), table("I", (0, 1)), "character (1, 0, 5) has rank 3, expected rank 2"),
+    (((0, 0), (1,)), table("I", (0, 1)), "character (1,) has rank 1, expected rank 2")],
+    ids=["longer, rank one", "longer, rank two", "shorter, rank two"])
+def test_end_mcm_refuses_characters_of_another_rank(chars, weights, bad):
+    """Every character is checked against the rank of the weights, before
+    the characters are coded: a longer one is not cut to that rank, and a
+    shorter one does not end in an IndexError."""
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        endomorphism_is_mcm(CharacterSet(chars=chars), weights)
+
+
 FAMILY_BOXES = [("I", (0, 1)), ("I", (2, 3)), ("II", (1, 1, 1)), ("II", (2, 2, 2)),
                  ("III", (0, 2, 0)), ("III", (2, 3, 2)), ("IV", (1, 1)), ("IV", (3, 4)),
                  ("V", (1,)), ("V", (3,))]
