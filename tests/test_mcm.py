@@ -473,8 +473,7 @@ def test_apery_walk_agrees_with_the_linear_scan():
     conductor of the walk that scans each staircase and sorts it after."""
     systems = sparse_systems(seed=6, count=40) + random_systems(seed=6, count=3)
     assert cone_routes(systems)["apery"]
-    bad, cones = apery_disagreements(systems)
-    assert not bad and cones > 3 * 40
+    assert apery_disagreements(systems)[0] == []
 
 
 def test_rank_one_test_matches_level_cones_and_closed_form():

@@ -80,7 +80,7 @@ def test_end_mcm_failure_detected():
     (((0,), (1, 99)), [(3,), (7,), (-4,), (-6,)], "character (1, 99) has rank 2, expected rank 1"),
     (((0, 0), (1, 0, 5)), table("I", (0, 1)), "character (1, 0, 5) has rank 3, expected rank 2"),
     (((0, 0), (1,)), table("I", (0, 1)), "character (1,) has rank 1, expected rank 2")],
-    ids=["longer, rank one", "longer, rank two", "shorter, rank two"])
+    ids=["longer-rank-one", "longer-rank-two", "shorter-rank-two"])
 def test_end_mcm_refuses_characters_of_another_rank(chars, weights, bad):
     """Every character is checked against the rank of the weights, before
     the characters are coded: a longer one is not cut to that rank, and a
